@@ -35,7 +35,6 @@ from .estimation import (
     certify_uniform,
     estimate_epsilon,
     estimate_g,
-    estimate_q,
     genpf,
     lower_cdf_distribution,
     n_delta_for_epsilon,
@@ -44,7 +43,6 @@ from .estimation import (
     n_delta_for_tight_lower,
     n_delta_for_uniform_bounds,
     rollout_returns,
-    sample_return,
 )
 from .pomdp import (
     Belief,

@@ -8,7 +8,8 @@ Every report shares one envelope::
 Records are flat dicts of scalars, so a CSV export carries the same rows
 one-to-one.  All randomness is derived from the manifest seed through named
 (slot, trial, query) streams, which makes a report a deterministic function
-of the manifest for any worker count.
+of the manifest.  Runs are single-threaded; ``--workers`` is accepted and
+validated for compatibility but has no effect.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -112,7 +112,7 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         # workers/format/trials are execution plumbing, not run identity:
-        # leaving them out keeps reports byte-identical across worker counts
+        # leaving them out keeps reports byte-identical across their values
         return {
             "command": self.command,
             "scenario": self.scenario,
@@ -241,13 +241,6 @@ def _bound_record(alpha: float, bound) -> dict:
     return rec
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -324,13 +317,12 @@ def cmd_certify(manifest: RunManifest) -> dict:
         cfg_unif = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
                                  _derived_seed(manifest.seed, _SLOT_UNIF, 0, idx))
         bounds = certify_uniform(pair, policy, query, cfg_unif, q0, n_delta,
-                                 manifest.v, manifest.delta,
-                                 workers=manifest.workers)
+                                 manifest.v, manifest.delta)
         cfg_tight = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
                                   _derived_seed(manifest.seed, _SLOT_TIGHT, 0, idx))
         bounds.append(certify_tight_lower(pair, policy, query, cfg_tight, q0,
                                           n_delta, manifest.eta, manifest.delta,
-                                          grid, workers=manifest.workers))
+                                          grid))
         records.extend(_bound_record(alpha, b) for b in bounds)
         try:
             for model in ("original", "simplified"):
@@ -403,7 +395,7 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
         cfg = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
                             _derived_seed(manifest.seed, _SLOT_POOL, t))
         pool = _simplified_return_pool(pair, policy,
-                                       _initial_query(pair, alphas[0]), cfg, 1)
+                                       _initial_query(pair, alphas[0]), cfg)
         for alpha in alphas:
             radii = deviation_radii(pool.size, alpha, delta, value_range)
             q_hat = cvar_estimate_sorted(pool, alpha)
@@ -432,7 +424,7 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
                                   _derived_seed(manifest.seed, _SLOT_UNIF, t, idx))
             try:
                 bounds = certify_uniform(pair, policy, query, cfg_u, q0,
-                                         nd_unif, v, delta, workers=1)
+                                         nd_unif, v, delta)
             except InapplicableCaseError:
                 events[("uniform_lower", alpha)] = None
                 events[("uniform_upper", alpha)] = None
@@ -450,11 +442,11 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
             cfg_t = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
                                   _derived_seed(manifest.seed, _SLOT_TIGHT, t, idx))
             tight = certify_tight_lower(pair, policy, query, cfg_t, q0,
-                                        nd_tight, eta, delta, grid, workers=1)
+                                        nd_tight, eta, delta, grid)
             events[("tight_lower", alpha)] = tight.value - exact_p[alpha] > tight.v
         return events
 
-    results = _map_ordered(one_trial, range(trials), manifest.workers)
+    results = [one_trial(t) for t in range(trials)]
 
     guarantee_keys = []
     for name in ("cvar_estimate_upper", "cvar_estimate_lower"):
@@ -549,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", metavar="PATH",
                          help="write the report here instead of stdout")
         cmd.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="worker threads (default: $RISKGAP_WORKERS or 1)")
+                         help="accepted and ignored: runs are single-threaded "
+                              "(default: $RISKGAP_WORKERS or 1; must be >= 1)")
         cmd.add_argument("--format", dest="fmt", choices=("json", "csv"),
                          default="json")
     return parser
@@ -607,8 +600,9 @@ def main(argv=None) -> int:
         return 3
     except DegenerateWeightsError as exc:
         # the problem/particle configuration cannot be simulated as given
-        print(f"error: {exc} (increase --particles or smooth the observation "
-              "model)", file=sys.stderr)
+        print(f"error: rollout pool: {exc} (every particle is inconsistent "
+              "with the sampled observation; increase --particles or smooth "
+              "the observation model)", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,13 @@ gap estimators, sample-size formulas, and certified value bounds.
 Randomness contract: every operation takes either an explicit generator or
 a RolloutConfig seed. Seeded entry points derive one independent PCG64
 stream per logical task (rollout index, draw batch) via SeedSequence spawn
-keys, so outputs are byte-identical for any worker count.
+keys, so outputs depend on the seed alone, not on the order in which the
+tasks are evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 from .envelopes import PointwiseEnvelope
 from .pomdp import (
     DEFAULT_LEAF_BUDGET,
-    PROB_FLOOR,
     Belief,
     BudgetExceededError,
     Policy,
@@ -38,7 +37,7 @@ _KEY_DECIMALS = 12  # merging resolution for (belief, prefix) support atoms
 
 
 class DegenerateWeightsError(RuntimeError):
-    """All particle weights underflowed after an observation reweight."""
+    """Every particle of a rollout has zero likelihood for its observation."""
 
 
 class UnsupportedBeliefError(ValueError):
@@ -116,7 +115,9 @@ class ProposalQ0:
     ``target_probs[e, j]`` is the exact simplified-model probability of atom
     e at interior step ``first_step + j``; prefixes include the step's own
     belief cost. ``c0`` is the step-k belief cost of the queried action, used
-    by the event thresholds in estimate_g.
+    by the event thresholds in estimate_g. ``gaps[e, j]`` is the exact TV
+    gap of atom e under the policy's action at step ``first_step + j``; the
+    target probabilities already tie the proposal to one (pair, policy).
     """
 
     beliefs: tuple
@@ -125,11 +126,13 @@ class ProposalQ0:
     target_probs: np.ndarray
     first_step: int
     c0: float
+    gaps: np.ndarray
 
     def __post_init__(self) -> None:
         pref = np.asarray(self.prefix_returns, dtype=float)
         prop = np.asarray(self.proposal_probs, dtype=float)
         targ = np.asarray(self.target_probs, dtype=float)
+        gaps = np.asarray(self.gaps, dtype=float)
         n = len(self.beliefs)
         if n == 0:
             raise ValueError("proposal support must be non-empty")
@@ -139,11 +142,15 @@ class ProposalQ0:
             raise ValueError("target_probs must be (n_atoms, n_steps) with n_steps >= 1")
         if np.any(targ < 0.0) or not np.all(np.isfinite(targ)):
             raise ValueError("target probabilities must be finite and >= 0")
+        if gaps.shape != targ.shape:
+            raise ValueError("gaps must have the shape of target_probs")
+        if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
+            raise ValueError("gaps must be finite and >= 0")
         if np.any(prop <= 0.0):
             raise UnsupportedBeliefError("every support atom needs positive proposal mass")
         if abs(prop.sum() - 1.0) > 1e-9:
             raise ValueError("proposal probabilities must sum to 1")
-        for arr in (pref, prop, targ):
+        for arr in (pref, prop, targ, gaps):
             arr.flags.writeable = False
         object.__setattr__(self, "beliefs", tuple(self.beliefs))
         object.__setattr__(self, "prefix_returns", pref)
@@ -151,6 +158,7 @@ class ProposalQ0:
         object.__setattr__(self, "target_probs", targ)
         object.__setattr__(self, "first_step", int(self.first_step))
         object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def n_steps(self) -> int:
@@ -252,7 +260,13 @@ def _return_span(pair: SimplifiedPair) -> float:
 
 
 class _RolloutKernel:
-    """Shared mechanics for genpf steps over one (pair, model) tensor set."""
+    """Particle-filter steps for a batch of rollouts over one (pair, model) tensor set.
+
+    Row i of the (C, N_x) state and weight arrays is rollout i. A step reads
+    its randomness from a (C, 3 + N_x) array of uniforms; row i holds, in
+    draw order, rollout i's reference-particle, reference-successor and
+    observation draws, then one draw per particle.
+    """
 
     def __init__(self, pair: SimplifiedPair, model: str):
         trans, obs = pair.tensors(model)
@@ -262,93 +276,118 @@ class _RolloutKernel:
         self.costs = pair.original.state_cost
         self.n_states = trans.shape[1]
 
-    def step(self, states, weights, a: int, rng: np.random.Generator):
-        """One particle-filter transition; returns (successors, new weights, rho).
+    def step(self, states, weights, actions, u, t: int | None = None):
+        """One transition of every row; returns (successors, new weights, rho).
 
-        Draw order is fixed (reference state, its successor, the observation,
-        then the per-particle vector) so results are reproducible.
+        rho is each row's mean cost under its *old* weights and *current*
+        states. A row whose weight sum falls below 1/2 is scaled up by a
+        power of two, which is exact, so rho, the reference draw and the
+        belief argmax of later steps are unchanged by it. Each (C, N_x)
+        temporary is dropped as soon as it is used, which keeps peak memory
+        near that of the state, weight and uniform arrays.
         """
-        cum_w = np.cumsum(weights)
-        total = cum_w[-1]
-        j = min(int(np.searchsorted(cum_w, rng.random() * total, side="left")),
-                states.size - 1)
-        row = self.cum_trans[a, states[j]]
-        x0p = min(int(np.searchsorted(row, rng.random(), side="left")), self.n_states - 1)
-        z = min(int(np.searchsorted(self.cum_obs[x0p], rng.random(), side="left")),
-                self.cum_obs.shape[1] - 1)
-        u = rng.random(states.size)
-        succ = (self.cum_trans[a][states] < u[:, None]).sum(axis=1)
-        succ = np.minimum(succ, self.n_states - 1)
-        # mean cost uses the *old* weights and the *current* states
-        rho = float(weights @ self.costs[states, a] / total)
-        new_w = weights * self.obs[succ, z]
-        if new_w.sum() <= PROB_FLOOR:
+        n_rows, n = states.shape
+        cum_w = np.cumsum(weights, axis=1)
+        total = cum_w[:, -1].copy()
+        # counting entries below the draw is searchsorted(side="left") on a
+        # non-decreasing row
+        j = np.minimum(np.count_nonzero(cum_w < (u[:, 0] * total)[:, None], axis=1),
+                       n - 1)
+        del cum_w
+        ref_row = self.cum_trans[actions, states[np.arange(n_rows), j]]
+        x0p = np.minimum(np.count_nonzero(ref_row < u[:, 1:2], axis=1),
+                         self.n_states - 1)
+        obs_row = self.cum_obs[x0p]
+        z = np.minimum(np.count_nonzero(obs_row < u[:, 2:3], axis=1),
+                       obs_row.shape[1] - 1)
+        # successor = number of cumulative-transition entries below the draw;
+        # counting the first S - 1 columns caps it at S - 1 without a
+        # (C, N_x, S) tensor
+        succ = np.zeros(states.shape, dtype=np.intp)
+        for col in range(self.n_states - 1):
+            succ += self.cum_trans[actions[:, None], states, col] < u[:, 3:]
+        # a stacked matmul keeps each row's dot product identical to
+        # weights[i] @ costs[i]
+        costs = self.costs[states, actions[:, None]]
+        rho = (weights[:, None, :] @ costs[:, :, None])[:, 0, 0] / total
+        del costs
+        new_w = self.obs[succ, z[:, None]]
+        new_w *= weights
+        sums = new_w.sum(axis=1)
+        if not np.all(sums > 0.0):
+            i = int(np.argmin(sums > 0.0))
+            where = "" if t is None else f" at step {t}"
             raise DegenerateWeightsError(
-                "all particle weights underflowed on observation reweight"
-            )
+                f"all {n} particle weights of rollout {i} are zero after the "
+                f"observation reweight{where}")
+        exponent = np.frexp(sums)[1]
+        if np.any(exponent < 0):
+            np.ldexp(new_w, np.maximum(-exponent, 0)[:, None], out=new_w)
         return succ, new_w, rho
 
-    def rollout(self, policy: Policy, states, weights, a: int, t: int,
-                depth: int, rng: np.random.Generator) -> float:
-        total = 0.0
+    def rollouts(self, policy: Policy, states, weights, a: int, t: int,
+                 depth: int, streams: list) -> np.ndarray:
+        """Returns of len(streams) rollouts of `depth` steps from time t.
+
+        Rollout i draws its uniforms from streams[i], each step's block in
+        the order a one-rollout loop would draw them.
+        """
+        table_rows = range(t + 1 - policy.start_k, t + depth - policy.start_k)
+        if table_rows and not (0 <= table_rows[0]
+                               and table_rows[-1] < policy.actions.shape[0]):
+            raise ValueError(f"policy has no row for time steps {t + 1}..{t + depth - 1}")
+        n_rows, n_states = len(streams), self.n_states
+        states = np.tile(states, (n_rows, 1))
+        weights = np.tile(weights, (n_rows, 1))
+        actions = np.full(n_rows, int(a), dtype=np.intp)
+        u = np.empty((n_rows, 3 + states.shape[1]))
+        offsets = np.arange(n_rows)[:, None] * n_states
+        returns = np.zeros(n_rows)
         for step in range(depth):
-            states, weights, rho = self.step(states, weights, a, rng)
-            total += rho
+            for rng, row in zip(streams, u):
+                rng.random(out=row)
+            states, weights, rho = self.step(states, weights, actions, u, t + step)
+            returns += rho
             if step + 1 < depth:
-                probs = np.bincount(states, weights=weights, minlength=self.n_states)
-                a = policy.action(t + step + 1, Belief(probs / probs.sum()))
-        return total
+                probs = np.bincount((offsets + states).ravel(), weights=weights.ravel(),
+                                    minlength=n_rows * n_states).reshape(n_rows, n_states)
+                probs /= probs.sum(axis=1, keepdims=True)
+                actions = policy.actions[t + step + 1 - policy.start_k,
+                                         probs.argmax(axis=1)]
+        return returns
 
 
 def genpf(pair: SimplifiedPair, b_bar: ParticleBelief, a: int, model: str,
           rng: np.random.Generator):
-    """One generative particle-filter step: (new particle belief, mean cost)."""
+    """One generative particle-filter step: (new particle belief, mean cost).
+
+    The new weights are the old ones times the observation likelihoods,
+    scaled by a power of two when their sum falls below 1/2.
+    """
+    u = rng.random((1, 3 + b_bar.states.size))
     succ, new_w, rho = _RolloutKernel(pair, model).step(
-        b_bar.states, b_bar.weights, a, rng)
-    return ParticleBelief(succ, new_w), rho
-
-
-def sample_return(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
-                  a: int, t: int, depth: int, model: str,
-                  rng: np.random.Generator) -> float:
-    """Sum of genpf mean costs over `depth` steps starting at time t; 0 at depth 0."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if depth == 0:
-        return 0.0
-    kernel = _RolloutKernel(pair, model)
-    return kernel.rollout(policy, b_bar.states, b_bar.weights, a, t, depth, rng)
+        b_bar.states[None, :], b_bar.weights[None, :], np.array([int(a)]), u)
+    return ParticleBelief(succ[0], new_w[0]), float(rho[0])
 
 
 def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
                     a: int, t: int, depth: int, config: RolloutConfig,
-                    model: str = "simplified", workers: int = 1) -> np.ndarray:
-    """C independent rollout returns, one derived rng stream per rollout index."""
+                    model: str = "simplified") -> np.ndarray:
+    """C independent rollout returns, one derived rng stream per rollout index.
+
+    All C rollouts advance together as (C, N_x) arrays; rollout i's return
+    depends only on the seed and i.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    kernel = _RolloutKernel(pair, model)
-    states, weights = b_bar.states, b_bar.weights
-
-    def run(i: int) -> float:
-        if depth == 0:
-            return 0.0
-        return kernel.rollout(policy, states, weights, a, t, depth,
-                              _stream(config.rng_seed, _ROLLOUT, i))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(run, range(config.num_rollouts_C)))
-    else:
-        vals = [run(i) for i in range(config.num_rollouts_C)]
-    return np.asarray(vals, dtype=float)
-
-
-def estimate_q(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
-               a: int, t: int, depth: int, alpha, config: RolloutConfig,
-               model: str = "simplified", workers: int = 1) -> float:
-    """CVaR estimate over C rollout returns (sorted-form estimator)."""
-    returns = rollout_returns(pair, policy, b_bar, a, t, depth, config, model, workers)
-    return cvar_estimate_sorted(returns, alpha)
+    if depth == 0:
+        return np.zeros(config.num_rollouts_C)
+    # child i has spawn key (_ROLLOUT, i): the stream _stream(seed, _ROLLOUT, i)
+    children = np.random.SeedSequence(config.rng_seed, spawn_key=(_ROLLOUT,)).spawn(
+        config.num_rollouts_C)
+    return _RolloutKernel(pair, model).rollouts(
+        policy, b_bar.states, b_bar.weights, a, t, depth,
+        [np.random.default_rng(child) for child in children])
 
 
 # ------------------------------------------------------- importance estimators
@@ -418,19 +457,33 @@ def build_default_proposal(pair: SimplifiedPair, policy: Policy,
     prefixes = np.array([pool[k][1] for k in keys])
     targets = np.vstack([target[k] for k in keys])
     proposal = 0.5 * targets.mean(axis=1) + 0.5 / len(keys)
-    return ProposalQ0(beliefs, prefixes, proposal, targets, first_step, c0)
+
+    exact: dict = {}
+
+    def exact_gap(b: Belief, a: int) -> float:
+        # one TV computation per (atom, action), however many steps share it
+        if (id(b), a) not in exact:
+            exact[id(b), a] = tv_distance(pair, b, a)
+        return exact[id(b), a]
+
+    gaps = _gap_matrix(beliefs, first_step, n_steps, policy, exact_gap)
+    return ProposalQ0(beliefs, prefixes, proposal, targets, first_step, c0, gaps)
 
 
-def _delta_matrix(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
-                  delta_estimator) -> np.ndarray:
+def _gap_matrix(beliefs, first_step: int, n_steps: int, policy: Policy,
+                gap) -> np.ndarray:
     """Gap values per (support atom, interior step) under the policy's action."""
-    est = delta_estimator if delta_estimator is not None else (
-        lambda b, a: tv_distance(pair, b, a))
-    out = np.empty((len(q0.beliefs), q0.n_steps))
-    for i, b in enumerate(q0.beliefs):
-        for j in range(q0.n_steps):
-            out[i, j] = est(b, policy.action(q0.first_step + j, b))
+    out = np.empty((len(beliefs), n_steps))
+    for i, b in enumerate(beliefs):
+        for j in range(n_steps):
+            out[i, j] = gap(b, policy.action(first_step + j, b))
     return out
+
+
+def _gaps(q0: ProposalQ0, policy: Policy, delta_estimator) -> np.ndarray:
+    if delta_estimator is None:
+        return q0.gaps
+    return _gap_matrix(q0.beliefs, q0.first_step, q0.n_steps, policy, delta_estimator)
 
 
 def _draw_counts(q0: ProposalQ0, n_delta: int, rng: np.random.Generator) -> np.ndarray:
@@ -454,7 +507,7 @@ def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
     if n_delta < 1:
         raise ValueError("n_delta must be >= 1")
     counts = _draw_counts(q0, n_delta, rng)
-    tv = _delta_matrix(q0, pair, policy, delta_estimator)
+    tv = _gaps(q0, policy, delta_estimator)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     m_hat = (counts[:, None] * ratio * tv).sum(axis=0) / float(n_delta)
     return float(m_hat.sum())
@@ -473,7 +526,7 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
         raise ValueError("n_delta must be >= 1")
     grid = np.atleast_1d(np.asarray(grid_l, dtype=float))
     counts = _draw_counts(q0, n_delta, rng)
-    tv = _delta_matrix(q0, pair, policy, delta_estimator)
+    tv = _gaps(q0, policy, delta_estimator)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     contrib = (counts[:, None] * ratio * tv) / float(n_delta)
 
@@ -569,19 +622,19 @@ def _query_action(pair: SimplifiedPair, policy: Policy, query: ValueQuery) -> in
 
 
 def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                            config: RolloutConfig, workers: int) -> np.ndarray:
+                            config: RolloutConfig) -> np.ndarray:
     m = pair.original
     b_bar = ParticleBelief.from_belief(
         query.belief, config.num_particles_Nx, _stream(config.rng_seed, _INIT, 0))
     a_k = _query_action(pair, policy, query)
     depth = m.horizon_T - m.start_k + 1
     return rollout_returns(pair, policy, b_bar, a_k, m.start_k, depth, config,
-                           "simplified", workers)
+                           "simplified")
 
 
 def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                     config: RolloutConfig, q0: ProposalQ0, n_delta: int,
-                    v: float, delta: float, workers: int = 1) -> list:
+                    v: float, delta: float) -> list:
     """Certified lower and upper bounds from one pool of simplified rollouts.
 
     Emits L1 (small estimated gap) or L2 (gap too large for the shifted-tail
@@ -600,7 +653,7 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
 
     eps_hat = estimate_epsilon(q0, pair, policy, n_delta,
                                _stream(config.rng_seed, _EPS, 0))
-    returns = _simplified_return_pool(pair, policy, query, config, workers)
+    returns = _simplified_return_pool(pair, policy, query, config)
     C = config.num_rollouts_C
 
     def q_hat(level: float) -> float:
@@ -671,8 +724,7 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
 
 def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                         config: RolloutConfig, q0: ProposalQ0, n_delta: int,
-                        eta: float, delta: float, grid: BinGrid,
-                        workers: int = 1) -> CertifiedBound:
+                        eta: float, delta: float, grid: BinGrid) -> CertifiedBound:
     """Certified lower bound via the estimated dominated CDF.
 
     Builds min(1, empirical simplified-return CDF + h_plus + eta), draws
@@ -697,7 +749,7 @@ def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     g_hat = estimate_g(q0, pair, policy, n_delta, grid.edges,
                        _stream(config.rng_seed, _GDRAW, 0))
     h_plus, _ = binned_h(g_hat, grid)
-    returns = _simplified_return_pool(pair, policy, query, config, workers)
+    returns = _simplified_return_pool(pair, policy, query, config)
     dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
 
     u = _stream(config.rng_seed, _GINV, 0).random(int(n_delta))

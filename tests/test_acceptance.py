@@ -329,7 +329,7 @@ def test_acceptance_10_certified_bound_rates():
                 (110, t, int(alpha * 100), 2)))
             g_hat = estimate_g(q0, pair, policy, nd_tight, grid.edges, rng)
             h_plus, _ = binned_h(g_hat, grid)
-            pool = _simplified_return_pool(pair, policy, query, cfg_t, 1)
+            pool = _simplified_return_pool(pair, policy, query, cfg_t)
             dist = lower_cdf_distribution(pool, h_plus, eta, grid.edges)
             assert np.all(dist.probs >= -1e-12)
             assert abs(dist.probs.sum() - 1.0) <= 1e-9

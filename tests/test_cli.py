@@ -81,17 +81,19 @@ def test_enumerate_budget_exceeded_exits_3(tmp_path, monkeypatch):
 
 
 def test_degenerate_rollout_weights_exit_2_with_hint(tmp_path, monkeypatch, capsys):
-    def underflow(*args, **kwargs):
+    def zero_likelihood(*args, **kwargs):
         raise DegenerateWeightsError(
-            "all particle weights underflowed on observation reweight")
+            "all 200 particle weights of rollout 7 are zero after the "
+            "observation reweight at step 2")
 
-    monkeypatch.setattr("riskgap.cli._simplified_return_pool", underflow)
+    monkeypatch.setattr("riskgap.cli._simplified_return_pool", zero_likelihood)
     rc, _ = run_cli(["concentration", "--scenario", "two_state_sensor",
                      "--trials", "1", "--v", "0.3"],
                     tmp_path / "r.json")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "underflowed" in err and "--particles" in err
+    assert "rollout pool:" in err and "at step 2" in err
+    assert "are zero" in err and "--particles" in err
 
 
 def test_certify_report_lists_ndelta_bounds_and_radii(tmp_path):

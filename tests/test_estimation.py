@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgap import scenarios
 from riskgap.envelopes import PointwiseEnvelope
@@ -20,7 +22,6 @@ from riskgap.estimation import (
     certify_uniform,
     estimate_epsilon,
     estimate_g,
-    estimate_q,
     genpf,
     lower_cdf_distribution,
     n_delta_for_epsilon,
@@ -29,18 +30,20 @@ from riskgap.estimation import (
     n_delta_for_tight_lower,
     n_delta_for_uniform_bounds,
     rollout_returns,
-    sample_return,
 )
 from riskgap.pomdp import (
     Belief,
+    Policy,
     SimplifiedPair,
     belief_cost,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
+    tv_distance,
 )
 from riskgap.risk import cvar_estimate_sorted, cvar_exact, deviation_radii
 from riskgap.value_bounds import ValueQuery, q_exact
 
+from rollout_oracle import loop_rollout_returns
 from test_pomdp import make_model, random_pair, random_policy
 
 
@@ -99,7 +102,15 @@ def test_proposal_rejects_zero_mass_support():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(UnsupportedBeliefError):
         ProposalQ0((b, b), np.zeros(2), np.array([1.0, 0.0]),
-                   np.array([[0.5], [0.5]]), first_step=1, c0=0.0)
+                   np.array([[0.5], [0.5]]), first_step=1, c0=0.0,
+                   gaps=np.zeros((2, 1)))
+
+
+def test_proposal_rejects_misshapen_gaps():
+    b = Belief(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="gaps"):
+        ProposalQ0((b,), np.zeros(1), np.array([1.0]), np.array([[1.0]]),
+                   first_step=1, c0=0.0, gaps=np.zeros((1, 2)))
 
 
 # ------------------------------------------------------------------- genpf
@@ -162,26 +173,28 @@ def test_genpf_degenerate_weights_raises():
             genpf(pair, pb, 0, "original", np.random.default_rng(seed))
 
 
-# ------------------------------------------------------------ sample_return
+# --------------------------------------------------------- rollout returns
+# A sampled return is one entry of rollout_returns; the CVaR estimate q_hat
+# is cvar_estimate_sorted over that pool.
 
 
 def test_sample_return_depth_zero():
     pair = deterministic_pair()
     pb = ParticleBelief(np.zeros(4, dtype=int), np.ones(4))
     policy = scenarios.builtin("two_state_sensor").policy  # unused at depth 0
-    assert sample_return(pair, policy, pb, 0, 0, 0, "original",
-                         np.random.default_rng(0)) == 0.0
+    returns = rollout_returns(pair, policy, pb, 0, 0, 0, RolloutConfig(3, 4, 0),
+                              "original")
+    assert np.array_equal(returns, np.zeros(3))
 
 
 def test_sample_return_deterministic_chain():
     pair = deterministic_pair()
-    from riskgap.pomdp import Policy
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)
     pb = ParticleBelief(np.zeros(4, dtype=int), np.ones(4))
     # states visit 0, 1, 0 -> costs 0.25, 0.75, 0.25
-    val = sample_return(pair, policy, pb, 0, 0, 3, "original",
-                        np.random.default_rng(1))
-    assert val == pytest.approx(1.25, abs=1e-12)
+    returns = rollout_returns(pair, policy, pb, 0, 0, 3, RolloutConfig(5, 4, 1),
+                              "original")
+    assert returns == pytest.approx(np.full(5, 1.25), abs=1e-12)
 
 
 def test_sample_return_moment_matching():
@@ -190,37 +203,38 @@ def test_sample_return_moment_matching():
     # constant action per step: keeps the rollout law aligned with the exact
     # belief-MDP law (a belief-dependent action can flip under particle noise
     # near argmax ties, which is a property of the estimator, not a bug)
-    from riskgap.pomdp import Policy
     rows = rng.integers(0, pair.original.n_actions, size=(3, 1))
     policy = Policy(np.repeat(rows, 2, axis=1), start_k=0)
     dist = enumerate_return_distribution(pair, policy)
+    b0 = Belief(pair.original.initial_belief)
     pb_rng = np.random.default_rng(22)
-    vals = np.array([
-        sample_return(pair, policy,
-                      ParticleBelief.from_belief(Belief(pair.original.initial_belief),
-                                                 400, pb_rng),
-                      policy.action(0, Belief(pair.original.initial_belief)),
-                      0, full_depth(pair), "original", pb_rng)
-        for _ in range(10_000)
+    # a fresh particle cloud every 10 rollouts, so the cloud's own sampling
+    # error averages out like the rollouts' does
+    vals = np.concatenate([
+        rollout_returns(pair, policy, ParticleBelief.from_belief(b0, 400, pb_rng),
+                        policy.action(0, b0), 0, full_depth(pair),
+                        RolloutConfig(10, 400, seed), "original")
+        for seed in range(1000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     # finite-particle bias is O(1/Nx); allow it on top of the MC band
     assert abs(vals.mean() - dist.mean()) <= 4 * se + 0.01
 
 
-# --------------------------------------------------------------- estimate_q
-
-
-def test_rollout_returns_deterministic_and_worker_independent():
+def test_rollout_returns_deterministic_and_equal_to_loop_oracle():
     pair, policy, query = sensor_setup()
     pb = ParticleBelief.from_belief(query.belief, 100, np.random.default_rng(0))
     cfg = RolloutConfig(64, 100, 123)
     a0 = policy.action(0, query.belief)
     r1 = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg)
     r2 = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg)
-    r3 = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg, workers=4)
+    r3 = loop_rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg)
     assert np.array_equal(r1, r2)
     assert np.array_equal(r1, r3)
+    # rollout i depends on the seed and i only, not on the pool size
+    head = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair),
+                           RolloutConfig(20, 100, 123))
+    assert np.array_equal(head, r1[:20])
 
 
 def test_estimate_q_alpha_near_one_is_sample_mean():
@@ -229,7 +243,8 @@ def test_estimate_q_alpha_near_one_is_sample_mean():
     cfg = RolloutConfig(200, 50, 9)
     a0 = policy.action(0, query.belief)
     pool = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg)
-    q = estimate_q(pair, policy, pb, a0, 0, full_depth(pair), 1.0 - 1e-12, cfg)
+    q = cvar_estimate_sorted(
+        rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg), 1.0 - 1e-12)
     assert q == pytest.approx(pool.mean(), abs=1e-9)
 
 
@@ -243,13 +258,104 @@ def test_estimate_q_brown_concentration():
     hi = lo = 0
     for trial in range(40):
         cfg = RolloutConfig(500, 200, 5_000 + trial)
-        q = estimate_q(pair, policy, pb, a0, 0, full_depth(pair), 0.25, cfg)
+        q = cvar_estimate_sorted(
+            rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg), 0.25)
         if exact - q > radii.upper:
             hi += 1
         if q - exact > radii.lower:
             lo += 1
     # each side violates w.p. <= 0.1 per trial; 12/40 is far outside that
     assert hi <= 12 and lo <= 12
+
+
+def _returns_or_error(fn, pair, policy, belief, config, model):
+    m = pair.original
+    pb = ParticleBelief.from_belief(belief, config.num_particles_Nx,
+                                    np.random.default_rng(config.rng_seed))
+    try:
+        return fn(pair, policy, pb, policy.action(m.start_k, belief), m.start_k,
+                  full_depth(pair), config, model)
+    except (DegenerateWeightsError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_as_loop(pair, policy, belief, config, model):
+    batched = _returns_or_error(rollout_returns, pair, policy, belief, config, model)
+    looped = _returns_or_error(loop_rollout_returns, pair, policy, belief, config,
+                               model)
+    if isinstance(looped, type):
+        assert batched is looped
+    else:
+        assert not isinstance(batched, type), batched
+        assert np.array_equal(batched, looped)
+    return batched
+
+
+@pytest.mark.parametrize("shape", ((500, 200), (300, 150)))
+@pytest.mark.parametrize("name", scenarios.builtin_names())
+def test_batched_rollouts_equal_loop_on_builtins(name, shape):
+    spec = scenarios.builtin(name)
+    config = RolloutConfig(*shape, 11)
+    returns = _assert_same_as_loop(spec.pair, spec.policy, spec.default_query.belief,
+                                   config, "simplified")
+    assert returns.shape == (shape[0],)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), horizon_gap=st.integers(2, 5),
+       n_obs=st.integers(1, 3), n_rollouts=st.integers(1, 24),
+       n_particles=st.integers(1, 64), model=st.sampled_from(("simplified", "original")))
+def test_batched_rollouts_equal_loop_on_random_instances(seed, horizon_gap, n_obs,
+                                                         n_rollouts, n_particles,
+                                                         model):
+    # the deterministic sensor (n_obs > 1) lets whole particle clouds die,
+    # so this also checks that both raise the same error when one does
+    spec = scenarios.random_instance(seed, n_obs=n_obs, horizon_gap=horizon_gap)
+    _assert_same_as_loop(spec.pair, spec.policy, spec.default_query.belief,
+                         RolloutConfig(n_rollouts, n_particles, seed), model)
+
+
+def test_rollout_weights_survive_long_horizons():
+    # an uninformative 0.6/0.4 sensor shrinks every weight by at least 0.4
+    # per step, so unnormalised weights underflow long before step 1100;
+    # the kernel rescales each row by a power of two and keeps going
+    horizon = 1100
+    trans = [[[0.7, 0.3], [0.4, 0.6]]]
+    obs = [[0.6, 0.4], [0.6, 0.4]]
+    model = make_model(trans, obs, [[0.2], [0.9]], [0.5, 0.5], horizon_T=horizon)
+    pair = SimplifiedPair.identical(model)
+    policy = Policy(np.zeros((horizon + 1, 2), dtype=int), start_k=0)
+    pb = ParticleBelief.from_belief(Belief(model.initial_belief), 20,
+                                    np.random.default_rng(0))
+    config = RolloutConfig(2, 20, 5)
+    with pytest.raises(DegenerateWeightsError):
+        loop_rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config, "original")
+    returns = rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config, "original")
+    assert np.all(np.isfinite(returns))
+    # every step's mean cost lies in the state-cost range
+    assert np.all((returns >= 0.2 * (horizon + 1)) & (returns <= 0.9 * (horizon + 1)))
+
+
+def test_rollout_beyond_policy_table_raises():
+    pair, policy, query = sensor_setup()
+    pb = ParticleBelief.from_belief(query.belief, 10, np.random.default_rng(0))
+    a0 = policy.action(0, query.belief)
+    with pytest.raises(ValueError, match="policy has no row"):
+        rollout_returns(pair, policy, pb, a0, 0, full_depth(pair) + 1,
+                        RolloutConfig(3, 10, 0))
+
+
+def test_rollout_zero_likelihood_names_the_step():
+    # perfect sensor and a coin-flip transition: a lone particle disagrees
+    # with the reference chain's observation half the time
+    trans = [[[0.5, 0.5], [0.5, 0.5]]]
+    obs = [[1.0, 0.0], [0.0, 1.0]]
+    model = make_model(trans, obs, [[0.0], [0.0]], [1.0, 0.0], horizon_T=6)
+    pair = SimplifiedPair.identical(model)
+    policy = Policy(np.zeros((7, 2), dtype=int), start_k=0)
+    pb = ParticleBelief(np.array([0]), np.ones(1))
+    with pytest.raises(DegenerateWeightsError, match=r"are zero .* at step [0-6]$"):
+        rollout_returns(pair, policy, pb, 0, 0, 7, RolloutConfig(16, 1, 3), "original")
 
 
 # ----------------------------------------------------------------- proposal
@@ -267,6 +373,27 @@ def test_default_proposal_structure():
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     assert q0.importance_bound == pytest.approx(ratio.max())
     assert q0.importance_bound >= 1.0
+
+
+def test_default_proposal_stores_exact_gap_matrix():
+    # the estimators read this matrix instead of recomputing TV on each call
+    pair, policy, _ = sensor_setup()
+    q0 = build_default_proposal(pair, policy)
+    expected = np.array([[tv_distance(pair, b, policy.action(q0.first_step + j, b))
+                          for j in range(q0.n_steps)] for b in q0.beliefs])
+    assert np.array_equal(q0.gaps, expected)
+
+    def exact_tv(b, a):
+        return tv_distance(pair, b, a)
+
+    assert estimate_epsilon(q0, pair, policy, 1_000, np.random.default_rng(3)) == \
+        estimate_epsilon(q0, pair, policy, 1_000, np.random.default_rng(3),
+                         delta_estimator=exact_tv)
+    levels = BinGrid.uniform(pair, 5).edges
+    assert np.array_equal(
+        estimate_g(q0, pair, policy, 1_000, levels, np.random.default_rng(4)),
+        estimate_g(q0, pair, policy, 1_000, levels, np.random.default_rng(4),
+                   delta_estimator=exact_tv))
 
 
 def test_default_proposal_needs_interior_step():
@@ -301,8 +428,7 @@ def test_estimate_epsilon_unit_weights_is_plain_average():
     beliefs = tuple(b for b, k in zip(full.beliefs, keep) if k)
     target = full.target_probs[keep, :1]
     q0 = ProposalQ0(beliefs, full.prefix_returns[keep], target[:, 0], target,
-                    first_step=1, c0=full.c0)
-    from riskgap.pomdp import tv_distance
+                    first_step=1, c0=full.c0, gaps=full.gaps[keep, :1])
     tv = np.array([tv_distance(pair, b, policy.action(1, b)) for b in beliefs])
     counts = np.random.default_rng(7).multinomial(400, target[:, 0])
     eps = estimate_epsilon(q0, pair, policy, 400, np.random.default_rng(7))
@@ -497,7 +623,7 @@ def test_certify_uniform_case_selection():
     assert high[1].radii["lambda"] > 0.0
 
 
-def test_certify_uniform_deterministic_and_stream_independent():
+def test_certify_uniform_deterministic_and_stream_independent(monkeypatch):
     pair, policy, query = sensor_setup()
     m = pair.original
     q0 = build_default_proposal(pair, policy)
@@ -506,8 +632,12 @@ def test_certify_uniform_deterministic_and_stream_independent():
                                     m.horizon_T, m.start_k)
     cfg = RolloutConfig(150, 80, 23)
     a = certify_uniform(pair, policy, query, cfg, q0, nd, v, delta)
-    b = certify_uniform(pair, policy, query, cfg, q0, nd, v, delta, workers=3)
+    b = certify_uniform(pair, policy, query, cfg, q0, nd, v, delta)
     assert [(x.kind, x.value) for x in a] == [(x.kind, x.value) for x in b]
+    with monkeypatch.context() as patch:
+        patch.setattr("riskgap.estimation.rollout_returns", loop_rollout_returns)
+        looped = certify_uniform(pair, policy, query, cfg, q0, nd, v, delta)
+    assert [(x.kind, x.value) for x in a] == [(x.kind, x.value) for x in looped]
     # epsilon draws use their own stream: changing C leaves eps_hat untouched
     c = certify_uniform(pair, policy, query,
                         RolloutConfig(151, 80, 23), q0, nd, v, delta)
@@ -593,7 +723,7 @@ def test_certify_tight_lower_validation():
         certify_tight_lower(pair, policy, query, cfg, q0, 10, 0.2, 0.1, grid)
 
 
-def test_certify_tight_lower_deterministic_and_bounded():
+def test_certify_tight_lower_deterministic_and_bounded(monkeypatch):
     pair, policy, query = sensor_setup()
     m = pair.original
     q0 = build_default_proposal(pair, policy)
@@ -603,9 +733,11 @@ def test_certify_tight_lower_deterministic_and_bounded():
                                  m.horizon_T, m.start_k)
     cfg = RolloutConfig(400, 150, 43)
     one = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
-    two = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid,
-                              workers=2)
+    two = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
     assert one.value == two.value
+    monkeypatch.setattr("riskgap.estimation.rollout_returns", loop_rollout_returns)
+    looped = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
+    assert one.value == looped.value
     assert one.kind == "TightLower"
     assert one.v == one.radii["v"] > 0.0
     assert one.eta == eta
