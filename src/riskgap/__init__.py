@@ -73,9 +73,7 @@ from .value_bounds import (
     BoundReport,
     ValueQuery,
     bound_report,
-    q_bounds_uniform,
     q_exact,
-    q_lower_tight,
 )
 
 __version__ = "0.1.0"

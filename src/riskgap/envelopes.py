@@ -195,10 +195,7 @@ def dominated_cdf(dist: DiscreteDistribution, env: PointwiseEnvelope) -> Discret
     monotonicity of ``g`` makes the clipped sum a valid CDF.
     """
     grid = np.union1d(dist.values, env.breakpoints)
-    idx = np.searchsorted(dist.values, grid, side="right")
-    cdf = dist.cdf()
-    f_grid = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    h = np.minimum(1.0, f_grid + env.at(grid))
+    h = np.minimum(1.0, dist.cdf_at(grid) + env.at(grid))
     masses = np.diff(np.concatenate(([0.0], h)))
     return DiscreteDistribution(grid, masses)
 
@@ -229,10 +226,7 @@ def raw_quantile_lower(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha
     """
     a = _alpha_of(alpha)
     grid = np.union1d(dist.values, env.breakpoints)
-    idx = np.searchsorted(dist.values, grid, side="right")
-    cdf = dist.cdf()
-    f_grid = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    return _quantile_tail_integral(grid, f_grid + env.at(grid), a)
+    return _quantile_tail_integral(grid, dist.cdf_at(grid) + env.at(grid), a)
 
 
 def raw_quantile_upper(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha) -> float:
@@ -243,10 +237,7 @@ def raw_quantile_upper(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha
     """
     a = _alpha_of(alpha)
     grid = np.union1d(dist.values, env.breakpoints)
-    idx = np.searchsorted(dist.values, grid, side="right")
-    cdf = dist.cdf()
-    f_grid = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-    h = f_grid - env.at(grid)
+    h = dist.cdf_at(grid) - env.at(grid)
     top = float(np.max(h)) if h.size else 0.0
     if top < 1.0 - 1e-12:
         raise UndefinedBoundError(
@@ -267,16 +258,6 @@ def cdf_gap_envelope(dist_x: DiscreteDistribution, dist_y: DiscreteDistribution)
     manufacturing conforming envelopes from two known laws.
     """
     grid = np.union1d(dist_x.values, dist_y.values)
-    fx = np.where(
-        np.searchsorted(dist_x.values, grid, side="right") > 0,
-        dist_x.cdf()[np.maximum(np.searchsorted(dist_x.values, grid, side="right") - 1, 0)],
-        0.0,
-    )
-    fy = np.where(
-        np.searchsorted(dist_y.values, grid, side="right") > 0,
-        dist_y.cdf()[np.maximum(np.searchsorted(dist_y.values, grid, side="right") - 1, 0)],
-        0.0,
-    )
-    gap = np.abs(fx - fy)
+    gap = np.abs(dist_x.cdf_at(grid) - dist_y.cdf_at(grid))
     env = PointwiseEnvelope(grid, np.maximum.accumulate(gap))
     return env, float(gap.max())

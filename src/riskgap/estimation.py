@@ -27,7 +27,7 @@ from .pomdp import (
     belief_mdp_step,
     tv_distance,
 )
-from .risk import DiscreteDistribution, cvar_estimate_sorted
+from .risk import DiscreteDistribution, cvar_estimate_sorted, cvar_exact
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds; one namespace per source of randomness
@@ -458,64 +458,41 @@ def build_default_proposal(pair: SimplifiedPair, policy: Policy,
     targets = np.vstack([target[k] for k in keys])
     proposal = 0.5 * targets.mean(axis=1) + 0.5 / len(keys)
 
-    exact: dict = {}
-
-    def exact_gap(b: Belief, a: int) -> float:
-        # one TV computation per (atom, action), however many steps share it
-        if (id(b), a) not in exact:
-            exact[id(b), a] = tv_distance(pair, b, a)
-        return exact[id(b), a]
-
-    gaps = _gap_matrix(beliefs, first_step, n_steps, policy, exact_gap)
+    # gaps[e, j]: TV of atom e under the policy's step-j action, computed
+    # once per (atom, action) however many steps share it
+    gaps = np.empty(targets.shape)
+    for e, b in enumerate(beliefs):
+        actions = [policy.action(first_step + j, b) for j in range(n_steps)]
+        tv = {a: tv_distance(pair, b, a) for a in set(actions)}
+        gaps[e] = [tv[a] for a in actions]
     return ProposalQ0(beliefs, prefixes, proposal, targets, first_step, c0, gaps)
 
 
-def _gap_matrix(beliefs, first_step: int, n_steps: int, policy: Policy,
-                gap) -> np.ndarray:
-    """Gap values per (support atom, interior step) under the policy's action."""
-    out = np.empty((len(beliefs), n_steps))
-    for i, b in enumerate(beliefs):
-        for j in range(n_steps):
-            out[i, j] = gap(b, policy.action(first_step + j, b))
-    return out
-
-
-def _gaps(q0: ProposalQ0, policy: Policy, delta_estimator) -> np.ndarray:
-    if delta_estimator is None:
-        return q0.gaps
-    return _gap_matrix(q0.beliefs, q0.first_step, q0.n_steps, policy, delta_estimator)
-
-
-def _draw_counts(q0: ProposalQ0, n_delta: int, rng: np.random.Generator) -> np.ndarray:
-    # N iid proposal draws realized as multinomial counts over the finite
-    # support; every estimator here depends on the draw multiset only, so
+def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    # n iid draws from a finite law realized as multinomial counts over its
+    # atoms; every estimator here depends on the draw multiset only, so
     # this is distribution-identical to drawing one atom at a time.
-    probs = q0.proposal_probs / q0.proposal_probs.sum()
-    return rng.multinomial(int(n_delta), probs)
+    return rng.multinomial(int(n), probs / probs.sum())
 
 
 def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
-                     n_delta: int, rng: np.random.Generator,
-                     delta_estimator=None) -> float:
+                     n_delta: int, rng: np.random.Generator) -> float:
     """Importance-weighted estimate of the summed per-step expected gap.
 
     m_hat_i = (1/N) * sum_n [target_i(atom_n) / proposal(atom_n)] * gap(atom_n);
-    returns sum_i m_hat_i. The default gap is the exact TV distance, which is
-    unbiased; a Monte-Carlo plug-in callable(belief, action) is accepted but
-    its accuracy is the caller's responsibility.
+    returns sum_i m_hat_i. The gap is the exact TV distance stored on the
+    proposal, so the estimate is unbiased.
     """
     if n_delta < 1:
         raise ValueError("n_delta must be >= 1")
-    counts = _draw_counts(q0, n_delta, rng)
-    tv = _gaps(q0, policy, delta_estimator)
+    counts = _draw_counts(q0.proposal_probs, n_delta, rng)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
-    m_hat = (counts[:, None] * ratio * tv).sum(axis=0) / float(n_delta)
+    m_hat = (counts[:, None] * ratio * q0.gaps).sum(axis=0) / float(n_delta)
     return float(m_hat.sum())
 
 
 def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
-               n_delta: int, grid_l, rng: np.random.Generator,
-               delta_estimator=None) -> np.ndarray:
+               n_delta: int, grid_l, rng: np.random.Generator) -> np.ndarray:
     """Estimated CDF-gap curve on a grid of return levels.
 
     Each support atom carries its simulated prefix return, so the step-i
@@ -525,10 +502,9 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
     if n_delta < 1:
         raise ValueError("n_delta must be >= 1")
     grid = np.atleast_1d(np.asarray(grid_l, dtype=float))
-    counts = _draw_counts(q0, n_delta, rng)
-    tv = _gaps(q0, policy, delta_estimator)
+    counts = _draw_counts(q0.proposal_probs, n_delta, rng)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
-    contrib = (counts[:, None] * ratio * tv) / float(n_delta)
+    contrib = (counts[:, None] * ratio * q0.gaps) / float(n_delta)
 
     m = pair.original
     t_axis = q0.first_step + np.arange(q0.n_steps)
@@ -728,8 +704,8 @@ def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     """Certified lower bound via the estimated dominated CDF.
 
     Builds min(1, empirical simplified-return CDF + h_plus + eta), draws
-    n_delta iid values from it by generalized inverse transform (ties resolve
-    to the jump location), and returns their CVaR with the deviation radius
+    n_delta iid values from it as multinomial counts over its atoms, and
+    returns the empirical CVaR of those draws with the deviation radius
     recorded in ``v``.
     """
     m = pair.original
@@ -752,11 +728,9 @@ def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     returns = _simplified_return_pool(pair, policy, query, config)
     dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
 
-    u = _stream(config.rng_seed, _GINV, 0).random(int(n_delta))
-    cum = np.cumsum(dist.probs)
-    draws = dist.values[np.minimum(
-        np.searchsorted(cum, u, side="left"), dist.values.size - 1)]
-    value = cvar_estimate_sorted(draws, alpha)
+    # the empirical CVaR of iid draws depends on their multiset only
+    counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV, 0))
+    value = cvar_exact(DiscreteDistribution(dist.values, counts / n_delta), alpha)
     radius = (2.0 * span / alpha) * math.sqrt(
         math.log(1.0 / (delta / 4.0)) / (2.0 * n_delta))
     return CertifiedBound(value, "TightLower", delta, radius, eta,

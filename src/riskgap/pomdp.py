@@ -332,16 +332,10 @@ class TrajectoryExpectations:
     epsilon: float
     thresholds: np.ndarray
     threshold_weights: np.ndarray
-    g_values: np.ndarray
-    grid_l: np.ndarray
 
     def g_at(self, l) -> np.ndarray:
-        ls = np.atleast_1d(np.asarray(l, dtype=float))
-        if self.thresholds.size == 0:
-            return np.zeros(ls.shape)
-        cum = np.cumsum(self.threshold_weights)
-        idx = np.searchsorted(self.thresholds, ls, side="right")
-        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        """Evaluate g at each level of ``l``."""
+        return self.envelope().at(l)
 
     def envelope(self) -> PointwiseEnvelope:
         """The exact g as a CDF-gap envelope (monotone by construction)."""
@@ -352,7 +346,6 @@ class TrajectoryExpectations:
 
 def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       b_k: Belief | None = None,
-                                      grid_l=None,
                                       first_action=None,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
@@ -407,24 +400,11 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
         else:
             thresholds.append(thr)
             weights.append(w)
-    thr_arr = np.array(thresholds, dtype=float)
-    w_arr = np.array(weights, dtype=float)
-    epsilon = float(per_step.sum())
-
-    grid = np.empty(0) if grid_l is None else np.asarray(grid_l, dtype=float)
-    if grid.size and thr_arr.size:
-        cum = np.cumsum(w_arr)
-        idx = np.searchsorted(thr_arr, grid, side="right")
-        g_values = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-    else:
-        g_values = np.zeros(grid.shape)
     return TrajectoryExpectations(
         per_step_m=per_step,
-        epsilon=epsilon,
-        thresholds=thr_arr,
-        threshold_weights=w_arr,
-        g_values=g_values,
-        grid_l=grid,
+        epsilon=float(per_step.sum()),
+        thresholds=np.array(thresholds, dtype=float),
+        threshold_weights=np.array(weights, dtype=float),
     )
 
 

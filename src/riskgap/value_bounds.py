@@ -31,7 +31,7 @@ from .pomdp import (
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
 )
-from .risk import ConfidenceLevel, DiscreteDistribution, cvar_exact
+from .risk import ConfidenceLevel, cvar_exact
 
 
 @dataclass(frozen=True)
@@ -75,41 +75,6 @@ def q_exact(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     return cvar_exact(dist, query.alpha)
 
 
-def q_bounds_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                     support: str = "worst_case",
-                     epsilon_override: float | None = None,
-                     leaf_budget: int = DEFAULT_LEAF_BUDGET,
-                     ) -> tuple[float, float, float]:
-    """(lower, upper, epsilon): scalar-gap sandwich around the true CVaR.
-
-    ``support`` picks the return-range constant: "worst_case" uses
-    +-r_max*(T-k+1); "enumerated" tightens it to the union of the two
-    enumerated supports (diagnostic only).
-    """
-    dist_s = enumerate_return_distribution(
-        pair, policy, b_k=query.belief, model="simplified",
-        first_action=query.action, leaf_budget=leaf_budget)
-    traj = enumerate_trajectory_expectations(
-        pair, policy, b_k=query.belief, first_action=query.action,
-        leaf_budget=leaf_budget)
-    eps = traj.epsilon if epsilon_override is None else float(epsilon_override)
-    if support == "worst_case":
-        bounds = _return_support(pair)
-    elif support == "enumerated":
-        dist = enumerate_return_distribution(
-            pair, policy, b_k=query.belief, model="original",
-            first_action=query.action, leaf_budget=leaf_budget)
-        bounds = SupportBounds(min(dist.inf_support, dist_s.inf_support),
-                               max(dist.sup_support, dist_s.sup_support))
-    else:
-        raise ValueError(
-            f"support must be 'worst_case' or 'enumerated', got {support!r}")
-    env = UniformEnvelope(eps)
-    lo = uniform_lower(dist_s, query.alpha, env, bounds)
-    hi = uniform_upper(dist_s, query.alpha, env, bounds)
-    return lo, hi, eps
-
-
 def _conservative_grid_envelope(traj, grid_l) -> PointwiseEnvelope:
     """Step envelope >= g everywhere, built from grid evaluations.
 
@@ -130,40 +95,6 @@ def _conservative_grid_envelope(traj, grid_l) -> PointwiseEnvelope:
     tail = max(traj.epsilon, float(g_on_grid[-1]))
     values = np.concatenate((g_on_grid, [tail]))
     return PointwiseEnvelope(breakpoints, values)
-
-
-def q_lower_tight(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                  grid_l=None,
-                  leaf_budget: int = DEFAULT_LEAF_BUDGET) -> float:
-    """Lower bound from the gap-dominated simplified CDF min(1, F_s + g).
-
-    With grid_l=None the exact step function g is used, which makes the
-    bound as tight as the theory allows; an explicit grid evaluates g
-    conservatively (never below the true g).
-    """
-    dist_s = enumerate_return_distribution(
-        pair, policy, b_k=query.belief, model="simplified",
-        first_action=query.action, leaf_budget=leaf_budget)
-    traj = enumerate_trajectory_expectations(
-        pair, policy, b_k=query.belief, first_action=query.action,
-        leaf_budget=leaf_budget)
-    if grid_l is None:
-        env = traj.envelope()
-    else:
-        env = _conservative_grid_envelope(traj, grid_l)
-    dominated = dominated_cdf(dist_s, env)
-    return cvar_exact(dominated, query.alpha)
-
-
-def default_grid(dist_s: DiscreteDistribution,
-                 dist: DiscreteDistribution | None = None) -> np.ndarray:
-    """Atoms of the given return distributions plus midpoints."""
-    atoms = dist_s.values if dist is None else np.concatenate(
-        (dist_s.values, dist.values))
-    atoms = np.unique(atoms)
-    if atoms.size < 2:
-        return atoms
-    return np.unique(np.concatenate((atoms, (atoms[:-1] + atoms[1:]) / 2.0)))
 
 
 def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,

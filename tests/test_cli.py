@@ -279,7 +279,7 @@ def test_binomial_pass_threshold_matches_exact_tail():
 
 
 def test_alpha_parsing_rejects_bad_levels(tmp_path):
-    for bad in ("0", "1.5", "", "a,b"):
+    for bad in ("0", "1", "1.0", "1.5", "", "a,b"):
         rc = main(["enumerate", "--scenario", "two_state_sensor",
                    "--alpha", bad, "--out", str(tmp_path / "r.json")])
         assert rc == 2

@@ -16,6 +16,11 @@ from riskgap.estimation import (
     ProposalQ0,
     RolloutConfig,
     UnsupportedBeliefError,
+    _GDRAW,
+    _GINV,
+    _draw_counts,
+    _simplified_return_pool,
+    _stream,
     binned_h,
     build_default_proposal,
     certify_tight_lower,
@@ -40,7 +45,12 @@ from riskgap.pomdp import (
     enumerate_trajectory_expectations,
     tv_distance,
 )
-from riskgap.risk import cvar_estimate_sorted, cvar_exact, deviation_radii
+from riskgap.risk import (
+    DiscreteDistribution,
+    cvar_estimate_sorted,
+    cvar_exact,
+    deviation_radii,
+)
 from riskgap.value_bounds import ValueQuery, q_exact
 
 from rollout_oracle import loop_rollout_returns
@@ -383,18 +393,6 @@ def test_default_proposal_stores_exact_gap_matrix():
                           for j in range(q0.n_steps)] for b in q0.beliefs])
     assert np.array_equal(q0.gaps, expected)
 
-    def exact_tv(b, a):
-        return tv_distance(pair, b, a)
-
-    assert estimate_epsilon(q0, pair, policy, 1_000, np.random.default_rng(3)) == \
-        estimate_epsilon(q0, pair, policy, 1_000, np.random.default_rng(3),
-                         delta_estimator=exact_tv)
-    levels = BinGrid.uniform(pair, 5).edges
-    assert np.array_equal(
-        estimate_g(q0, pair, policy, 1_000, levels, np.random.default_rng(4)),
-        estimate_g(q0, pair, policy, 1_000, levels, np.random.default_rng(4),
-                   delta_estimator=exact_tv))
-
 
 def test_default_proposal_needs_interior_step():
     trans = [[[1.0, 0.0], [0.0, 1.0]]]
@@ -481,7 +479,7 @@ def test_estimate_g_concentration_fixed_level():
     m = pair.original
     q0 = build_default_proposal(pair, policy)
     level = 0.0
-    exact = enumerate_trajectory_expectations(pair, policy, grid_l=[level]).g_values[0]
+    exact = enumerate_trajectory_expectations(pair, policy).g_at(level)[0]
     v, delta = 0.2, 0.1
     nd = n_delta_for_g(v, delta, q0.importance_bound, m.horizon_T, m.start_k)
     bad = 0
@@ -567,7 +565,7 @@ def test_binned_h_envelope_traps_g_uniformly():
     nd = n_delta_for_h(v, delta, q0.importance_bound, grid.n_bins,
                        m.horizon_T, m.start_k)
     probe = np.linspace(grid.edges[0], grid.edges[-1], 301)
-    exact = enumerate_trajectory_expectations(pair, policy, grid_l=probe).g_values
+    exact = enumerate_trajectory_expectations(pair, policy).g_at(probe)
     bad = 0
     for trial in range(200):
         g = estimate_g(q0, pair, policy, nd, grid.edges,
@@ -686,7 +684,7 @@ def test_lower_cdf_distribution_reduces_to_empirical():
 
 
 def test_tight_lower_draws_concentrate_on_step_cdf():
-    # inverse-transform draws from the dominated law match its exact CVaR
+    # counted draws from the dominated law match its exact CVaR
     pair, policy, query = sensor_setup()
     pb = ParticleBelief.from_belief(query.belief, 100, np.random.default_rng(2))
     cfg = RolloutConfig(200, 100, 37)
@@ -697,16 +695,51 @@ def test_tight_lower_draws_concentrate_on_step_cdf():
     g = estimate_g(q0, pair, policy, 2_000, grid.edges, np.random.default_rng(3))
     h_plus, _ = binned_h(g, grid)
     dist = lower_cdf_distribution(returns, h_plus, 0.05, grid.edges)
-    u = np.random.default_rng(4).random(200_000)
-    cum = np.cumsum(dist.probs)
-    draws = dist.values[np.minimum(np.searchsorted(cum, u, side="left"),
-                                   dist.values.size - 1)]
-    radii = deviation_radii(u.size, 0.25, 1e-3,
-                            dist.sup_support - dist.inf_support)
+    n = 200_000
+    counts = _draw_counts(dist.probs, n, np.random.default_rng(4))
+    assert counts.sum() == n
+    radii = deviation_radii(n, 0.25, 1e-3, dist.sup_support - dist.inf_support)
     exact = cvar_exact(dist, 0.25)
-    est = cvar_estimate_sorted(draws, 0.25)
+    est = cvar_exact(DiscreteDistribution(dist.values, counts / n), 0.25)
     assert exact - est <= radii.upper
     assert est - exact <= radii.lower
+
+
+def test_counted_cvar_equals_sorted_estimate_on_the_same_draws():
+    # certify_tight_lower takes the CVaR of its draws from their counts;
+    # the order-statistic estimator on the expanded sample must agree
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        size = int(rng.integers(1, 40))
+        law = DiscreteDistribution(rng.normal(size=size) * 3.0,
+                                   rng.dirichlet(np.ones(size)))
+        n = int(rng.integers(1, 5_000))
+        counts = _draw_counts(law.probs, n, rng)
+        draws = np.repeat(law.values, counts)
+        for alpha in (0.01, 0.25, 0.5, 0.9, float(rng.uniform(0.001, 0.999))):
+            counted = cvar_exact(DiscreteDistribution(law.values, counts / n), alpha)
+            assert counted == pytest.approx(cvar_estimate_sorted(draws, alpha),
+                                            abs=1e-12)
+
+    # and through certify_tight_lower itself, rebuilding its dominated law
+    pair, policy, query = sensor_setup()
+    m = pair.original
+    q0 = build_default_proposal(pair, policy)
+    grid = BinGrid.uniform(pair, 6)
+    eta, delta = 0.25, 0.1
+    nd = n_delta_for_tight_lower(eta, delta, q0.importance_bound, grid.n_bins,
+                                 m.horizon_T, m.start_k)
+    cfg = RolloutConfig(300, 100, 47)
+    bound = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
+    g_hat = estimate_g(q0, pair, policy, nd, grid.edges,
+                       _stream(cfg.rng_seed, _GDRAW, 0))
+    h_plus, _ = binned_h(g_hat, grid)
+    dist = lower_cdf_distribution(_simplified_return_pool(pair, policy, query, cfg),
+                                  h_plus, eta, grid.edges)
+    counts = _draw_counts(dist.probs, nd, _stream(cfg.rng_seed, _GINV, 0))
+    draws = np.repeat(dist.values, counts)
+    assert bound.value == pytest.approx(
+        cvar_estimate_sorted(draws, query.alpha.alpha), abs=1e-12)
 
 
 def test_certify_tight_lower_validation():

@@ -342,10 +342,9 @@ def test_identical_models_have_zero_gap():
     rng = np.random.default_rng(43)
     pair = SimplifiedPair.identical(random_pair(rng, horizon_T=3).original)
     policy = random_policy(rng, pair)
-    out = enumerate_trajectory_expectations(pair, policy,
-                                            grid_l=np.linspace(-5, 5, 50))
+    out = enumerate_trajectory_expectations(pair, policy)
     assert out.epsilon == pytest.approx(0.0, abs=1e-15)
-    assert np.all(out.g_values == 0.0)
+    assert np.all(out.g_at(np.linspace(-5, 5, 50)) == 0.0)
 
 
 def test_g_saturates_at_epsilon_for_large_l():
@@ -353,8 +352,8 @@ def test_g_saturates_at_epsilon_for_large_l():
     pair = random_pair(rng, horizon_T=4)
     policy = random_policy(rng, pair)
     hi = pair.original.r_max * (pair.original.horizon_T + 1) + 1.0
-    out = enumerate_trajectory_expectations(pair, policy, grid_l=[hi])
-    assert out.g_values[0] == pytest.approx(out.epsilon, abs=1e-12)
+    out = enumerate_trajectory_expectations(pair, policy)
+    assert out.g_at(hi)[0] == pytest.approx(out.epsilon, abs=1e-12)
 
 
 def test_g_is_monotone_step_function_below_epsilon():
@@ -363,9 +362,10 @@ def test_g_is_monotone_step_function_below_epsilon():
         pair = random_pair(rng, horizon_T=3)
         policy = random_policy(rng, pair)
         grid = np.linspace(-6, 6, 120)
-        out = enumerate_trajectory_expectations(pair, policy, grid_l=grid)
-        assert np.all(np.diff(out.g_values) >= -1e-15)
-        assert np.all(out.g_values <= out.epsilon + 1e-9)
+        out = enumerate_trajectory_expectations(pair, policy)
+        g = out.g_at(grid)
+        assert np.all(np.diff(g) >= -1e-15)
+        assert np.all(g <= out.epsilon + 1e-9)
         # right-continuity: value at a jump point includes the jump
         if out.thresholds.size:
             cum = np.cumsum(out.threshold_weights)
@@ -411,10 +411,10 @@ def test_cdf_gap_bounded_by_g_on_grid():
             lo = min(dist.values[0], dist_s.values[0]) - 0.5
             hi = max(dist.values[-1], dist_s.values[-1]) + 0.5
             grid = np.linspace(lo, hi, 200)
-            out = enumerate_trajectory_expectations(pair, policy, grid_l=grid,
+            out = enumerate_trajectory_expectations(pair, policy,
                                                     first_action=first_action)
             gap = np.abs(dist.cdf_at(grid) - dist_s.cdf_at(grid))
-            assert np.all(gap <= out.g_values + 1e-9)
+            assert np.all(gap <= out.g_at(grid) + 1e-9)
 
 
 # ---------------------------------------------------------------- problem files

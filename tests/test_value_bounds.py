@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from riskgap.envelopes import (
+    SupportBounds,
+    UniformEnvelope,
+    uniform_lower,
+    uniform_upper,
+)
 from riskgap.pomdp import (
     Belief,
     Policy,
@@ -12,10 +18,7 @@ from riskgap.value_bounds import (
     BoundReport,
     ValueQuery,
     bound_report,
-    default_grid,
-    q_bounds_uniform,
     q_exact,
-    q_lower_tight,
 )
 
 from test_pomdp import make_model, random_pair, random_policy
@@ -93,11 +96,12 @@ def _heavy_gap_pair():
 def test_saturated_upper_is_worst_case_return():
     pair = _heavy_gap_pair()
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)
-    lo, hi, eps = q_bounds_uniform(pair, policy, _query(pair, 0.5))
-    assert eps >= 0.5
+    rep = bound_report(pair, policy, _query(pair, 0.5))
+    assert rep.epsilon >= 0.5
     span = pair.original.r_max * (pair.original.horizon_T + 1)
-    assert hi == pytest.approx(span)
-    assert lo <= q_exact(pair, policy, _query(pair, 0.5)) <= hi
+    assert rep.upper_uniform == pytest.approx(span)
+    assert rep.lower_uniform <= rep.q_true <= rep.upper_uniform
+    assert rep.q_true == q_exact(pair, policy, _query(pair, 0.5))
 
 
 def test_sandwich_and_tightness_on_random_instances():
@@ -134,11 +138,15 @@ def test_inflating_epsilon_never_tightens():
     pair = random_pair(rng, horizon_T=3)
     policy = random_policy(rng, pair)
     q = _query(pair, 0.4)
-    lo0, hi0, eps = q_bounds_uniform(pair, policy, q)
-    prev_lo, prev_hi = lo0, hi0
+    rep = bound_report(pair, policy, q)
+    dist_s = enumerate_return_distribution(pair, policy, model="simplified")
+    span = pair.original.r_max * (pair.original.horizon_T + 1)
+    support = SupportBounds(-span, span)
+    prev_lo, prev_hi = rep.lower_uniform, rep.upper_uniform
     for slack in (0.05, 0.2, 0.6):
-        lo, hi, _ = q_bounds_uniform(pair, policy, q,
-                                     epsilon_override=eps + slack)
+        env = UniformEnvelope(rep.epsilon + slack)
+        lo = uniform_lower(dist_s, q.alpha, env, support)
+        hi = uniform_upper(dist_s, q.alpha, env, support)
         assert lo <= prev_lo + 1e-12
         assert hi >= prev_hi - 1e-12
         prev_lo, prev_hi = lo, hi
@@ -150,14 +158,16 @@ def test_grid_evaluation_is_conservative():
         pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=4, mix=0.4)
         policy = random_policy(rng, pair)
         q = _query(pair, 0.3)
-        exact_env = q_lower_tight(pair, policy, q)
-        q_true = q_exact(pair, policy, q)
+        rep = bound_report(pair, policy, q)
+        exact_env, q_true = rep.lower_tight, rep.q_true
         dist_s = enumerate_return_distribution(pair, policy,
                                                model="simplified")
         dist = enumerate_return_distribution(pair, policy)
-        for grid in (default_grid(dist_s, dist),
+        # atoms of both laws plus their midpoints, and a blind uniform grid
+        atoms = np.unique(np.concatenate((dist_s.values, dist.values)))
+        for grid in (np.concatenate((atoms, (atoms[:-1] + atoms[1:]) / 2.0)),
                      np.linspace(-5.0, 5.0, 40)):
-            coarse = q_lower_tight(pair, policy, q, grid_l=grid)
+            coarse = bound_report(pair, policy, q, grid_l=grid).lower_tight
             assert coarse <= exact_env + 1e-12
             assert coarse <= q_true + 1e-9
 
@@ -168,27 +178,18 @@ def test_enumerated_support_tightens_but_stays_valid():
         pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=3, mix=0.5)
         policy = random_policy(rng, pair)
         q = _query(pair, 0.25)
-        q_true = q_exact(pair, policy, q)
-        lo_t, hi_t, _ = q_bounds_uniform(pair, policy, q, support="worst_case")
-        lo_e, hi_e, _ = q_bounds_uniform(pair, policy, q, support="enumerated")
-        assert lo_e <= q_true + 1e-9 <= hi_e + 2e-9
-        assert hi_e <= hi_t + 1e-12
-        assert lo_e >= lo_t - 1e-12
-    with pytest.raises(ValueError, match="support"):
-        q_bounds_uniform(pair, policy, q, support="bogus")
-
-
-def test_default_grid_contains_atoms_and_midpoints():
-    rng = np.random.default_rng(43)
-    pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=3)
-    policy = random_policy(rng, pair)
-    dist_s = enumerate_return_distribution(pair, policy, model="simplified")
-    grid = default_grid(dist_s)
-    for v in dist_s.values:
-        assert np.min(np.abs(grid - v)) == 0.0
-    mids = (dist_s.values[:-1] + dist_s.values[1:]) / 2.0
-    for m in mids:
-        assert np.min(np.abs(grid - m)) == 0.0
+        rep = bound_report(pair, policy, q)
+        dist = enumerate_return_distribution(pair, policy)
+        dist_s = enumerate_return_distribution(pair, policy, model="simplified")
+        # the union of the two enumerated supports instead of +-r_max*(T-k+1)
+        support = SupportBounds(min(dist.inf_support, dist_s.inf_support),
+                                max(dist.sup_support, dist_s.sup_support))
+        env = UniformEnvelope(rep.epsilon)
+        lo_e = uniform_lower(dist_s, q.alpha, env, support)
+        hi_e = uniform_upper(dist_s, q.alpha, env, support)
+        assert lo_e <= rep.q_true + 1e-9 <= hi_e + 2e-9
+        assert hi_e <= rep.upper_uniform + 1e-12
+        assert lo_e >= rep.lower_uniform - 1e-12
 
 
 def test_report_fields_are_consistent():
