@@ -19,21 +19,16 @@ from .envelopes import PointwiseEnvelope
 from .pomdp import (
     DEFAULT_LEAF_BUDGET,
     Belief,
-    BudgetExceededError,
     Policy,
     SimplifiedPair,
-    _first_action,
-    belief_cost,
-    belief_mdp_step,
-    tv_distance,
+    _event_thresholds,
+    _walk_simplified,
 )
 from .risk import DiscreteDistribution, cvar_estimate_sorted, cvar_exact
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds; one namespace per source of randomness
 _INIT, _ROLLOUT, _EPS, _GDRAW, _GINV = range(5)
-
-_KEY_DECIMALS = 12  # merging resolution for (belief, prefix) support atoms
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -118,6 +113,8 @@ class ProposalQ0:
     by the event thresholds in estimate_g. ``gaps[e, j]`` is the exact TV
     gap of atom e under the policy's action at step ``first_step + j``; the
     target probabilities already tie the proposal to one (pair, policy).
+    The exact gap oracle is these atoms with exact weights: it sums
+    ``target_probs * gaps`` where the estimators sample importance weights.
     """
 
     beliefs: tuple
@@ -397,74 +394,13 @@ def build_default_proposal(pair: SimplifiedPair, policy: Policy,
                            b_k: Belief | None = None,
                            first_action=None,
                            leaf_budget: int = DEFAULT_LEAF_BUDGET) -> ProposalQ0:
-    """Exact pooled proposal over reachable (belief, prefix-return) atoms.
-
-    Enumerates the simplified model's interior steps k+1..T-1, merges atoms
-    on rounded keys, and mixes 0.5 * (per-step marginal averaged over steps)
-    with 0.5 * uniform over the pooled support, which keeps the importance
-    ratio finite and exactly computable.
-    """
-    m = pair.original
-    if b_k is None:
-        b_k = Belief(m.initial_belief)
-    n_steps = m.horizon_T - 1 - m.start_k
-    if n_steps <= 0:
-        raise ValueError("proposal needs at least one interior step (k+1 <= T-1)")
-    a0 = _first_action(pair, policy, b_k, first_action)
-    c0 = belief_cost(pair, b_k, a0)
-    first_step = m.start_k + 1
-
-    def key_of(b: Belief, r: float):
-        return (tuple(np.round(b.probs, _KEY_DECIMALS)), round(r, _KEY_DECIMALS))
-
-    pool: dict = {}       # key -> (belief, prefix)
-    target: dict = {}     # key -> per-step probability row
-    frontier: dict = {}   # key -> (belief, prefix, prob) at the current step
-    for atom in belief_mdp_step(pair, b_k, a0, "simplified"):
-        b = atom.successor
-        r = belief_cost(pair, b, policy.action(first_step, b))
-        k = key_of(b, r)
-        prev = frontier.get(k)
-        frontier[k] = (b, r, atom.probability + (prev[2] if prev else 0.0))
-
-    expanded = 0
-    for j in range(n_steps):
-        t = first_step + j
-        for k, (b, r, p) in frontier.items():
-            if k not in pool:
-                pool[k] = (b, r)
-                target[k] = np.zeros(n_steps)
-            target[k][j] += p
-        if j + 1 == n_steps:
-            break
-        nxt: dict = {}
-        for b, r, p in frontier.values():
-            expanded += 1
-            if expanded > leaf_budget:
-                raise BudgetExceededError(
-                    f"proposal enumeration exceeds {leaf_budget} nodes")
-            a = policy.action(t, b)
-            for atom in belief_mdp_step(pair, b, a, "simplified"):
-                b2 = atom.successor
-                r2 = r + belief_cost(pair, b2, policy.action(t + 1, b2))
-                k2 = key_of(b2, r2)
-                prev = nxt.get(k2)
-                nxt[k2] = (b2, r2, p * atom.probability + (prev[2] if prev else 0.0))
-        frontier = nxt
-
-    keys = sorted(pool)
-    beliefs = tuple(pool[k][0] for k in keys)
-    prefixes = np.array([pool[k][1] for k in keys])
-    targets = np.vstack([target[k] for k in keys])
-    proposal = 0.5 * targets.mean(axis=1) + 0.5 / len(keys)
-
-    # gaps[e, j]: TV of atom e under the policy's step-j action, computed
-    # once per (atom, action) however many steps share it
-    gaps = np.empty(targets.shape)
-    for e, b in enumerate(beliefs):
-        actions = [policy.action(first_step + j, b) for j in range(n_steps)]
-        tv = {a: tv_distance(pair, b, a) for a in set(actions)}
-        gaps[e] = [tv[a] for a in actions]
+    """Exact pooled proposal over the simplified walk's (belief, prefix-return)
+    atoms of interior steps k+1..T-1: 0.5 * (per-step marginal averaged over
+    steps) + 0.5 * uniform over the pooled support, which keeps the importance
+    ratio finite and exactly computable."""
+    beliefs, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
+        pair, policy, b_k, first_action, leaf_budget)
+    proposal = 0.5 * targets.mean(axis=1) + 0.5 / len(beliefs)
     return ProposalQ0(beliefs, prefixes, proposal, targets, first_step, c0, gaps)
 
 
@@ -506,9 +442,8 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     contrib = (counts[:, None] * ratio * q0.gaps) / float(n_delta)
 
-    m = pair.original
-    t_axis = q0.first_step + np.arange(q0.n_steps)
-    thresholds = q0.prefix_returns[:, None] + q0.c0 - (m.horizon_T - t_axis) * m.r_max
+    thresholds = _event_thresholds(pair, q0.prefix_returns, q0.c0, q0.first_step,
+                                   q0.n_steps)
     order = np.argsort(thresholds, axis=None)
     cum = np.cumsum(contrib.ravel()[order])
     idx = np.searchsorted(thresholds.ravel()[order], grid, side="right")

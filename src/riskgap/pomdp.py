@@ -7,6 +7,11 @@ so everything here — belief updates, successor-law TV distance, and the
 full return distribution under a policy — is computed exactly by finite
 enumeration.  These exact quantities are the ground truth the bound and
 estimator modules are validated against.
+
+One walk of the simplified model yields its reachable (belief, prefix)
+atoms with exact step probabilities and TV gaps.  The estimators' proposal
+is built on these atoms, and the exact gap oracle is the same atoms with
+exact weights.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .envelopes import PointwiseEnvelope
-from .risk import MERGE_TOL, DiscreteDistribution
+from .risk import DiscreteDistribution, _sort_and_merge
 
 ROW_TOL = 1e-12
 ATOM_MATCH_TOL = 1e-9  # componentwise identification of successor beliefs
+_KEY_DECIMALS = 12  # merging resolution for (belief, prefix) walk atoms
 PROB_FLOOR = 1e-300
 DEFAULT_LEAF_BUDGET = 10**7
 
@@ -317,6 +323,73 @@ def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
     return DiscreteDistribution(np.array(values), np.array(masses))
 
 
+def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
+                     first_action, leaf_budget: int):
+    """Reachable (belief, prefix-return) atoms of the simplified model's
+    interior steps k+1..T-1: ``(beliefs, prefixes, targets, gaps, first_step, c0)``.
+
+    Atoms reached along different paths merge on keys rounded to
+    ``_KEY_DECIMALS`` and keep the first-seen belief and prefix, which
+    includes the step's own belief cost. ``targets[e, j]`` is the exact
+    probability of atom e at step ``first_step + j`` and ``gaps[e, j]`` its
+    TV gap under the policy's action there, one ``tv_distance`` per
+    (atom, action); ``c0`` is the step-k belief cost of the queried action.
+    More than ``leaf_budget`` expanded frontier atoms raise BudgetExceededError.
+    """
+    m = pair.original
+    b_k = Belief(m.initial_belief) if b_k is None else b_k
+    n_steps = m.horizon_T - 1 - m.start_k
+    if n_steps <= 0:
+        raise ValueError("the simplified walk needs an interior step (k+1 <= T-1)")
+    a0 = _first_action(pair, policy, b_k, first_action)
+    first_step = m.start_k + 1
+
+    def advance(nodes, t: int) -> dict:
+        # successors at step t of (belief, action, prefix, prob) nodes, by key
+        nxt: dict = {}
+        for b, a, r, p in nodes:
+            for atom in belief_mdp_step(pair, b, a, "simplified"):
+                b2 = atom.successor
+                r2 = r + belief_cost(pair, b2, policy.action(t, b2))
+                k2 = (tuple(np.round(b2.probs, _KEY_DECIMALS)), round(r2, _KEY_DECIMALS))
+                prev = nxt.get(k2)
+                nxt[k2] = (b2, r2, p * atom.probability + (prev[2] if prev else 0.0))
+        return nxt
+
+    pool: dict = {}  # key -> (belief, prefix, per-step probability row)
+    frontier = advance([(b_k, a0, 0.0, 1.0)], first_step)
+    expanded = 0
+    for j in range(n_steps):
+        for k, (b, r, p) in frontier.items():
+            pool.setdefault(k, (b, r, np.zeros(n_steps)))[2][j] += p
+        if j + 1 < n_steps:
+            expanded += len(frontier)
+            if expanded > leaf_budget:
+                raise BudgetExceededError(
+                    f"simplified belief-MDP walk exceeds {leaf_budget} nodes")
+            t = first_step + j
+            frontier = advance([(b, policy.action(t, b), r, p)
+                                for b, r, p in frontier.values()], t + 1)
+
+    beliefs, prefixes, rows = zip(*(pool[k] for k in sorted(pool)))
+    gaps = np.empty((len(beliefs), n_steps))
+    for e, b in enumerate(beliefs):
+        actions = [policy.action(first_step + j, b) for j in range(n_steps)]
+        tv = {a: tv_distance(pair, b, a) for a in set(actions)}
+        gaps[e] = [tv[a] for a in actions]
+    return (beliefs, np.array(prefixes), np.vstack(rows), gaps, first_step,
+            belief_cost(pair, b_k, a0))
+
+
+def _event_thresholds(pair: SimplifiedPair, prefixes: np.ndarray, c0: float,
+                      first_step: int, n_steps: int) -> np.ndarray:
+    """(atom, step) matrix of the least level l with prefix <= f(l, i),
+    i.e. prefix + c0 - (T - i) * r_max at step i = first_step + column."""
+    m = pair.original
+    t_axis = first_step + np.arange(n_steps)
+    return prefixes[:, None] + c0 - (m.horizon_T - t_axis) * m.r_max
+
+
 @dataclass(frozen=True)
 class TrajectoryExpectations:
     """Exact per-step expected model gaps along simplified trajectories.
@@ -349,63 +422,24 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       first_action=None,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l) by enumerating simplified-model prefixes.
+    """Exact m_i, epsilon and g(l): the simplified walk's atoms, exactly weighted.
 
-    Steps i run k+1 .. T-1; the indicator threshold for a prefix with
-    return R at step i is R + c(b_k, a_k) - (T - i) * r_max, i.e. the
-    smallest l making R <= f(l, i) true.
+    An atom at step i (k+1 .. T-1) weighs its exact probability times its TV
+    gap, where estimate_epsilon and estimate_g use sampled importance weights.
+    g jumps at the event thresholds; jumps within ``MERGE_TOL`` of a
+    cluster's first one merge into it.
     """
     m = pair.original
-    if b_k is None:
-        b_k = Belief(m.initial_belief)
-    a0 = _first_action(pair, policy, b_k, first_action)
-    c0 = belief_cost(pair, b_k, a0)
-    first_step = m.start_k + 1
-    steps = m.horizon_T - 1 - m.start_k  # number of interior steps
-    per_step = np.zeros(max(steps, 0))
-    raw: list[tuple[float, float]] = []  # (threshold, weight)
-
-    expanded = 0
-    if steps > 0:
-        stack = [
-            (first_step, atom.successor, atom.probability, 0.0)
-            for atom in belief_mdp_step(pair, b_k, a0, "simplified")
-        ]
-        while stack:
-            t, b, prob, prefix = stack.pop()
-            expanded += 1
-            if expanded > leaf_budget:
-                raise BudgetExceededError(
-                    f"trajectory enumeration exceeds {leaf_budget} nodes"
-                )
-            a = policy.action(t, b)
-            prefix = prefix + belief_cost(pair, b, a)
-            w = prob * tv_distance(pair, b, a)
-            per_step[t - first_step] += w
-            if w > 0.0:
-                raw.append((prefix + c0 - (m.horizon_T - t) * m.r_max, w))
-            if t < m.horizon_T - 1:
-                for atom in belief_mdp_step(pair, b, a, "simplified"):
-                    p = prob * atom.probability
-                    if p < PROB_FLOOR:
-                        continue
-                    stack.append((t + 1, atom.successor, p, prefix))
-
-    raw.sort(key=lambda e: e[0])
-    thresholds: list[float] = []
-    weights: list[float] = []
-    for thr, w in raw:
-        if thresholds and thr - thresholds[-1] <= MERGE_TOL:
-            weights[-1] += w
-        else:
-            thresholds.append(thr)
-            weights.append(w)
-    return TrajectoryExpectations(
-        per_step_m=per_step,
-        epsilon=float(per_step.sum()),
-        thresholds=np.array(thresholds, dtype=float),
-        threshold_weights=np.array(weights, dtype=float),
-    )
+    if m.horizon_T - 1 - m.start_k <= 0:
+        return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
+    _, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
+        pair, policy, b_k, first_action, leaf_budget)
+    w = targets * gaps
+    hit = w > 0.0
+    thr = _event_thresholds(pair, prefixes, c0, first_step, w.shape[1])
+    per_step = w.sum(axis=0)
+    return TrajectoryExpectations(per_step, float(per_step.sum()),
+                                  *_sort_and_merge(thr[hit], w[hit]))
 
 
 # ---------------------------------------------------------------- problem files

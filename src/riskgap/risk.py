@@ -59,6 +59,20 @@ def _alpha_of(level) -> float:
     return ConfidenceLevel(float(level)).alpha
 
 
+def _sort_and_merge(values: np.ndarray, weights: np.ndarray):
+    """Sort atoms by value (stably) and merge each run of values within
+    ``MERGE_TOL`` of the run's first value, which the run keeps; weights add."""
+    order = np.argsort(values, kind="stable")
+    out_v, out_w = [], []
+    for v, w in zip(values[order], weights[order]):
+        if out_v and v - out_v[-1] <= MERGE_TOL:
+            out_w[-1] += w
+        else:
+            out_v.append(v)
+            out_w.append(w)
+    return np.array(out_v, dtype=float), np.array(out_w, dtype=float)
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution in canonical form.
@@ -86,21 +100,7 @@ class DiscreteDistribution:
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
 
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        probs = probs[order]
-
-        # Merge runs of near-identical values (gap to predecessor <= MERGE_TOL).
-        out_v, out_p = [], []
-        for v, p in zip(values, probs):
-            if out_v and v - out_v[-1] <= MERGE_TOL:
-                out_p[-1] += p
-            else:
-                out_v.append(v)
-                out_p.append(p)
-        values = np.array(out_v, dtype=float)
-        probs = np.array(out_p, dtype=float)
-
+        values, probs = _sort_and_merge(values, probs)
         keep = probs > 0.0
         if not np.any(keep):
             raise DistributionError("distribution has no positive-probability atom")

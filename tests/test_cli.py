@@ -13,8 +13,16 @@ from riskgap.cli import (
     validate_report,
 )
 from riskgap.estimation import DegenerateWeightsError
-from riskgap.pomdp import BudgetExceededError, save_problem
+from riskgap.pomdp import (
+    Belief,
+    BudgetExceededError,
+    enumerate_trajectory_expectations,
+    save_problem,
+)
 from riskgap.scenarios import random_instance
+from riskgap.value_bounds import ValueQuery, bound_report
+
+from test_pomdp import random_pair, random_policy
 
 
 def run_cli(args, out_path):
@@ -58,6 +66,27 @@ def test_enumerate_perturbation_zero_has_zero_epsilon(tmp_path):
     assert records_of(text, "epsilon")[0]["value"] == 0.0
     for r in records_of(text, "g_value"):
         assert r["value"] == 0.0
+
+
+@pytest.mark.parametrize("horizon_T", (1, 2))
+def test_no_interior_step_has_zero_gap_and_finite_bounds(tmp_path, horizon_T):
+    # start_k = 1: T = k and T = k + 1 leave no step k+1..T-1 to carry a gap
+    rng = np.random.default_rng(83)
+    pair = random_pair(rng, horizon_T=horizon_T, start_k=1)
+    policy = random_policy(rng, pair)
+    traj = enumerate_trajectory_expectations(pair, policy)
+    assert traj.epsilon == 0.0
+    assert traj.per_step_m.size == 0 and traj.thresholds.size == 0
+    rep = bound_report(pair, policy,
+                       ValueQuery(Belief(pair.original.initial_belief), 0.25))
+    assert all(math.isfinite(x) for x in (rep.lower_uniform, rep.upper_uniform,
+                                          rep.lower_tight, rep.q_true))
+    problem = tmp_path / "p.json"
+    save_problem(problem, pair, policy)
+    rc, text = run_cli(["enumerate", "--problem", str(problem),
+                        "--alpha", "0.25,0.9"], tmp_path / "r.json")
+    assert rc == 0
+    assert [r["value"] for r in records_of(text, "epsilon")] == [0.0]
 
 
 def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):

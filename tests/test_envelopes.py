@@ -5,20 +5,23 @@ from riskgap.envelopes import (
     InvalidEnvelopeError,
     PointwiseEnvelope,
     SupportBounds,
-    UndefinedBoundError,
     UniformEnvelope,
     cdf_gap_envelope,
-    density_envelope_to_g,
     dominated_cdf,
     lower_case_tag,
-    raw_quantile_lower,
-    raw_quantile_upper,
     tight_lower,
     uniform_lower,
     uniform_upper,
     upper_case_tag,
 )
 from riskgap.risk import DiscreteDistribution, cvar_exact
+
+from envelope_oracles import (
+    UndefinedBoundError,
+    density_envelope_to_g,
+    raw_quantile_lower,
+    raw_quantile_upper,
+)
 
 
 def _random_dist(rng, max_atoms=6, spread=4.0):

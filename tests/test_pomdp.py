@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from riskgap import scenarios
+from riskgap.estimation import build_default_proposal
 from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
@@ -20,6 +24,8 @@ from riskgap.pomdp import (
     tv_distance,
     validate_policy,
 )
+
+from trajectory_oracle import dfs_trajectory_expectations
 
 
 def make_model(transition, observation, cost, b0, horizon_T, start_k=0, r_max=1.0):
@@ -331,8 +337,11 @@ def test_leaf_budget_enforced():
     rng = np.random.default_rng(41)
     pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=4)
     policy = random_policy(rng, pair)
-    with pytest.raises(BudgetExceededError):
-        enumerate_return_distribution(pair, policy, leaf_budget=4)
+    for enumerate_fn in (enumerate_return_distribution,
+                         enumerate_trajectory_expectations,
+                         build_default_proposal):
+        with pytest.raises(BudgetExceededError):
+            enumerate_fn(pair, policy, leaf_budget=4)
 
 
 # ------------------------------------------------- trajectory expectations
@@ -415,6 +424,43 @@ def test_cdf_gap_bounded_by_g_on_grid():
                                                     first_action=first_action)
             gap = np.abs(dist.cdf_at(grid) - dist_s.cdf_at(grid))
             assert np.all(gap <= out.g_at(grid) + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), horizon_gap=st.integers(2, 5),
+       n_obs=st.integers(1, 3), noisy=st.booleans(),
+       first_action=st.sampled_from((None, 0, 1)), initial=st.booleans())
+# merged paths whose prefixes differ in the last bits
+@example(seed=557, horizon_gap=5, n_obs=2, noisy=False, first_action=None,
+         initial=True)
+def test_atom_oracle_equals_tree_walk_on_random_instances(seed, horizon_gap, n_obs,
+                                                          noisy, first_action,
+                                                          initial):
+    # deterministic sensors (random_instance) make beliefs merge across
+    # paths; noisy ones (random_pair) keep every path its own atom
+    rng = np.random.default_rng(seed)
+    if noisy:
+        pair = random_pair(rng, n_obs=n_obs, horizon_T=horizon_gap)
+        policy = random_policy(rng, pair)
+    else:
+        spec = scenarios.random_instance(seed, n_obs=n_obs, horizon_gap=horizon_gap)
+        pair, policy = spec.pair, spec.policy
+    b_k = None if initial else Belief(rng.dirichlet(np.ones(pair.original.n_states)))
+    atoms = enumerate_trajectory_expectations(pair, policy, b_k=b_k,
+                                              first_action=first_action)
+    tree = dfs_trajectory_expectations(pair, policy, b_k=b_k,
+                                       first_action=first_action)
+    np.testing.assert_allclose(atoms.per_step_m, tree.per_step_m, rtol=0, atol=1e-12)
+    assert abs(atoms.epsilon - tree.epsilon) <= 1e-12
+    # a merged atom keeps its first path's prefix, which can sit a few ulps
+    # above the smallest one the tree walk keeps for the same jump, so g is
+    # compared exactly at the atom oracle's own jumps and just left of both
+    jumps, tree_jumps = atoms.thresholds, tree.thresholds
+    probes = np.concatenate((jumps, jumps - 1e-9, tree_jumps - 1e-9,
+                             0.5 * (jumps[1:] + jumps[:-1]),
+                             0.5 * (tree_jumps[1:] + tree_jumps[:-1])))
+    np.testing.assert_allclose(atoms.g_at(probes), tree.g_at(probes), rtol=0,
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------- problem files

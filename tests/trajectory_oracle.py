@@ -1,0 +1,90 @@
+"""Reference exact gap oracle: a depth-first walk of the simplified tree.
+
+The tree form of ``riskgap.pomdp.enumerate_trajectory_expectations``, which
+reduces the merged (belief, prefix-return) atoms of one forward walk instead.
+Every tree node pays its own ``tv_distance``; its weight prob * TV is added
+to the step's m_i, and its indicator threshold joins the jumps of g, which
+merge within ``MERGE_TOL`` after sorting.  Tests compare the atom reduction
+against this walk on random instances.
+"""
+
+import numpy as np
+
+from riskgap.pomdp import (
+    DEFAULT_LEAF_BUDGET,
+    PROB_FLOOR,
+    Belief,
+    BudgetExceededError,
+    Policy,
+    SimplifiedPair,
+    TrajectoryExpectations,
+    _first_action,
+    belief_cost,
+    belief_mdp_step,
+    tv_distance,
+)
+from riskgap.risk import MERGE_TOL
+
+
+def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
+                                b_k: Belief | None = None,
+                                first_action=None,
+                                leaf_budget: int = DEFAULT_LEAF_BUDGET,
+                                ) -> TrajectoryExpectations:
+    """Exact m_i, epsilon and g(l) by enumerating simplified-model prefixes.
+
+    Steps i run k+1 .. T-1; the indicator threshold for a prefix with
+    return R at step i is R + c(b_k, a_k) - (T - i) * r_max, i.e. the
+    smallest l making R <= f(l, i) true.
+    """
+    m = pair.original
+    if b_k is None:
+        b_k = Belief(m.initial_belief)
+    a0 = _first_action(pair, policy, b_k, first_action)
+    c0 = belief_cost(pair, b_k, a0)
+    first_step = m.start_k + 1
+    steps = m.horizon_T - 1 - m.start_k  # number of interior steps
+    per_step = np.zeros(max(steps, 0))
+    raw: list[tuple[float, float]] = []  # (threshold, weight)
+
+    expanded = 0
+    if steps > 0:
+        stack = [
+            (first_step, atom.successor, atom.probability, 0.0)
+            for atom in belief_mdp_step(pair, b_k, a0, "simplified")
+        ]
+        while stack:
+            t, b, prob, prefix = stack.pop()
+            expanded += 1
+            if expanded > leaf_budget:
+                raise BudgetExceededError(
+                    f"trajectory enumeration exceeds {leaf_budget} nodes"
+                )
+            a = policy.action(t, b)
+            prefix = prefix + belief_cost(pair, b, a)
+            w = prob * tv_distance(pair, b, a)
+            per_step[t - first_step] += w
+            if w > 0.0:
+                raw.append((prefix + c0 - (m.horizon_T - t) * m.r_max, w))
+            if t < m.horizon_T - 1:
+                for atom in belief_mdp_step(pair, b, a, "simplified"):
+                    p = prob * atom.probability
+                    if p < PROB_FLOOR:
+                        continue
+                    stack.append((t + 1, atom.successor, p, prefix))
+
+    raw.sort(key=lambda e: e[0])
+    thresholds: list[float] = []
+    weights: list[float] = []
+    for thr, w in raw:
+        if thresholds and thr - thresholds[-1] <= MERGE_TOL:
+            weights[-1] += w
+        else:
+            thresholds.append(thr)
+            weights.append(w)
+    return TrajectoryExpectations(
+        per_step_m=per_step,
+        epsilon=float(per_step.sum()),
+        thresholds=np.array(thresholds, dtype=float),
+        threshold_weights=np.array(weights, dtype=float),
+    )
