@@ -35,7 +35,6 @@ from .estimation import (
     certify_uniform,
     estimate_epsilon,
     estimate_g,
-    genpf,
     lower_cdf_distribution,
     n_delta_for_epsilon,
     n_delta_for_g,

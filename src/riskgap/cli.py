@@ -47,6 +47,7 @@ from .estimation import (
 from .pomdp import (
     Belief,
     BudgetExceededError,
+    _exact_weight_reduction,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
@@ -367,7 +368,9 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
     # exact ground truth (the precondition: enumeration must be feasible)
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")
     dist_p = enumerate_return_distribution(pair, policy, model="original")
-    traj = enumerate_trajectory_expectations(pair, policy)
+    # the exact gaps are q0's own atoms, exactly weighted
+    traj = _exact_weight_reduction(pair, q0.prefix_returns, q0.target_probs,
+                                   q0.gaps, q0.first_step, q0.c0)
     exact_s = {a: cvar_exact(dist_s, a) for a in alphas}
     exact_p = {a: cvar_exact(dist_p, a) for a in alphas}
     # worst-case width of a rollout return: per-step mean costs stay inside

@@ -22,6 +22,7 @@ from .pomdp import (
     Policy,
     SimplifiedPair,
     _event_thresholds,
+    _return_span,
     _walk_simplified,
 )
 from .risk import DiscreteDistribution, cvar_estimate_sorted, cvar_exact
@@ -248,11 +249,6 @@ class CertifiedBound:
             raise ValueError("bound value must be finite")
 
 
-def _return_span(pair: SimplifiedPair) -> float:
-    m = pair.original
-    return m.r_max * (m.horizon_T - m.start_k + 1)
-
-
 # ------------------------------------------------------------------- rollouts
 
 
@@ -352,19 +348,6 @@ class _RolloutKernel:
                 actions = policy.actions[t + step + 1 - policy.start_k,
                                          probs.argmax(axis=1)]
         return returns
-
-
-def genpf(pair: SimplifiedPair, b_bar: ParticleBelief, a: int, model: str,
-          rng: np.random.Generator):
-    """One generative particle-filter step: (new particle belief, mean cost).
-
-    The new weights are the old ones times the observation likelihoods,
-    scaled by a power of two when their sum falls below 1/2.
-    """
-    u = rng.random((1, 3 + b_bar.states.size))
-    succ, new_w, rho = _RolloutKernel(pair, model).step(
-        b_bar.states[None, :], b_bar.weights[None, :], np.array([int(a)]), u)
-    return ParticleBelief(succ[0], new_w[0]), float(rho[0])
 
 
 def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,

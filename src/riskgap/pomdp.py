@@ -8,10 +8,11 @@ full return distribution under a policy — is computed exactly by finite
 enumeration.  These exact quantities are the ground truth the bound and
 estimator modules are validated against.
 
-One walk of the simplified model yields its reachable (belief, prefix)
-atoms with exact step probabilities and TV gaps.  The estimators' proposal
-is built on these atoms, and the exact gap oracle is the same atoms with
-exact weights.
+One forward walk over merged (belief, return) nodes gives every exact
+quantity.  Its step-T frontier is the return law of either model.  On the
+simplified model, its interior frontiers are the (belief, prefix) atoms,
+with exact step probabilities and TV gaps, that the estimators' proposal is
+built on; the exact gap oracle is the same atoms with exact weights.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class ImpossibleObservationError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact enumeration would expand more leaves than allowed."""
+    """An exact belief-MDP walk would expand more nodes than allowed."""
 
 
 def _check_rows(mat: np.ndarray, what: str) -> None:
@@ -282,6 +283,53 @@ def _first_action(pair: SimplifiedPair, policy: Policy, b_k: Belief,
     return int(first_action)
 
 
+def _return_span(pair: SimplifiedPair) -> float:
+    # the horizon return is a sum of T-k+1 belief costs, each in [-r_max, r_max]
+    m = pair.original
+    return m.r_max * (m.horizon_T - m.start_k + 1)
+
+
+def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int,
+          r0: float, last_step: int, leaf_budget: int) -> list[dict]:
+    """Merged frontiers of the belief-MDP under ``model``, one per step
+    k+1..last_step, from belief ``b_k`` and action ``a0`` at step k.
+
+    A frontier maps a (belief, return) key rounded to ``_KEY_DECIMALS`` to
+    ``(belief, return, probability)``: the return is ``r0`` plus the belief
+    costs of steps k+1..t under the policy's actions, and paths that reach
+    the same key add their probabilities and keep the latest belief and
+    return in the first one's slot. Successors whose path probability is
+    below ``PROB_FLOOR`` are dropped. Expanding more than ``leaf_budget``
+    frontier nodes in total raises BudgetExceededError.
+    """
+    k = pair.original.start_k
+    frontiers: list[dict] = []
+    nodes = [(b_k, a0, r0, 1.0)]
+    expanded = 0
+    for t in range(k + 1, last_step + 1):
+        if frontiers:
+            expanded += len(frontiers[-1])
+            if expanded > leaf_budget:
+                raise BudgetExceededError(
+                    f"{model} belief-MDP walk exceeds {leaf_budget} nodes "
+                    f"at step {t - 1}")
+            nodes = [(b, policy.action(t - 1, b), r, p)
+                     for b, r, p in frontiers[-1].values()]
+        nxt: dict = {}
+        for b, a, r, p in nodes:
+            for atom in belief_mdp_step(pair, b, a, model):
+                p2 = p * atom.probability
+                if p2 < PROB_FLOOR:
+                    continue
+                b2 = atom.successor
+                r2 = r + belief_cost(pair, b2, policy.action(t, b2))
+                key = (tuple(np.round(b2.probs, _KEY_DECIMALS)), round(r2, _KEY_DECIMALS))
+                prev = nxt.get(key)
+                nxt[key] = (b2, r2, p2 + (prev[2] if prev else 0.0))
+        frontiers.append(nxt)
+    return frontiers
+
+
 def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
                                   b_k: Belief | None = None,
                                   model: str = "original",
@@ -290,36 +338,19 @@ def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
                                   ) -> DiscreteDistribution:
     """Exact law of the return R_{k:T} = sum_t c(b_t, a_t) under the policy.
 
-    Depth-first expansion of the belief-MDP tree from start_k to horizon_T;
-    leaves with equal return merge inside DiscreteDistribution.
+    The step-T frontier of the forward walk from step k, whose returns start
+    at the step-k cost; equal returns then merge inside DiscreteDistribution.
+    Its nodes are read in reverse, which is the leaf order of the belief-MDP
+    tree's depth-first expansion, so a law whose paths never merge is summed
+    exactly as that expansion sums it.
     """
     m = pair.original
-    if b_k is None:
-        b_k = Belief(m.initial_belief)
+    b_k = Belief(m.initial_belief) if b_k is None else b_k
     a0 = _first_action(pair, policy, b_k, first_action)
-    values: list[float] = []
-    masses: list[float] = []
-    # node: (t, belief, action, accumulated probability, accumulated return)
-    stack = [(m.start_k, b_k, a0, 1.0, 0.0)]
-    leaves = 0
-    while stack:
-        t, b, a, prob, acc = stack.pop()
-        acc += belief_cost(pair, b, a)
-        if t == m.horizon_T:
-            leaves += 1
-            if leaves > leaf_budget:
-                raise BudgetExceededError(
-                    f"return enumeration exceeds {leaf_budget} leaves"
-                )
-            values.append(acc)
-            masses.append(prob)
-            continue
-        for atom in belief_mdp_step(pair, b, a, model):
-            p = prob * atom.probability
-            if p < PROB_FLOOR:
-                continue
-            nb = atom.successor
-            stack.append((t + 1, nb, policy.action(t + 1, nb), p, acc))
+    r0 = belief_cost(pair, b_k, a0)
+    frontiers = _walk(pair, policy, model, b_k, a0, r0, m.horizon_T, leaf_budget)
+    leaves = list(frontiers[-1].values()) if frontiers else [(b_k, r0, 1.0)]
+    _, values, masses = zip(*reversed(leaves))
     return DiscreteDistribution(np.array(values), np.array(masses))
 
 
@@ -328,13 +359,12 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     """Reachable (belief, prefix-return) atoms of the simplified model's
     interior steps k+1..T-1: ``(beliefs, prefixes, targets, gaps, first_step, c0)``.
 
-    Atoms reached along different paths merge on keys rounded to
-    ``_KEY_DECIMALS`` and keep the first-seen belief and prefix, which
-    includes the step's own belief cost. ``targets[e, j]`` is the exact
-    probability of atom e at step ``first_step + j`` and ``gaps[e, j]`` its
-    TV gap under the policy's action there, one ``tv_distance`` per
+    The atoms are the walk's frontiers pooled over steps; an atom met at
+    several steps keeps its first belief and prefix, which includes the
+    step's own belief cost but not the step-k one. ``targets[e, j]`` is the
+    exact probability of atom e at step ``first_step + j`` and ``gaps[e, j]``
+    its TV gap under the policy's action there, one ``tv_distance`` per
     (atom, action); ``c0`` is the step-k belief cost of the queried action.
-    More than ``leaf_budget`` expanded frontier atoms raise BudgetExceededError.
     """
     m = pair.original
     b_k = Belief(m.initial_belief) if b_k is None else b_k
@@ -344,34 +374,14 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     a0 = _first_action(pair, policy, b_k, first_action)
     first_step = m.start_k + 1
 
-    def advance(nodes, t: int) -> dict:
-        # successors at step t of (belief, action, prefix, prob) nodes, by key
-        nxt: dict = {}
-        for b, a, r, p in nodes:
-            for atom in belief_mdp_step(pair, b, a, "simplified"):
-                b2 = atom.successor
-                r2 = r + belief_cost(pair, b2, policy.action(t, b2))
-                k2 = (tuple(np.round(b2.probs, _KEY_DECIMALS)), round(r2, _KEY_DECIMALS))
-                prev = nxt.get(k2)
-                nxt[k2] = (b2, r2, p * atom.probability + (prev[2] if prev else 0.0))
-        return nxt
-
     pool: dict = {}  # key -> (belief, prefix, per-step probability row)
-    frontier = advance([(b_k, a0, 0.0, 1.0)], first_step)
-    expanded = 0
-    for j in range(n_steps):
-        for k, (b, r, p) in frontier.items():
-            pool.setdefault(k, (b, r, np.zeros(n_steps)))[2][j] += p
-        if j + 1 < n_steps:
-            expanded += len(frontier)
-            if expanded > leaf_budget:
-                raise BudgetExceededError(
-                    f"simplified belief-MDP walk exceeds {leaf_budget} nodes")
-            t = first_step + j
-            frontier = advance([(b, policy.action(t, b), r, p)
-                                for b, r, p in frontier.values()], t + 1)
+    frontiers = _walk(pair, policy, "simplified", b_k, a0, 0.0, m.horizon_T - 1,
+                      leaf_budget)
+    for j, frontier in enumerate(frontiers):
+        for key, (b, r, p) in frontier.items():
+            pool.setdefault(key, (b, r, np.zeros(n_steps)))[2][j] += p
 
-    beliefs, prefixes, rows = zip(*(pool[k] for k in sorted(pool)))
+    beliefs, prefixes, rows = zip(*(pool[key] for key in sorted(pool)))
     gaps = np.empty((len(beliefs), n_steps))
     for e, b in enumerate(beliefs):
         actions = [policy.action(first_step + j, b) for j in range(n_steps)]
@@ -417,29 +427,36 @@ class TrajectoryExpectations:
         return PointwiseEnvelope(self.thresholds, np.cumsum(self.threshold_weights))
 
 
-def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
-                                      b_k: Belief | None = None,
-                                      first_action=None,
-                                      leaf_budget: int = DEFAULT_LEAF_BUDGET,
-                                      ) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l): the simplified walk's atoms, exactly weighted.
+def _exact_weight_reduction(pair: SimplifiedPair, prefixes: np.ndarray,
+                            targets: np.ndarray, gaps: np.ndarray, first_step: int,
+                            c0: float) -> TrajectoryExpectations:
+    """Exact m_i, epsilon and g(l) from simplified walk atoms, exactly weighted.
 
     An atom at step i (k+1 .. T-1) weighs its exact probability times its TV
     gap, where estimate_epsilon and estimate_g use sampled importance weights.
     g jumps at the event thresholds; jumps within ``MERGE_TOL`` of a
     cluster's first one merge into it.
     """
-    m = pair.original
-    if m.horizon_T - 1 - m.start_k <= 0:
-        return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    _, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
-        pair, policy, b_k, first_action, leaf_budget)
     w = targets * gaps
     hit = w > 0.0
     thr = _event_thresholds(pair, prefixes, c0, first_step, w.shape[1])
     per_step = w.sum(axis=0)
     return TrajectoryExpectations(per_step, float(per_step.sum()),
                                   *_sort_and_merge(thr[hit], w[hit]))
+
+
+def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
+                                      b_k: Belief | None = None,
+                                      first_action=None,
+                                      leaf_budget: int = DEFAULT_LEAF_BUDGET,
+                                      ) -> TrajectoryExpectations:
+    """Exact m_i, epsilon and g(l): the exact-weight reduction of the
+    simplified walk's atoms; all zero when there is no interior step."""
+    m = pair.original
+    if m.horizon_T - 1 - m.start_k <= 0:
+        return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
+    _, *atoms = _walk_simplified(pair, policy, b_k, first_action, leaf_budget)
+    return _exact_weight_reduction(pair, *atoms)
 
 
 # ---------------------------------------------------------------- problem files

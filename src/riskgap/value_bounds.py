@@ -17,8 +17,8 @@ from .envelopes import (
     PointwiseEnvelope,
     SupportBounds,
     UniformEnvelope,
-    dominated_cdf,
     lower_case_tag,
+    tight_lower,
     uniform_lower,
     uniform_upper,
     upper_case_tag,
@@ -28,6 +28,7 @@ from .pomdp import (
     Belief,
     Policy,
     SimplifiedPair,
+    _return_span,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
 )
@@ -56,13 +57,6 @@ class BoundReport:
     lower_tight: float
     epsilon: float
     case_tags: dict
-
-
-def _return_support(pair) -> SupportBounds:
-    # the horizon return is a sum of T-k+1 belief costs, each in [-r_max, r_max]
-    m = pair.original
-    span = m.r_max * (m.horizon_T - m.start_k + 1)
-    return SupportBounds(-span, span)
 
 
 def q_exact(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
@@ -111,13 +105,14 @@ def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
         pair, policy, b_k=query.belief, first_action=query.action,
         leaf_budget=leaf_budget)
     alpha = query.alpha
-    bounds = _return_support(pair)
+    span = _return_span(pair)
+    bounds = SupportBounds(-span, span)
     env = UniformEnvelope(traj.epsilon)
     lo = uniform_lower(dist_s, alpha, env, bounds)
     hi = uniform_upper(dist_s, alpha, env, bounds)
     gap_env = traj.envelope() if grid_l is None else _conservative_grid_envelope(
         traj, grid_l)
-    tight = cvar_exact(dominated_cdf(dist_s, gap_env), alpha)
+    tight = tight_lower(dist_s, gap_env, alpha)
     return BoundReport(
         q_true=cvar_exact(dist, alpha),
         q_simplified=cvar_exact(dist_s, alpha),

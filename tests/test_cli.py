@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from riskgap import pomdp
 from riskgap.cli import (
     SCHEMA_VERSION,
     binomial_pass_threshold,
@@ -242,6 +243,24 @@ def test_concentration_small_run_schema(tmp_path):
     assert all(r["evaluated"] == 0 for r in uniform)
     tight = [r for r in recs if r["name"] == "tight_lower"]
     assert all(r["evaluated"] == 3 for r in tight)
+
+
+def test_concentration_walks_the_simplified_model_once(tmp_path, monkeypatch):
+    # the exact gaps are the proposal's own atoms, exactly weighted
+    walks = []
+    walk = pomdp._walk_simplified
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr("riskgap.pomdp._walk_simplified", counted)
+    monkeypatch.setattr("riskgap.estimation._walk_simplified", counted)
+    rc, _ = run_cli(["concentration", "--scenario", "two_state_sensor",
+                     "--trials", "2", "--rollouts", "60", "--particles", "50",
+                     "--v", "0.3", "--seed", "9"], tmp_path / "r.json")
+    assert rc == 0
+    assert len(walks) == 1
 
 
 def test_concentration_deterministic_across_workers(tmp_path):

@@ -18,6 +18,7 @@ from riskgap.estimation import (
     UnsupportedBeliefError,
     _GDRAW,
     _GINV,
+    _RolloutKernel,
     _draw_counts,
     _simplified_return_pool,
     _stream,
@@ -27,7 +28,6 @@ from riskgap.estimation import (
     certify_uniform,
     estimate_epsilon,
     estimate_g,
-    genpf,
     lower_cdf_distribution,
     n_delta_for_epsilon,
     n_delta_for_g,
@@ -123,7 +123,15 @@ def test_proposal_rejects_misshapen_gaps():
                    first_step=1, c0=0.0, gaps=np.zeros((1, 2)))
 
 
-# ------------------------------------------------------------------- genpf
+# --------------------------------------------------- one particle-filter step
+
+
+def kernel_step(pair, pb, a, rng):
+    """One original-model step of a single rollout: (states, weights, rho)."""
+    u = rng.random((1, 3 + pb.states.size))
+    succ, weights, rho = _RolloutKernel(pair, "original").step(
+        pb.states[None, :], pb.weights[None, :], np.array([a]), u)
+    return succ[0], weights[0], float(rho[0])
 
 
 def deterministic_pair():
@@ -138,10 +146,10 @@ def deterministic_pair():
 def test_genpf_deterministic_point_mass():
     pair = deterministic_pair()
     pb = ParticleBelief(np.zeros(8, dtype=int), np.ones(8))
-    nxt, rho = genpf(pair, pb, 0, "original", np.random.default_rng(0))
-    assert np.all(nxt.states == 1)
+    states, weights, rho = kernel_step(pair, pb, 0, np.random.default_rng(0))
+    assert np.all(states == 1)
     assert rho == 0.25
-    assert np.allclose(nxt.weights, 1.0)
+    assert np.allclose(weights, 1.0)
 
 
 def test_genpf_equal_costs_ignore_weights():
@@ -150,7 +158,7 @@ def test_genpf_equal_costs_ignore_weights():
     model = make_model(trans, obs, [[0.5], [0.5]], [0.5, 0.5], horizon_T=2)
     pair = SimplifiedPair.identical(model)
     pb = ParticleBelief(np.array([0, 1, 1]), np.array([0.2, 1.5, 0.05]))
-    _, rho = genpf(pair, pb, 0, "original", np.random.default_rng(5))
+    _, _, rho = kernel_step(pair, pb, 0, np.random.default_rng(5))
     assert rho == pytest.approx(0.5, abs=1e-12)
 
 
@@ -163,7 +171,7 @@ def test_genpf_mean_rho_matches_belief_cost():
     rhos = []
     for _ in range(10_000):
         pb = ParticleBelief.from_belief(b, 500, draw)
-        _, rho = genpf(pair, pb, 0, "original", draw)
+        _, _, rho = kernel_step(pair, pb, 0, draw)
         rhos.append(rho)
     rhos = np.asarray(rhos)
     se = rhos.std(ddof=1) / math.sqrt(rhos.size)
@@ -180,7 +188,7 @@ def test_genpf_degenerate_weights_raises():
     pb = ParticleBelief(np.array([0]), np.ones(1))
     with pytest.raises(DegenerateWeightsError):
         for seed in range(32):
-            genpf(pair, pb, 0, "original", np.random.default_rng(seed))
+            kernel_step(pair, pb, 0, np.random.default_rng(seed))
 
 
 # --------------------------------------------------------- rollout returns

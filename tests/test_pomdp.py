@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riskgap import scenarios
 from riskgap.estimation import build_default_proposal
+from riskgap.risk import cvar_exact
 from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
@@ -25,7 +26,7 @@ from riskgap.pomdp import (
     validate_policy,
 )
 
-from trajectory_oracle import dfs_trajectory_expectations
+from trajectory_oracle import dfs_return_distribution, dfs_trajectory_expectations
 
 
 def make_model(transition, observation, cost, b0, horizon_T, start_k=0, r_max=1.0):
@@ -337,11 +338,78 @@ def test_leaf_budget_enforced():
     rng = np.random.default_rng(41)
     pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=4)
     policy = random_policy(rng, pair)
-    for enumerate_fn in (enumerate_return_distribution,
-                         enumerate_trajectory_expectations,
-                         build_default_proposal):
-        with pytest.raises(BudgetExceededError):
+    for enumerate_fn, model in ((enumerate_return_distribution, "original"),
+                                (enumerate_trajectory_expectations, "simplified"),
+                                (build_default_proposal, "simplified")):
+        with pytest.raises(BudgetExceededError, match=f"^{model} .* at step 2$"):
             enumerate_fn(pair, policy, leaf_budget=4)
+    with pytest.raises(BudgetExceededError, match="^simplified "):
+        enumerate_return_distribution(pair, policy, model="simplified",
+                                      leaf_budget=4)
+
+
+def test_unmerged_paths_with_tied_returns_sum_as_the_tree():
+    # costs that depend on the action only tie the returns of many paths
+    # whose beliefs differ; their masses must add in the tree's leaf order
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        pair = random_pair(rng, horizon_T=4)
+        m = pair.original
+        cost = np.tile(rng.choice([0.1, 0.3, 0.7], size=m.n_actions), (m.n_states, 1))
+        model = make_model(m.transition, m.observation, cost, m.initial_belief,
+                           m.horizon_T)
+        pair = SimplifiedPair(model, pair.simplified_transition,
+                              pair.simplified_observation)
+        policy = random_policy(rng, pair)
+        for model_name in ("original", "simplified"):
+            walk = enumerate_return_distribution(pair, policy, model=model_name)
+            tree = dfs_return_distribution(pair, policy, model=model_name)
+            assert np.array_equal(walk.values, tree.values)
+            assert np.array_equal(walk.probs, tree.probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), horizon_gap=st.integers(1, 5),
+       n_obs=st.integers(1, 3), noisy=st.booleans(),
+       first_action=st.sampled_from((None, 0, 1)), initial=st.booleans())
+# merged paths whose returns differ in the last bits
+@example(seed=0, horizon_gap=4, n_obs=3, noisy=False, first_action=None,
+         initial=False)
+def test_forward_walk_law_equals_tree_dfs_on_random_instances(seed, horizon_gap,
+                                                              n_obs, noisy,
+                                                              first_action,
+                                                              initial):
+    # deterministic sensors (random_instance) make paths merge in the walk;
+    # noisy ones (random_pair) keep every path its own node
+    rng = np.random.default_rng(seed)
+    if noisy:
+        pair = random_pair(rng, n_obs=n_obs, horizon_T=horizon_gap)
+        policy = random_policy(rng, pair)
+    else:
+        spec = scenarios.random_instance(seed, n_obs=n_obs, horizon_gap=horizon_gap)
+        pair, policy = spec.pair, spec.policy
+    b_k = None if initial else Belief(rng.dirichlet(np.ones(pair.original.n_states)))
+    for model in ("original", "simplified"):
+        walk = enumerate_return_distribution(pair, policy, b_k=b_k, model=model,
+                                             first_action=first_action)
+        tree = dfs_return_distribution(pair, policy, b_k=b_k, model=model,
+                                       first_action=first_action)
+        if noisy:
+            assert np.array_equal(walk.values, tree.values)
+            assert np.array_equal(walk.probs, tree.probs)
+        # a merged node keeps one path's return, which can sit a few ulps
+        # from the smallest one the tree keeps for the same atom, so each
+        # law's CDF is read at its own atoms and elsewhere at shared points
+        assert walk.values.size == tree.values.size
+        np.testing.assert_allclose(walk.values, tree.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(walk.cdf(), tree.cdf(), rtol=0, atol=1e-12)
+        probes = np.concatenate((walk.values - 1e-9, tree.values - 1e-9,
+                                 0.5 * (walk.values[1:] + walk.values[:-1]),
+                                 0.5 * (tree.values[1:] + tree.values[:-1])))
+        np.testing.assert_allclose(walk.cdf_at(probes), tree.cdf_at(probes),
+                                   rtol=0, atol=1e-12)
+        for alpha in (0.1, 0.25, 0.5, 0.9):
+            assert abs(cvar_exact(walk, alpha) - cvar_exact(tree, alpha)) <= 1e-12
 
 
 # ------------------------------------------------- trajectory expectations

@@ -1,11 +1,13 @@
-"""Reference exact gap oracle: a depth-first walk of the simplified tree.
+"""Reference exact oracles: depth-first walks of the belief-MDP tree.
 
-The tree form of ``riskgap.pomdp.enumerate_trajectory_expectations``, which
-reduces the merged (belief, prefix-return) atoms of one forward walk instead.
-Every tree node pays its own ``tv_distance``; its weight prob * TV is added
+The tree forms of ``riskgap.pomdp.enumerate_return_distribution`` and
+``riskgap.pomdp.enumerate_trajectory_expectations``, which read the merged
+(belief, return) nodes of one forward walk instead.  In the return-law walk
+every leaf is one path of the tree with its own return.  In the gap walk
+every tree node pays its own ``tv_distance``; its weight prob * TV is added
 to the step's m_i, and its indicator threshold joins the jumps of g, which
-merge within ``MERGE_TOL`` after sorting.  Tests compare the atom reduction
-against this walk on random instances.
+merge within ``MERGE_TOL`` after sorting.  Tests compare the forward walk
+against these on random instances.
 """
 
 import numpy as np
@@ -23,7 +25,48 @@ from riskgap.pomdp import (
     belief_mdp_step,
     tv_distance,
 )
-from riskgap.risk import MERGE_TOL
+from riskgap.risk import MERGE_TOL, DiscreteDistribution
+
+
+def dfs_return_distribution(pair: SimplifiedPair, policy: Policy,
+                            b_k: Belief | None = None,
+                            model: str = "original",
+                            first_action=None,
+                            leaf_budget: int = DEFAULT_LEAF_BUDGET,
+                            ) -> DiscreteDistribution:
+    """Exact law of the return R_{k:T} = sum_t c(b_t, a_t) under the policy.
+
+    Depth-first expansion of the belief-MDP tree from start_k to horizon_T;
+    leaves with equal return merge inside DiscreteDistribution.
+    """
+    m = pair.original
+    if b_k is None:
+        b_k = Belief(m.initial_belief)
+    a0 = _first_action(pair, policy, b_k, first_action)
+    values: list[float] = []
+    masses: list[float] = []
+    # node: (t, belief, action, accumulated probability, accumulated return)
+    stack = [(m.start_k, b_k, a0, 1.0, 0.0)]
+    leaves = 0
+    while stack:
+        t, b, a, prob, acc = stack.pop()
+        acc += belief_cost(pair, b, a)
+        if t == m.horizon_T:
+            leaves += 1
+            if leaves > leaf_budget:
+                raise BudgetExceededError(
+                    f"return enumeration exceeds {leaf_budget} leaves"
+                )
+            values.append(acc)
+            masses.append(prob)
+            continue
+        for atom in belief_mdp_step(pair, b, a, model):
+            p = prob * atom.probability
+            if p < PROB_FLOOR:
+                continue
+            nb = atom.successor
+            stack.append((t + 1, nb, policy.action(t + 1, nb), p, acc))
+    return DiscreteDistribution(np.array(values), np.array(masses))
 
 
 def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
