@@ -51,7 +51,6 @@ from .pomdp import (
     SimplifiedPair,
     belief_cost,
     belief_mdp_step,
-    belief_update,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
@@ -65,7 +64,6 @@ from .risk import (
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
-    var_exact,
 )
 from .scenarios import ScenarioSpec, builtin, builtin_names, random_instance
 from .value_bounds import (

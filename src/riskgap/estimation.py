@@ -5,7 +5,9 @@ Randomness contract: every operation takes either an explicit generator or
 a RolloutConfig seed. Seeded entry points derive one independent PCG64
 stream per logical task (rollout index, draw batch) via SeedSequence spawn
 keys, so outputs depend on the seed alone, not on the order in which the
-tasks are evaluated.
+tasks are evaluated. Rollout i of a pool draws from the PCG64 stream of
+``SeedSequence(seed, spawn_key=(_ROLLOUT, i))``, whose seed words are
+computed for all C rollouts in one vectorised pass (``_spawn_states``).
 """
 
 from __future__ import annotations
@@ -46,6 +48,68 @@ class InapplicableCaseError(RuntimeError):
 
 def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+
+
+# NumPy's SeedSequence constants (a pool of four uint32 words)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _spawn_states(seed: int, kind: int, n: int) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed words of the streams _stream(seed, kind, i).
+
+    Row i equals ``SeedSequence(seed, spawn_key=(kind, i)).generate_state(4,
+    np.uint64)`` for kind, i < 2**32: NumPy's entropy mix and output hash on
+    (n,) uint32 arrays, one per word. The running hash constant does not
+    depend on the data, so one scalar serves every row.
+    """
+    const = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _M32
+        v = v * np.uint32(const)
+        return v ^ v >> _SHIFT
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> _SHIFT
+
+    run = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, w, np.uint32) for w in run + [0] * (4 - len(run)) + [kind]]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = _INIT_B
+    out = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    # little-endian pairs of uint32 words make one uint64 word
+    return np.stack([out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2)],
+                    axis=1)
+
+
+def _spawn_streams(seed: int, kind: int, n: int) -> list:
+    """Generators equal to [_stream(seed, kind, i) for i in range(n)]."""
+    # a local import keeps numpy.random out of `import riskgap`
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        # hands PCG64 its four precomputed uint64 seed words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(FixedState(words)))
+            for words in _spawn_states(seed, kind, n)]
 
 
 # ---------------------------------------------------------------------- types
@@ -98,10 +162,6 @@ class ParticleBelief:
         states = np.searchsorted(cum, rng.random(int(n_particles)), side="left")
         states = np.minimum(states, belief.probs.size - 1)
         return cls(states, np.ones(int(n_particles)))
-
-    def as_belief(self, n_states: int) -> Belief:
-        probs = np.bincount(self.states, weights=self.weights, minlength=n_states)
-        return Belief(probs / probs.sum())
 
 
 @dataclass(frozen=True)
@@ -263,11 +323,16 @@ class _RolloutKernel:
 
     def __init__(self, pair: SimplifiedPair, model: str):
         trans, obs = pair.tensors(model)
-        self.cum_trans = np.cumsum(trans, axis=2)
-        self.obs = obs
-        self.cum_obs = np.cumsum(obs, axis=1)
-        self.costs = pair.original.state_cost
         self.n_states = trans.shape[1]
+        self.cum_trans = np.cumsum(trans, axis=2)
+        self.cum_obs = np.cumsum(obs, axis=1)
+        # flat gather tables: entry a * S + x of cum_cols[col] is
+        # cum_trans[a, x, col], of flat_costs is cost[x, a]; entry z * S + x
+        # of flat_obs is obs[x, z]
+        self.cum_cols = np.ascontiguousarray(
+            np.moveaxis(self.cum_trans, 2, 0).reshape(self.n_states, -1))
+        self.flat_costs = np.ascontiguousarray(pair.original.state_cost.T).ravel()
+        self.flat_obs = np.ascontiguousarray(obs.T).ravel()
 
     def step(self, states, weights, actions, u, t: int | None = None):
         """One transition of every row; returns (successors, new weights, rho).
@@ -296,15 +361,17 @@ class _RolloutKernel:
         # successor = number of cumulative-transition entries below the draw;
         # counting the first S - 1 columns caps it at S - 1 without a
         # (C, N_x, S) tensor
+        flat = actions[:, None] * self.n_states + states
         succ = np.zeros(states.shape, dtype=np.intp)
         for col in range(self.n_states - 1):
-            succ += self.cum_trans[actions[:, None], states, col] < u[:, 3:]
+            succ += np.take(self.cum_cols[col], flat) < u[:, 3:]
         # a stacked matmul keeps each row's dot product identical to
         # weights[i] @ costs[i]
-        costs = self.costs[states, actions[:, None]]
+        costs = np.take(self.flat_costs, flat)
+        del flat
         rho = (weights[:, None, :] @ costs[:, :, None])[:, 0, 0] / total
         del costs
-        new_w = self.obs[succ, z[:, None]]
+        new_w = np.take(self.flat_obs, z[:, None] * self.n_states + succ)
         new_w *= weights
         sums = new_w.sum(axis=1)
         if not np.all(sums > 0.0):
@@ -362,12 +429,9 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return np.zeros(config.num_rollouts_C)
-    # child i has spawn key (_ROLLOUT, i): the stream _stream(seed, _ROLLOUT, i)
-    children = np.random.SeedSequence(config.rng_seed, spawn_key=(_ROLLOUT,)).spawn(
-        config.num_rollouts_C)
     return _RolloutKernel(pair, model).rollouts(
         policy, b_bar.states, b_bar.weights, a, t, depth,
-        [np.random.default_rng(child) for child in children])
+        _spawn_streams(config.rng_seed, _ROLLOUT, config.num_rollouts_C))
 
 
 # ------------------------------------------------------- importance estimators

@@ -33,10 +33,6 @@ PROB_FLOOR = 1e-300
 DEFAULT_LEAF_BUDGET = 10**7
 
 
-class ImpossibleObservationError(ValueError):
-    """Conditioning on an observation of probability (numerically) zero."""
-
-
 class BudgetExceededError(RuntimeError):
     """An exact belief-MDP walk would expand more nodes than allowed."""
 
@@ -211,20 +207,6 @@ class BeliefTransitionAtom:
 
 
 # ---------------------------------------------------------------- kernels
-
-
-def belief_update(pair: SimplifiedPair, b: Belief, a: int, z: int,
-                  model: str = "original") -> Belief:
-    """Posterior over states after acting and observing: b' ∝ O[:, z] * (T' b)."""
-    t, o = pair.tensors(model)
-    predicted = t[a].T @ b.probs
-    unnorm = o[:, z] * predicted
-    norm = float(unnorm.sum())
-    if norm <= PROB_FLOOR:
-        raise ImpossibleObservationError(
-            f"observation {z} has probability {norm} under action {a}"
-        )
-    return Belief(unnorm / norm)
 
 
 def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,

@@ -161,20 +161,6 @@ def cvar_exact(dist: DiscreteDistribution, alpha) -> float:
     return float(np.dot(taken, dist.values[::-1]) / a)
 
 
-def var_exact(dist: DiscreteDistribution, alpha) -> float:
-    """Value-at-risk: largest atom whose CDF value does not exceed 1 - alpha.
-
-    When even the smallest atom overshoots (e.g. a point mass), that
-    smallest atom is returned.
-    """
-    a = _alpha_of(alpha)
-    cdf = dist.cdf()
-    ok = np.nonzero(cdf <= 1.0 - a)[0]
-    if ok.size == 0:
-        return float(dist.values[0])
-    return float(dist.values[ok[-1]])
-
-
 def cvar_estimate_inf(sample, alpha) -> float:
     """Empirical CVaR via the variational form, minimised over sample points."""
     a = _alpha_of(alpha)

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .envelopes import (
-    PointwiseEnvelope,
     SupportBounds,
     UniformEnvelope,
     lower_case_tag,
@@ -69,30 +66,7 @@ def q_exact(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     return cvar_exact(dist, query.alpha)
 
 
-def _conservative_grid_envelope(traj, grid_l) -> PointwiseEnvelope:
-    """Step envelope >= g everywhere, built from grid evaluations.
-
-    On [grid_j, grid_{j+1}) the exact g is bounded by its value at the
-    right endpoint; past the last point by epsilon.  Mass the grid cannot
-    locate (below grid_0 or inside an interval) is placed at or below its
-    true position — never above — so the dominated law stays
-    stochastically smaller and the bound direction survives coarseness.
-    """
-    grid = np.unique(np.asarray(grid_l, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid_l must contain at least one point")
-    g_on_grid = traj.g_at(grid)
-    first_jump = traj.thresholds[0] if traj.thresholds.size else grid[0]
-    anchor = min(grid[0], first_jump) - 1.0
-    breakpoints = np.concatenate(([anchor], grid))
-    # epsilon and the last cumulative jump agree up to summation order
-    tail = max(traj.epsilon, float(g_on_grid[-1]))
-    values = np.concatenate((g_on_grid, [tail]))
-    return PointwiseEnvelope(breakpoints, values)
-
-
 def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                 grid_l=None,
                  leaf_budget: int = DEFAULT_LEAF_BUDGET) -> BoundReport:
     """All exact values and bounds for one query, sharing the enumerations."""
     dist = enumerate_return_distribution(
@@ -110,9 +84,7 @@ def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     env = UniformEnvelope(traj.epsilon)
     lo = uniform_lower(dist_s, alpha, env, bounds)
     hi = uniform_upper(dist_s, alpha, env, bounds)
-    gap_env = traj.envelope() if grid_l is None else _conservative_grid_envelope(
-        traj, grid_l)
-    tight = tight_lower(dist_s, gap_env, alpha)
+    tight = tight_lower(dist_s, traj.envelope(), alpha)
     return BoundReport(
         q_true=cvar_exact(dist, alpha),
         q_simplified=cvar_exact(dist_s, alpha),

@@ -5,6 +5,8 @@ envelope, and the quantile-form bounds ``raw_quantile_lower`` /
 ``raw_quantile_upper`` integrate the generalised inverse of the raised or
 lowered CDF ``F_Y +/- g`` directly.  The lower one must equal the CVaR of
 ``riskgap.envelopes.dominated_cdf``, which is how the tests cross-check it.
+``conservative_grid_envelope`` bounds the exact cumulative gap g from its
+values on a coarse grid, for tests that the tight bound survives coarseness.
 """
 
 import numpy as np
@@ -76,3 +78,25 @@ def raw_quantile_upper(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha
     h = np.minimum(h, 1.0)
     h[h >= 1.0 - 1e-12] = 1.0
     return _quantile_tail_integral(grid, h, a)
+
+
+def conservative_grid_envelope(traj, grid_l) -> PointwiseEnvelope:
+    """Step envelope >= g everywhere, built from grid evaluations.
+
+    On [grid_j, grid_{j+1}) the exact g is bounded by its value at the
+    right endpoint; past the last point by epsilon.  Mass the grid cannot
+    locate (below grid_0 or inside an interval) is placed at or below its
+    true position — never above — so the dominated law stays
+    stochastically smaller and the bound direction survives coarseness.
+    """
+    grid = np.unique(np.asarray(grid_l, dtype=float))
+    if grid.size == 0:
+        raise ValueError("grid_l must contain at least one point")
+    g_on_grid = traj.g_at(grid)
+    first_jump = traj.thresholds[0] if traj.thresholds.size else grid[0]
+    anchor = min(grid[0], first_jump) - 1.0
+    breakpoints = np.concatenate(([anchor], grid))
+    # epsilon and the last cumulative jump agree up to summation order
+    tail = max(traj.epsilon, float(g_on_grid[-1]))
+    values = np.concatenate((g_on_grid, [tail]))
+    return PointwiseEnvelope(breakpoints, values)

@@ -6,6 +6,11 @@ of its own stream (seed, _ROLLOUT, i); each step draws the reference
 particle, its successor, the observation and then the per-particle vector,
 and the next action comes from a validated ``Belief``.  Tests compare the
 batched returns against these bit for bit.
+
+The streams are built through NumPy's own ``SeedSequence`` (``_stream``) on
+purpose: the kernel computes the same streams' seed words in one vectorised
+pass, and this oracle checks that pass independently.  ``as_belief`` reads a
+particle set back as the belief it represents.
 """
 
 import numpy as np
@@ -52,6 +57,12 @@ class LoopKernel:
                 probs = np.bincount(states, weights=weights, minlength=self.n_states)
                 a = policy.action(t + step + 1, Belief(probs / probs.sum()))
         return total
+
+
+def as_belief(particles, n_states):
+    probs = np.bincount(particles.states, weights=particles.weights,
+                        minlength=n_states)
+    return Belief(probs / probs.sum())
 
 
 def loop_rollout_returns(pair, policy, b_bar, a, t, depth, config,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -274,6 +275,32 @@ def test_concentration_deterministic_across_workers(tmp_path):
         assert rc == 0
         texts.append(text)
     assert texts[0] == texts[1]
+
+
+# sha256 of stdout reports (the manifest echoes --out, so none is given).
+# A change that moves any report byte on purpose re-pins these and lists
+# the fields that changed.
+PINNED_REPORTS = {
+    "certify-corridor4":
+        "c0b1c222ac432421477269f4bbd968be71ec70a77d95cf3a11f99269d013f210",
+    "certify-degrade_heavy":
+        "9aea2c61340fba6b123a1ccf3fef00db7a71eb5e0c261cd3fbe4df59feb6c14c",
+    "certify-two_state_sensor":
+        "729279ea15e8853c9fb6c2204a086dd4a423d5a125a0aceabe4de522c58a38b7",
+    "concentration-two_state_sensor":
+        "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
+}
+PINNED_ARGS = {"certify": ["--seed", "3"], "concentration": ["--trials", "2", "--seed", "11"]}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_match_pinned_digests(name, capsys):
+    command, scenario = name.split("-")
+    capsys.readouterr()
+    assert main([command, "--scenario", scenario, "--alpha", "0.25,0.9",
+                 *PINNED_ARGS[command]]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
 
 
 def test_csv_rows_match_json_records(tmp_path):

@@ -18,9 +18,12 @@ from riskgap.estimation import (
     UnsupportedBeliefError,
     _GDRAW,
     _GINV,
+    _ROLLOUT,
     _RolloutKernel,
     _draw_counts,
     _simplified_return_pool,
+    _spawn_states,
+    _spawn_streams,
     _stream,
     binned_h,
     build_default_proposal,
@@ -53,7 +56,7 @@ from riskgap.risk import (
 )
 from riskgap.value_bounds import ValueQuery, q_exact
 
-from rollout_oracle import loop_rollout_returns
+from rollout_oracle import as_belief, loop_rollout_returns
 from test_pomdp import make_model, random_pair, random_policy
 
 
@@ -92,7 +95,7 @@ def test_particle_belief_from_point_mass():
     pb = ParticleBelief.from_belief(Belief(np.array([0.0, 1.0, 0.0])), 64,
                                     np.random.default_rng(0))
     assert np.all(pb.states == 1)
-    b = pb.as_belief(3)
+    b = as_belief(pb, 3)
     assert np.allclose(b.probs, [0.0, 1.0, 0.0])
 
 
@@ -320,17 +323,31 @@ def test_batched_rollouts_equal_loop_on_builtins(name, shape):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), horizon_gap=st.integers(2, 5),
+@given(seed=st.integers(0, 2**31 - 1), rollout_seed=st.integers(0, 2**64 - 1),
+       horizon_gap=st.integers(2, 5),
        n_obs=st.integers(1, 3), n_rollouts=st.integers(1, 24),
        n_particles=st.integers(1, 64), model=st.sampled_from(("simplified", "original")))
-def test_batched_rollouts_equal_loop_on_random_instances(seed, horizon_gap, n_obs,
-                                                         n_rollouts, n_particles,
+def test_batched_rollouts_equal_loop_on_random_instances(seed, rollout_seed, horizon_gap,
+                                                         n_obs, n_rollouts, n_particles,
                                                          model):
     # the deterministic sensor (n_obs > 1) lets whole particle clouds die,
-    # so this also checks that both raise the same error when one does
+    # so this also checks that both raise the same error when one does;
+    # the CLI derives uint64 rollout seeds, so seeds span one and two words
     spec = scenarios.random_instance(seed, n_obs=n_obs, horizon_gap=horizon_gap)
     _assert_same_as_loop(spec.pair, spec.policy, spec.default_query.belief,
-                         RolloutConfig(n_rollouts, n_particles, seed), model)
+                         RolloutConfig(n_rollouts, n_particles, rollout_seed), model)
+
+
+@pytest.mark.parametrize("n", (1, 2, 1000))
+@pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1))
+def test_spawn_states_equal_numpy_seed_sequence(seed, n):
+    children = np.random.SeedSequence(seed, spawn_key=(_ROLLOUT,)).spawn(n)
+    want = np.array([c.generate_state(4, np.uint64) for c in children])
+    got = _spawn_states(seed, _ROLLOUT, n)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    for i, rng in enumerate(_spawn_streams(seed, _ROLLOUT, n)):
+        assert np.array_equal(rng.random(1000),
+                              _stream(seed, _ROLLOUT, i).random(1000))
 
 
 def test_rollout_weights_survive_long_horizons():

@@ -12,12 +12,10 @@ from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
     FinitePomdp,
-    ImpossibleObservationError,
     Policy,
     SimplifiedPair,
     belief_cost,
     belief_mdp_step,
-    belief_update,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
@@ -26,7 +24,12 @@ from riskgap.pomdp import (
     validate_policy,
 )
 
-from trajectory_oracle import dfs_return_distribution, dfs_trajectory_expectations
+from trajectory_oracle import (
+    ImpossibleObservationError,
+    belief_update,
+    dfs_return_distribution,
+    dfs_trajectory_expectations,
+)
 
 
 def make_model(transition, observation, cost, b0, horizon_T, start_k=0, r_max=1.0):

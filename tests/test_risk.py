@@ -8,12 +8,25 @@ from riskgap.risk import (
     DeviationRadii,
     DiscreteDistribution,
     DistributionError,
+    _alpha_of,
     cvar_estimate_inf,
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
-    var_exact,
 )
+
+
+def var_exact(dist, alpha):
+    """Value-at-risk: largest atom whose CDF value does not exceed 1 - alpha.
+
+    When even the smallest atom overshoots (e.g. a point mass), that
+    smallest atom is returned.
+    """
+    a = _alpha_of(alpha)
+    ok = np.nonzero(dist.cdf() <= 1.0 - a)[0]
+    if ok.size == 0:
+        return float(dist.values[0])
+    return float(dist.values[ok[-1]])
 
 
 def _random_dist(rng, max_atoms=8, spread=5.0):

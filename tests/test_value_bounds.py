@@ -4,6 +4,7 @@ import pytest
 from riskgap.envelopes import (
     SupportBounds,
     UniformEnvelope,
+    tight_lower,
     uniform_lower,
     uniform_upper,
 )
@@ -12,6 +13,7 @@ from riskgap.pomdp import (
     Policy,
     SimplifiedPair,
     enumerate_return_distribution,
+    enumerate_trajectory_expectations,
 )
 from riskgap.risk import cvar_estimate_sorted, cvar_exact, deviation_radii
 from riskgap.value_bounds import (
@@ -21,6 +23,7 @@ from riskgap.value_bounds import (
     q_exact,
 )
 
+from envelope_oracles import conservative_grid_envelope
 from test_pomdp import make_model, random_pair, random_policy
 
 
@@ -163,11 +166,13 @@ def test_grid_evaluation_is_conservative():
         dist_s = enumerate_return_distribution(pair, policy,
                                                model="simplified")
         dist = enumerate_return_distribution(pair, policy)
+        traj = enumerate_trajectory_expectations(pair, policy)
         # atoms of both laws plus their midpoints, and a blind uniform grid
         atoms = np.unique(np.concatenate((dist_s.values, dist.values)))
         for grid in (np.concatenate((atoms, (atoms[:-1] + atoms[1:]) / 2.0)),
                      np.linspace(-5.0, 5.0, 40)):
-            coarse = bound_report(pair, policy, q, grid_l=grid).lower_tight
+            coarse = tight_lower(dist_s, conservative_grid_envelope(traj, grid),
+                                 q.alpha)
             assert coarse <= exact_env + 1e-12
             assert coarse <= q_true + 1e-9
 

@@ -8,6 +8,10 @@ every tree node pays its own ``tv_distance``; its weight prob * TV is added
 to the step's m_i, and its indicator threshold joins the jumps of g, which
 merge within ``MERGE_TOL`` after sorting.  Tests compare the forward walk
 against these on random instances.
+
+``belief_update`` is the one-observation Bayes update that
+``riskgap.pomdp.belief_mdp_step`` computes for every observation at once;
+tests check each step atom against it.
 """
 
 import numpy as np
@@ -26,6 +30,24 @@ from riskgap.pomdp import (
     tv_distance,
 )
 from riskgap.risk import MERGE_TOL, DiscreteDistribution
+
+
+class ImpossibleObservationError(ValueError):
+    """Conditioning on an observation of probability (numerically) zero."""
+
+
+def belief_update(pair: SimplifiedPair, b: Belief, a: int, z: int,
+                  model: str = "original") -> Belief:
+    """Posterior over states after acting and observing: b' ∝ O[:, z] * (T' b)."""
+    t, o = pair.tensors(model)
+    predicted = t[a].T @ b.probs
+    unnorm = o[:, z] * predicted
+    norm = float(unnorm.sum())
+    if norm <= PROB_FLOOR:
+        raise ImpossibleObservationError(
+            f"observation {z} has probability {norm} under action {a}"
+        )
+    return Belief(unnorm / norm)
 
 
 def dfs_return_distribution(pair: SimplifiedPair, policy: Policy,
