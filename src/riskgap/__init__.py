@@ -27,7 +27,6 @@ from .estimation import (
     ParticleBelief,
     ProposalQ0,
     RolloutConfig,
-    StepFunction,
     UnsupportedBeliefError,
     binned_h,
     build_default_proposal,

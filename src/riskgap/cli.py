@@ -47,17 +47,22 @@ from .estimation import (
 from .pomdp import (
     Belief,
     BudgetExceededError,
-    _exact_weight_reduction,
+    _gap_reduction,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
 )
-from .risk import ConfidenceLevel, cvar_estimate_sorted, cvar_exact, deviation_radii
+from .risk import (
+    _COMPARE_TOL,
+    ConfidenceLevel,
+    cvar_estimate_sorted,
+    cvar_exact,
+    deviation_radii,
+)
 from .scenarios import builtin, builtin_names
 from .value_bounds import ValueQuery, bound_report
 
 SCHEMA_VERSION = 1
-SANDWICH_TOL = 1e-9
 
 # Embedded schema document; validate_report enforces it before anything is
 # written, so an emitted report is schema-valid by construction.
@@ -275,9 +280,9 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
                 ("lower_tight", rep.lower_tight, "")):
             records.append({"kind": "bound", "alpha": float(alpha), "name": name,
                             "value": float(value), "case_tag": tag})
-        ok = (rep.lower_uniform <= rep.q_true + SANDWICH_TOL
-              and rep.q_true <= rep.upper_uniform + SANDWICH_TOL
-              and rep.lower_tight <= rep.q_true + SANDWICH_TOL)
+        ok = (rep.lower_uniform <= rep.q_true + _COMPARE_TOL
+              and rep.q_true <= rep.upper_uniform + _COMPARE_TOL
+              and rep.lower_tight <= rep.q_true + _COMPARE_TOL)
         records.append({"kind": "sandwich", "alpha": float(alpha),
                         "sandwich_ok": bool(ok),
                         "q_true": float(rep.q_true),
@@ -342,7 +347,7 @@ def cmd_certify(manifest: RunManifest) -> dict:
             "records": records}
 
 
-def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
+def cmd_concentration(manifest: RunManifest) -> dict:
     """Repeat each estimator/certifier and report violation rates against delta.
 
     Every guarantee gets one record per query level it depends on, with the
@@ -350,10 +355,9 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
     99% level.  Trials where a bound is not emitted (inapplicable case, or an
     upper bound omitted) are excluded from that record's evaluated count.
     """
-    trials = manifest.trials if trials is None else int(trials)
+    trials = manifest.trials
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    manifest = replace(manifest, trials=trials)
     pair, policy = _resolve_problem(manifest)
     if trials == 0:
         return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
@@ -369,8 +373,8 @@ def cmd_concentration(manifest: RunManifest, trials: int | None = None) -> dict:
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")
     dist_p = enumerate_return_distribution(pair, policy, model="original")
     # the exact gaps are q0's own atoms, exactly weighted
-    traj = _exact_weight_reduction(pair, q0.prefix_returns, q0.target_probs,
-                                   q0.gaps, q0.first_step, q0.c0)
+    traj = _gap_reduction(pair, q0.prefix_returns, q0.c0, q0.first_step,
+                          q0.target_probs * q0.gaps)
     exact_s = {a: cvar_exact(dist_s, a) for a in alphas}
     exact_p = {a: cvar_exact(dist_p, a) for a in alphas}
     # worst-case width of a rollout return: per-step mean costs stay inside

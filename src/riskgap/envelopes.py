@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import DiscreteDistribution, _alpha_of, cvar_exact
+from .risk import _COMPARE_TOL, DiscreteDistribution, _alpha_of, _step_at, cvar_exact
 
 
 class InvalidEnvelopeError(ValueError):
@@ -87,16 +87,7 @@ class PointwiseEnvelope:
 
     def at(self, x) -> np.ndarray:
         """Evaluate the step function at each point of ``x``."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.breakpoints.size == 0:
-            return np.zeros(xs.shape)
-        idx = np.searchsorted(self.breakpoints, xs, side="right")
-        out = np.where(idx > 0, self.values[np.maximum(idx - 1, 0)], 0.0)
-        return out
-
-    @property
-    def sup_value(self) -> float:
-        return float(self.values[-1]) if self.values.size else 0.0
+        return _step_at(self.breakpoints, self.values, x)
 
 
 # ---------------------------------------------------------------- uniform gap
@@ -109,7 +100,8 @@ def _eps_of(env) -> float:
 
 
 def _check_support(dist: DiscreteDistribution, support: SupportBounds) -> None:
-    if dist.inf_support < support.inf_img - 1e-9 or dist.sup_support > support.sup_img + 1e-9:
+    if (dist.inf_support < support.inf_img - _COMPARE_TOL
+            or dist.sup_support > support.sup_img + _COMPARE_TOL):
         raise ValueError(
             "distribution support "
             f"[{dist.inf_support}, {dist.sup_support}] escapes declared bounds "

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import PointwiseEnvelope
+from .envelopes import PointwiseEnvelope, dominated_cdf
 from .pomdp import (
     DEFAULT_LEAF_BUDGET,
     Belief,
     Policy,
     SimplifiedPair,
-    _event_thresholds,
+    _first_action,
+    _gap_reduction,
     _return_span,
     _walk_simplified,
 )
-from .risk import DiscreteDistribution, cvar_estimate_sorted, cvar_exact
+from .risk import _COMPARE_TOL, DiscreteDistribution, cvar_estimate_sorted, cvar_exact
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds; one namespace per source of randomness
@@ -171,11 +172,12 @@ class ProposalQ0:
     ``target_probs[e, j]`` is the exact simplified-model probability of atom
     e at interior step ``first_step + j``; prefixes include the step's own
     belief cost. ``c0`` is the step-k belief cost of the queried action, used
-    by the event thresholds in estimate_g. ``gaps[e, j]`` is the exact TV
-    gap of atom e under the policy's action at step ``first_step + j``; the
-    target probabilities already tie the proposal to one (pair, policy).
-    The exact gap oracle is these atoms with exact weights: it sums
-    ``target_probs * gaps`` where the estimators sample importance weights.
+    by the event thresholds of g. ``gaps[e, j]`` is the exact TV gap of atom
+    e under the policy's action at step ``first_step + j``; the target
+    probabilities already tie the proposal to one (pair, policy). The exact
+    gap oracle and the estimators are one reduction of these atoms
+    (``pomdp._gap_reduction``): the oracle weighs them by
+    ``target_probs * gaps``, the estimators by sampled importance weights.
     """
 
     beliefs: tuple
@@ -206,7 +208,7 @@ class ProposalQ0:
             raise ValueError("gaps must be finite and >= 0")
         if np.any(prop <= 0.0):
             raise UnsupportedBeliefError("every support atom needs positive proposal mass")
-        if abs(prop.sum() - 1.0) > 1e-9:
+        if abs(prop.sum() - 1.0) > _COMPARE_TOL:
             raise ValueError("proposal probabilities must sum to 1")
         for arr in (pref, prop, targ, gaps):
             arr.flags.writeable = False
@@ -254,33 +256,8 @@ class BinGrid:
 
     def covers_return_range(self, pair: SimplifiedPair) -> bool:
         span = _return_span(pair)
-        return self.edges[0] <= -span + 1e-9 and self.edges[-1] >= span - 1e-9
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant evaluator: values[i] on (breakpoints[i], breakpoints[i+1]],
-    clamped to the end values outside the breakpoint range."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or bp.shape != vals.shape or bp.size == 0:
-            raise ValueError("breakpoints and values must be aligned non-empty vectors")
-        if np.any(np.diff(bp) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        bp.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    def at(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.breakpoints, xs, side="left")
-        return self.values[np.clip(idx - 1, 0, self.values.size - 1)]
+        return (self.edges[0] <= -span + _COMPARE_TOL
+                and self.edges[-1] >= span - _COMPARE_TOL)
 
 
 @dataclass(frozen=True)
@@ -458,6 +435,18 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     return rng.multinomial(int(n), probs / probs.sum())
 
 
+def _sampled_gaps(q0: ProposalQ0, pair: SimplifiedPair, n_delta: int,
+                  rng: np.random.Generator):
+    """The gap reduction of q0's atoms under n_delta importance draws: atom e
+    at step j weighs count_e * target[e, j] / proposal[e] * gap[e, j] / n_delta."""
+    if n_delta < 1:
+        raise ValueError("n_delta must be >= 1")
+    counts = _draw_counts(q0.proposal_probs, n_delta, rng)
+    ratio = q0.target_probs / q0.proposal_probs[:, None]
+    return _gap_reduction(pair, q0.prefix_returns, q0.c0, q0.first_step,
+                          counts[:, None] * ratio * q0.gaps, float(n_delta))
+
+
 def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
                      n_delta: int, rng: np.random.Generator) -> float:
     """Importance-weighted estimate of the summed per-step expected gap.
@@ -466,12 +455,7 @@ def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
     returns sum_i m_hat_i. The gap is the exact TV distance stored on the
     proposal, so the estimate is unbiased.
     """
-    if n_delta < 1:
-        raise ValueError("n_delta must be >= 1")
-    counts = _draw_counts(q0.proposal_probs, n_delta, rng)
-    ratio = q0.target_probs / q0.proposal_probs[:, None]
-    m_hat = (counts[:, None] * ratio * q0.gaps).sum(axis=0) / float(n_delta)
-    return float(m_hat.sum())
+    return _sampled_gaps(q0, pair, n_delta, rng).epsilon
 
 
 def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
@@ -482,19 +466,7 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
     indicator 1{prefix <= l - c0 + (T - i) * r_max} is evaluated exactly per
     draw; the result is right-continuous and saturates at the epsilon estimate.
     """
-    if n_delta < 1:
-        raise ValueError("n_delta must be >= 1")
-    grid = np.atleast_1d(np.asarray(grid_l, dtype=float))
-    counts = _draw_counts(q0.proposal_probs, n_delta, rng)
-    ratio = q0.target_probs / q0.proposal_probs[:, None]
-    contrib = (counts[:, None] * ratio * q0.gaps) / float(n_delta)
-
-    thresholds = _event_thresholds(pair, q0.prefix_returns, q0.c0, q0.first_step,
-                                   q0.n_steps)
-    order = np.argsort(thresholds, axis=None)
-    cum = np.cumsum(contrib.ravel()[order])
-    idx = np.searchsorted(thresholds.ravel()[order], grid, side="right")
-    return np.concatenate(([0.0], cum))[idx]
+    return _sampled_gaps(q0, pair, n_delta, rng).g_at(grid_l)
 
 
 # --------------------------------------------------------- sample-size formulas
@@ -556,8 +528,10 @@ def binned_h(g_on_edges, grid: BinGrid):
     """Upper/lower step envelopes for g from its values on bin edges.
 
     h_plus takes the right-edge value on each bin, monotonized by running max
-    (which can only raise it, preserving the upper-bound direction); h_minus
-    takes the raw left-edge value.
+    (which can only raise it, preserving the upper-bound direction). h_minus
+    takes g(k_i) on [k_i, k_{i+1}) and 0 left of k_0, monotonized by a running
+    min from the right (which can only lower it, preserving the lower-bound
+    direction), so it is at most g at every edge.
     """
     g = np.asarray(g_on_edges, dtype=float)
     if g.shape != grid.edges.shape:
@@ -566,17 +540,11 @@ def binned_h(g_on_edges, grid: BinGrid):
         raise ValueError("g values must be finite and >= 0")
     upper = np.maximum.accumulate(g)[1:]
     h_plus = PointwiseEnvelope(grid.edges[:-1], upper)
-    h_minus = StepFunction(grid.edges, g)
+    h_minus = PointwiseEnvelope(grid.edges, np.minimum.accumulate(g[::-1])[::-1])
     return h_plus, h_minus
 
 
 # -------------------------------------------------------------- certified bounds
-
-
-def _query_action(pair: SimplifiedPair, policy: Policy, query: ValueQuery) -> int:
-    if query.action is not None:
-        return int(query.action)
-    return policy.action(pair.original.start_k, query.belief)
 
 
 def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
@@ -584,7 +552,7 @@ def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQu
     m = pair.original
     b_bar = ParticleBelief.from_belief(
         query.belief, config.num_particles_Nx, _stream(config.rng_seed, _INIT, 0))
-    a_k = _query_action(pair, policy, query)
+    a_k = _first_action(pair, policy, query.belief, query.action)
     depth = m.horizon_T - m.start_k + 1
     return rollout_returns(pair, policy, b_bar, a_k, m.start_k, depth, config,
                            "simplified")
@@ -668,16 +636,15 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
                            edges) -> DiscreteDistribution:
     """Dominated step law min(1, empirical CDF + h_plus + eta) as a distribution.
 
-    Breakpoints are the union of rollout returns and bin edges; the added mass
-    lands at the first breakpoint at or above its true location, so the result
-    is stochastically no larger than the law it dominates.
+    It is ``dominated_cdf`` of the empirical law under the step envelope
+    h_plus + eta on the bin edges: breakpoints are the union of rollout
+    returns and bin edges, and the added mass lands at the first breakpoint at
+    or above its true location, so the result is stochastically no larger than
+    the law it dominates.
     """
-    ret = np.sort(np.asarray(returns, dtype=float))
-    pts = np.unique(np.concatenate((ret, np.asarray(edges, dtype=float))))
-    ecdf = np.searchsorted(ret, pts, side="right") / ret.size
-    cdf = np.minimum(1.0, ecdf + h_plus.at(pts) + eta)
-    masses = np.diff(np.concatenate(([0.0], cdf)))
-    return DiscreteDistribution(pts, masses)
+    ret = np.asarray(returns, dtype=float)
+    empirical = DiscreteDistribution(ret, np.full(ret.size, 1.0 / ret.size))
+    return dominated_cdf(empirical, PointwiseEnvelope(edges, h_plus.at(edges) + eta))
 
 
 def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,

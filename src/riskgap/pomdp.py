@@ -12,7 +12,8 @@ One forward walk over merged (belief, return) nodes gives every exact
 quantity.  Its step-T frontier is the return law of either model.  On the
 simplified model, its interior frontiers are the (belief, prefix) atoms,
 with exact step probabilities and TV gaps, that the estimators' proposal is
-built on; the exact gap oracle is the same atoms with exact weights.
+built on.  One reduction of those atoms gives the gaps: the exact oracle
+weighs them exactly, the importance estimators with sampled weights.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from .envelopes import PointwiseEnvelope
-from .risk import DiscreteDistribution, _sort_and_merge
+from .risk import (
+    _KEY_DECIMALS,
+    ATOM_MATCH_TOL,
+    PROB_FLOOR,
+    PROB_TOL,
+    DiscreteDistribution,
+    _sort_and_merge,
+)
 
-ROW_TOL = 1e-12
-ATOM_MATCH_TOL = 1e-9  # componentwise identification of successor beliefs
-_KEY_DECIMALS = 12  # merging resolution for (belief, prefix) walk atoms
-PROB_FLOOR = 1e-300
 DEFAULT_LEAF_BUDGET = 10**7
 
 
@@ -41,8 +45,8 @@ def _check_rows(mat: np.ndarray, what: str) -> None:
     if np.any(mat < 0.0) or not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} entries must be finite and >= 0")
     sums = mat.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > ROW_TOL):
-        raise ValueError(f"{what} rows must sum to 1 within {ROW_TOL}")
+    if np.any(np.abs(sums - 1.0) > PROB_TOL):
+        raise ValueError(f"{what} rows must sum to 1 within {PROB_TOL}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,8 @@ class Belief:
             raise ValueError("belief must be a non-empty vector")
         if np.any(p < 0.0) or not np.all(np.isfinite(p)):
             raise ValueError("belief entries must be finite and >= 0")
-        if abs(p.sum() - 1.0) > ROW_TOL:
-            raise ValueError(f"belief must sum to 1 within {ROW_TOL}")
+        if abs(p.sum() - 1.0) > PROB_TOL:
+            raise ValueError(f"belief must sum to 1 within {PROB_TOL}")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -373,23 +377,15 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
             belief_cost(pair, b_k, a0))
 
 
-def _event_thresholds(pair: SimplifiedPair, prefixes: np.ndarray, c0: float,
-                      first_step: int, n_steps: int) -> np.ndarray:
-    """(atom, step) matrix of the least level l with prefix <= f(l, i),
-    i.e. prefix + c0 - (T - i) * r_max at step i = first_step + column."""
-    m = pair.original
-    t_axis = first_step + np.arange(n_steps)
-    return prefixes[:, None] + c0 - (m.horizon_T - t_axis) * m.r_max
-
-
 @dataclass(frozen=True)
 class TrajectoryExpectations:
-    """Exact per-step expected model gaps along simplified trajectories.
+    """Per-step expected model gaps along simplified trajectories, exact or
+    importance-sampled (see ``_gap_reduction``).
 
     ``per_step_m[i - (k+1)]`` is E over simplified trajectories of the
     successor-law TV distance at step i; ``epsilon`` is their sum.  The
     cumulative-gap function g is a right-continuous step function of the
-    threshold l; its exact jump locations/weights are kept so g can be
+    threshold l; its jump locations/weights are kept so g can be
     evaluated anywhere and turned into a CDF-gap envelope.
     """
 
@@ -403,28 +399,29 @@ class TrajectoryExpectations:
         return self.envelope().at(l)
 
     def envelope(self) -> PointwiseEnvelope:
-        """The exact g as a CDF-gap envelope (monotone by construction)."""
-        if self.thresholds.size == 0:
-            return PointwiseEnvelope.zero()
+        """g as a CDF-gap envelope (monotone by construction)."""
         return PointwiseEnvelope(self.thresholds, np.cumsum(self.threshold_weights))
 
 
-def _exact_weight_reduction(pair: SimplifiedPair, prefixes: np.ndarray,
-                            targets: np.ndarray, gaps: np.ndarray, first_step: int,
-                            c0: float) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l) from simplified walk atoms, exactly weighted.
+def _gap_reduction(pair: SimplifiedPair, prefixes: np.ndarray, c0: float,
+                   first_step: int, w: np.ndarray,
+                   scale: float = 1.0) -> TrajectoryExpectations:
+    """m_i, epsilon and g(l) from simplified walk atoms with weights ``w / scale``.
 
-    An atom at step i (k+1 .. T-1) weighs its exact probability times its TV
-    gap, where estimate_epsilon and estimate_g use sampled importance weights.
-    g jumps at the event thresholds; jumps within ``MERGE_TOL`` of a
+    ``w[e, j]`` weighs atom e at step i = first_step + j: its exact probability
+    times its TV gap for the exact oracle, its draw count times importance
+    ratio times gap for the estimators, which pass ``scale = n_delta``. g jumps
+    by an atom's weight at its event threshold, the least level l with
+    prefix <= l - c0 + (T - i) * r_max; jumps within ``MERGE_TOL`` of a
     cluster's first one merge into it.
     """
-    w = targets * gaps
+    m = pair.original
+    t_axis = first_step + np.arange(w.shape[1])
+    thr = prefixes[:, None] + c0 - (m.horizon_T - t_axis) * m.r_max
     hit = w > 0.0
-    thr = _event_thresholds(pair, prefixes, c0, first_step, w.shape[1])
-    per_step = w.sum(axis=0)
+    per_step = w.sum(axis=0) / scale
     return TrajectoryExpectations(per_step, float(per_step.sum()),
-                                  *_sort_and_merge(thr[hit], w[hit]))
+                                  *_sort_and_merge(thr[hit], w[hit] / scale))
 
 
 def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
@@ -432,13 +429,15 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       first_action=None,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l): the exact-weight reduction of the
-    simplified walk's atoms; all zero when there is no interior step."""
+    """Exact m_i, epsilon and g(l): the gap reduction of the simplified
+    walk's atoms under their exact weights; all zero when there is no
+    interior step."""
     m = pair.original
     if m.horizon_T - 1 - m.start_k <= 0:
         return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    _, *atoms = _walk_simplified(pair, policy, b_k, first_action, leaf_budget)
-    return _exact_weight_reduction(pair, *atoms)
+    _, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
+        pair, policy, b_k, first_action, leaf_budget)
+    return _gap_reduction(pair, prefixes, c0, first_step, targets * gaps)
 
 
 # ---------------------------------------------------------------- problem files

@@ -18,10 +18,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Atoms closer than this are considered the same outcome; probability
-# vectors may deviate from 1 by at most this much before rejection.
-MERGE_TOL = 1e-12
+# ---------------------------------------------------------------- tolerances
+# Every numeric tolerance of the package, with the reason for its value.
+#
+# PROB_TOL: a probability vector (a law, a belief, a model row) must sum to
+# 1 within this; summing a few dozen entries loses only a few ulps.
 PROB_TOL = 1e-12
+# MERGE_TOL: atoms of a law, and jumps of a gap curve, closer than this are
+# one outcome.  Sort-then-cluster: a run keeps its first value.
+MERGE_TOL = 1e-12
+# _KEY_DECIMALS: the forward walk merges (belief, return) nodes on keys
+# rounded to this many decimals, the MERGE_TOL scale.  A dict needs a
+# hashable key, so this rounds rather than clusters and can split two
+# values that straddle a rounding boundary.
+_KEY_DECIMALS = 12
+# ATOM_MATCH_TOL: successor beliefs of the two models are identified when
+# they agree componentwise within this.  It is looser than MERGE_TOL because
+# the two models reach one belief through different Bayes normalisers.
+ATOM_MATCH_TOL = 1e-9
+# PROB_FLOOR: walk paths (and observations) of smaller probability are
+# dropped.  It guards against underflow, not for accuracy: such mass is far
+# below anything PROB_TOL or MERGE_TOL can see.
+PROB_FLOOR = 1e-300
+# _COMPARE_TOL: slack when comparing two separately computed quantities (a
+# law's support against declared bounds, a proposal's total mass, bin-grid
+# coverage, the sandwich verdicts).  Each side carries rounding from sums
+# over up to T steps and from the bound formulas, hence looser than PROB_TOL.
+_COMPARE_TOL = 1e-9
 
 
 class DistributionError(ValueError):
@@ -73,6 +96,17 @@ def _sort_and_merge(values: np.ndarray, weights: np.ndarray):
     return np.array(out_v, dtype=float), np.array(out_w, dtype=float)
 
 
+def _step_at(breakpoints: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    """Right-continuous step function at each point of ``x``: ``values[i]``
+    on ``[breakpoints[i], breakpoints[i+1])``, 0 left of the first breakpoint.
+
+    The one reader of every CDF and CDF-gap envelope in the package.
+    """
+    idx = np.searchsorted(breakpoints, np.atleast_1d(np.asarray(x, dtype=float)),
+                          side="right")
+    return np.concatenate(([0.0], values))[idx]
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution in canonical form.
@@ -112,16 +146,6 @@ class DiscreteDistribution:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
-    @classmethod
-    def point_mass(cls, value: float) -> "DiscreteDistribution":
-        return cls(np.array([value]), np.array([1.0]))
-
-    @classmethod
-    def from_sample(cls, sample) -> "DiscreteDistribution":
-        """Empirical distribution: equal weight per observation."""
-        arr = _finite_1d(sample)
-        return cls(arr, np.full(arr.size, 1.0 / arr.size))
-
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
 
@@ -133,9 +157,7 @@ class DiscreteDistribution:
 
     def cdf_at(self, x) -> np.ndarray:
         """Evaluate P(X <= x) at arbitrary points."""
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(self.values, pts, side="right")
-        return np.concatenate(([0.0], self.cdf()))[idx]
+        return _step_at(self.values, self.cdf(), x)
 
     @property
     def inf_support(self) -> float:

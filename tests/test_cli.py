@@ -289,8 +289,15 @@ PINNED_REPORTS = {
         "729279ea15e8853c9fb6c2204a086dd4a423d5a125a0aceabe4de522c58a38b7",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
+    "enumerate-corridor4":
+        "493d93f6ebdcfa1ecfc9f08e928e5f654a0c2ad48be94045b7d240f5af2d9912",
+    "enumerate-degrade_heavy":
+        "1ca14b0df345b2a12a08b03f4733bf303460406a086951210ca09606e4a739c4",
+    "enumerate-two_state_sensor":
+        "45513ad206d8abfd577f6c6b904c3f9c603906654356dc1a53d9edb78839fb21",
 }
-PINNED_ARGS = {"certify": ["--seed", "3"], "concentration": ["--trials", "2", "--seed", "11"]}
+PINNED_ARGS = {"certify": ["--seed", "3"], "concentration": ["--trials", "2", "--seed", "11"],
+               "enumerate": []}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

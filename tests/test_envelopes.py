@@ -61,7 +61,7 @@ def test_pointwise_envelope_validation():
         PointwiseEnvelope(np.array([0.0]), np.array([-0.1]))
     env = PointwiseEnvelope(np.array([0.0, 2.0]), np.array([0.1, 0.4]))
     assert env.at([-1.0, 0.0, 1.9, 2.0, 5.0]) == pytest.approx([0.0, 0.1, 0.1, 0.4, 0.4])
-    assert env.sup_value == 0.4
+    assert env.values[-1] == 0.4
     assert PointwiseEnvelope.zero().at([0.0, 3.0]) == pytest.approx([0.0, 0.0])
 
 
@@ -122,7 +122,7 @@ def test_support_mismatch_rejected(uniform_four):
 
 
 def test_dominated_cdf_point_mass():
-    pm = DiscreteDistribution.point_mass(1.0)
+    pm = DiscreteDistribution(np.array([1.0]), np.array([1.0]))
     env = PointwiseEnvelope(np.array([0.0]), np.array([0.3]))
     d = dominated_cdf(pm, env)
     assert list(d.values) == [0.0, 1.0]

@@ -56,6 +56,7 @@ from riskgap.risk import (
 )
 from riskgap.value_bounds import ValueQuery, q_exact
 
+from importance_oracle import oracle_epsilon, oracle_g
 from rollout_oracle import as_belief, loop_rollout_returns
 from test_pomdp import make_model, random_pair, random_policy
 
@@ -516,6 +517,58 @@ def test_estimate_g_concentration_fixed_level():
     assert bad <= 50
 
 
+def noisy_sensor_pair(seed, horizon_T=7):
+    """2-state pair with a 0.9-accurate sensor; the simplified model mixes the
+    sensor 20 % toward uniform, so no two walk beliefs merge."""
+    rng = np.random.default_rng(seed)
+    trans = rng.dirichlet(np.ones(2), size=(2, 2))
+    obs = np.array([[0.9, 0.1], [0.1, 0.9]])
+    model = make_model(trans, obs, rng.uniform(-1.0, 1.0, size=(2, 2)),
+                       rng.dirichlet(np.ones(2)), horizon_T)
+    pair = SimplifiedPair(model, trans.copy(), 0.8 * obs + 0.2 * 0.5)
+    return pair, random_policy(rng, pair)
+
+
+def _estimators_and_oracle(pair, policy):
+    """(library, oracle) epsilon and g pairs over several seeds and draw counts,
+    each pair drawn from one seed; g is read on the bin edges and a fine probe."""
+    q0 = build_default_proposal(pair, policy)
+    edges = BinGrid.uniform(pair, 8).edges
+    levels = np.concatenate((edges, np.linspace(edges[0], edges[-1], 97)))
+    out = []
+    for seed, nd in ((0, 1), (1, 37), (2, 5_000), (3, 2_000_000)):
+        rngs = [np.random.default_rng(seed) for _ in range(4)]
+        out.append((estimate_epsilon(q0, pair, policy, nd, rngs[0]),
+                    oracle_epsilon(q0, nd, rngs[1])))
+        out.append((estimate_g(q0, pair, policy, nd, levels, rngs[2]),
+                    oracle_g(q0, pair, nd, levels, rngs[3])))
+    return out
+
+
+@pytest.mark.parametrize("name", scenarios.builtin_names())
+def test_estimators_equal_inline_sums_on_builtins(name):
+    spec = scenarios.builtin(name)
+    for got, want in _estimators_and_oracle(spec.pair, spec.policy):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_estimators_equal_inline_sums_on_noisy_sensor_pairs(seed):
+    pair, policy = noisy_sensor_pair(seed)
+    assert build_default_proposal(pair, policy).proposal_probs.size == 126
+    for got, want in _estimators_and_oracle(pair, policy):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("horizon_gap", (2, 3, 4, 5))
+@pytest.mark.parametrize("seed", range(8))
+def test_estimators_match_inline_sums_on_random_instances(seed, horizon_gap):
+    # near-tie thresholds merge in the reduction, which reorders a cumsum
+    spec = scenarios.random_instance(seed, horizon_gap=horizon_gap)
+    for got, want in _estimators_and_oracle(spec.pair, spec.policy):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------- sample-size formulas
 
 
@@ -579,6 +632,15 @@ def test_binned_h_running_max_monotone():
     vals = h_plus.at(np.array([0.5, 1.5, 2.5]))
     assert np.all(np.diff(vals) >= 0.0)
     assert h_plus.at(1.5) == pytest.approx(0.5)  # dip raised by the running max
+
+
+def test_binned_h_minus_is_an_envelope_below_g():
+    grid = BinGrid(np.array([0.0, 1.0, 2.0, 3.0]))
+    g = np.array([0.0, 0.5, 0.3, 0.6])  # noisy dip at the middle
+    _, h_minus = binned_h(g, grid)
+    assert isinstance(h_minus, PointwiseEnvelope)
+    assert np.all(h_minus.at(grid.edges) <= g)
+    assert h_minus.at([-1.0, 1.0, 1.5, 3.5]) == pytest.approx([0.0, 0.3, 0.3, 0.6])
 
 
 def test_binned_h_envelope_traps_g_uniformly():

@@ -94,7 +94,7 @@ def test_var_exact_uniform_four_points():
 
 
 def test_point_mass_every_level():
-    d = DiscreteDistribution.point_mass(-2.5)
+    d = DiscreteDistribution(np.array([-2.5]), np.array([1.0]))
     for a in (0.01, 0.3, 0.99):
         assert cvar_exact(d, a) == -2.5
         assert var_exact(d, a) == -2.5
@@ -202,7 +202,7 @@ def test_estimators_agree_and_match_empirical_cvar():
         a = float(rng.uniform(0.01, 0.99))
         s = cvar_estimate_sorted(x, a)
         assert s == pytest.approx(cvar_estimate_inf(x, a), abs=1e-9)
-        emp = DiscreteDistribution.from_sample(x)
+        emp = DiscreteDistribution(x, np.full(n, 1.0 / n))
         assert s == pytest.approx(cvar_exact(emp, a), abs=1e-9)
 
 
