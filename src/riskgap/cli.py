@@ -599,6 +599,10 @@ def main(argv=None) -> int:
         manifest = _manifest_from_args(args)
         report = _COMMANDS[manifest.command](manifest)
         text = render_report(report, manifest.fmt)
+        if manifest.out is not None:
+            Path(manifest.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except InapplicableCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -614,10 +618,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if manifest.out is not None:
-        Path(manifest.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -3,11 +3,12 @@ gap estimators, sample-size formulas, and certified value bounds.
 
 Randomness contract: every operation takes either an explicit generator or
 a RolloutConfig seed. Seeded entry points derive one independent PCG64
-stream per logical task (rollout index, draw batch) via SeedSequence spawn
-keys, so outputs depend on the seed alone, not on the order in which the
-tasks are evaluated. Rollout i of a pool draws from the PCG64 stream of
-``SeedSequence(seed, spawn_key=(_ROLLOUT, i))``, whose seed words are
-computed for all C rollouts in one vectorised pass (``_spawn_states``).
+stream per logical task (initial particles, rollout pool, draw batch) via
+SeedSequence spawn keys, so outputs depend on the seed alone, not on the
+order in which the tasks are evaluated. A rollout pool draws from the one
+stream ``SeedSequence(seed, spawn_key=(_ROLLOUT, 0))``: each step takes one
+(C, 3 + N_x) block of uniforms, row i for rollout i, so the pool's returns
+are iid and depend on the seed and C.
 """
 
 from __future__ import annotations
@@ -49,68 +50,6 @@ class InapplicableCaseError(RuntimeError):
 
 def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
-
-
-# NumPy's SeedSequence constants (a pool of four uint32 words)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-
-
-def _spawn_states(seed: int, kind: int, n: int) -> np.ndarray:
-    """(n, 4) uint64 PCG64 seed words of the streams _stream(seed, kind, i).
-
-    Row i equals ``SeedSequence(seed, spawn_key=(kind, i)).generate_state(4,
-    np.uint64)`` for kind, i < 2**32: NumPy's entropy mix and output hash on
-    (n,) uint32 arrays, one per word. The running hash constant does not
-    depend on the data, so one scalar serves every row.
-    """
-    const = _INIT_A
-
-    def hashmix(v, mult=_MULT_A):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _M32
-        v = v * np.uint32(const)
-        return v ^ v >> _SHIFT
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> _SHIFT
-
-    run = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(n, w, np.uint32) for w in run + [0] * (4 - len(run)) + [kind]]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const = _INIT_B
-    out = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
-    # little-endian pairs of uint32 words make one uint64 word
-    return np.stack([out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2)],
-                    axis=1)
-
-
-def _spawn_streams(seed: int, kind: int, n: int) -> list:
-    """Generators equal to [_stream(seed, kind, i) for i in range(n)]."""
-    # a local import keeps numpy.random out of `import riskgap`
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedState(ISeedSequence):
-        # hands PCG64 its four precomputed uint64 seed words
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return [np.random.Generator(np.random.PCG64(FixedState(words)))
-            for words in _spawn_states(seed, kind, n)]
 
 
 # ---------------------------------------------------------------------- types
@@ -363,17 +302,18 @@ class _RolloutKernel:
         return succ, new_w, rho
 
     def rollouts(self, policy: Policy, states, weights, a: int, t: int,
-                 depth: int, streams: list) -> np.ndarray:
-        """Returns of len(streams) rollouts of `depth` steps from time t.
+                 depth: int, n_rows: int, rng: np.random.Generator) -> np.ndarray:
+        """Returns of n_rows rollouts of `depth` steps from time t.
 
-        Rollout i draws its uniforms from streams[i], each step's block in
-        the order a one-rollout loop would draw them.
+        Each step fills its (n_rows, 3 + N_x) block of uniforms, row after
+        row, with one ``rng.random`` call; row i is rollout i's, as ``step``
+        reads it.
         """
         table_rows = range(t + 1 - policy.start_k, t + depth - policy.start_k)
         if table_rows and not (0 <= table_rows[0]
                                and table_rows[-1] < policy.actions.shape[0]):
             raise ValueError(f"policy has no row for time steps {t + 1}..{t + depth - 1}")
-        n_rows, n_states = len(streams), self.n_states
+        n_states = self.n_states
         states = np.tile(states, (n_rows, 1))
         weights = np.tile(weights, (n_rows, 1))
         actions = np.full(n_rows, int(a), dtype=np.intp)
@@ -381,8 +321,7 @@ class _RolloutKernel:
         offsets = np.arange(n_rows)[:, None] * n_states
         returns = np.zeros(n_rows)
         for step in range(depth):
-            for rng, row in zip(streams, u):
-                rng.random(out=row)
+            rng.random(out=u)
             states, weights, rho = self.step(states, weights, actions, u, t + step)
             returns += rho
             if step + 1 < depth:
@@ -397,18 +336,18 @@ class _RolloutKernel:
 def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
                     a: int, t: int, depth: int, config: RolloutConfig,
                     model: str = "simplified") -> np.ndarray:
-    """C independent rollout returns, one derived rng stream per rollout index.
+    """C iid rollout returns from one derived rng stream per pool.
 
-    All C rollouts advance together as (C, N_x) arrays; rollout i's return
-    depends only on the seed and i.
+    All C rollouts advance together as (C, N_x) arrays, so the returns depend
+    on the seed and C.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return np.zeros(config.num_rollouts_C)
     return _RolloutKernel(pair, model).rollouts(
-        policy, b_bar.states, b_bar.weights, a, t, depth,
-        _spawn_streams(config.rng_seed, _ROLLOUT, config.num_rollouts_C))
+        policy, b_bar.states, b_bar.weights, a, t, depth, config.num_rollouts_C,
+        _stream(config.rng_seed, _ROLLOUT, 0))
 
 
 # ------------------------------------------------------- importance estimators
@@ -492,9 +431,7 @@ def n_delta_for_epsilon(v: float, delta: float, B: float, T: int, k: int) -> int
 
 def n_delta_for_g(v: float, delta: float, B: float, T: int, k: int) -> int:
     """Draws sufficient for one fixed level: |g_hat(l) - g(l)| <= v w.p. >= 1 - delta."""
-    gap = T - 1 - k
-    _check_rate_args(v, delta, B, gap)
-    return math.ceil(-math.log((delta / gap) / 2.0) * 2.0 * B * B / (v / gap) ** 2)
+    return n_delta_for_h(v, delta, B, 1, T, k)
 
 
 def n_delta_for_h(v: float, delta: float, B: float, n_bins: int, T: int, k: int) -> int:

@@ -281,12 +281,13 @@ def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int
     k+1..last_step, from belief ``b_k`` and action ``a0`` at step k.
 
     A frontier maps a (belief, return) key rounded to ``_KEY_DECIMALS`` to
-    ``(belief, return, probability)``: the return is ``r0`` plus the belief
-    costs of steps k+1..t under the policy's actions, and paths that reach
-    the same key add their probabilities and keep the latest belief and
-    return in the first one's slot. Successors whose path probability is
-    below ``PROB_FLOOR`` are dropped. Expanding more than ``leaf_budget``
-    frontier nodes in total raises BudgetExceededError.
+    ``(belief, action, return, probability)``: the action is the policy's at
+    step t, the return is ``r0`` plus the belief costs of steps k+1..t under
+    the policy's actions, and paths that reach the same key add their
+    probabilities and keep the latest belief, its action and return in the
+    first one's slot. Successors whose path probability is below
+    ``PROB_FLOOR`` are dropped. Expanding more than ``leaf_budget`` frontier
+    nodes in total raises BudgetExceededError.
     """
     k = pair.original.start_k
     frontiers: list[dict] = []
@@ -299,8 +300,7 @@ def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int
                 raise BudgetExceededError(
                     f"{model} belief-MDP walk exceeds {leaf_budget} nodes "
                     f"at step {t - 1}")
-            nodes = [(b, policy.action(t - 1, b), r, p)
-                     for b, r, p in frontiers[-1].values()]
+            nodes = frontiers[-1].values()
         nxt: dict = {}
         for b, a, r, p in nodes:
             for atom in belief_mdp_step(pair, b, a, model):
@@ -308,10 +308,11 @@ def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int
                 if p2 < PROB_FLOOR:
                     continue
                 b2 = atom.successor
-                r2 = r + belief_cost(pair, b2, policy.action(t, b2))
+                a2 = policy.action(t, b2)
+                r2 = r + belief_cost(pair, b2, a2)
                 key = (tuple(np.round(b2.probs, _KEY_DECIMALS)), round(r2, _KEY_DECIMALS))
                 prev = nxt.get(key)
-                nxt[key] = (b2, r2, p2 + (prev[2] if prev else 0.0))
+                nxt[key] = (b2, a2, r2, p2 + (prev[3] if prev else 0.0))
         frontiers.append(nxt)
     return frontiers
 
@@ -335,8 +336,8 @@ def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
     a0 = _first_action(pair, policy, b_k, first_action)
     r0 = belief_cost(pair, b_k, a0)
     frontiers = _walk(pair, policy, model, b_k, a0, r0, m.horizon_T, leaf_budget)
-    leaves = list(frontiers[-1].values()) if frontiers else [(b_k, r0, 1.0)]
-    _, values, masses = zip(*reversed(leaves))
+    leaves = list(frontiers[-1].values()) if frontiers else [(b_k, a0, r0, 1.0)]
+    _, _, values, masses = zip(*reversed(leaves))
     return DiscreteDistribution(np.array(values), np.array(masses))
 
 
@@ -364,7 +365,7 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     frontiers = _walk(pair, policy, "simplified", b_k, a0, 0.0, m.horizon_T - 1,
                       leaf_budget)
     for j, frontier in enumerate(frontiers):
-        for key, (b, r, p) in frontier.items():
+        for key, (b, _, r, p) in frontier.items():
             pool.setdefault(key, (b, r, np.zeros(n_steps)))[2][j] += p
 
     beliefs, prefixes, rows = zip(*(pool[key] for key in sorted(pool)))

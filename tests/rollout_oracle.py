@@ -1,21 +1,19 @@
 """Reference rollouts: one particle filter at a time, one step at a time.
 
 This is the straightforward form of the rollout pool that the batched kernel
-in ``riskgap.estimation`` replaces.  Rollout i runs alone on the generator
-of its own stream (seed, _ROLLOUT, i); each step draws the reference
-particle, its successor, the observation and then the per-particle vector,
-and the next action comes from a validated ``Belief``.  Tests compare the
-batched returns against these bit for bit.
-
-The streams are built through NumPy's own ``SeedSequence`` (``_stream``) on
-purpose: the kernel computes the same streams' seed words in one vectorised
-pass, and this oracle checks that pass independently.  ``as_belief`` reads a
-particle set back as the belief it represents.
+in ``riskgap.estimation`` replaces.  The pool's one generator is built
+through NumPy directly, ``default_rng(SeedSequence(seed, spawn_key=(_ROLLOUT,
+0)))``, and each step's (C, 3 + N_x) block of uniforms is drawn from it up
+front.  Rollout i then runs alone on a reader over row i of every block:
+each step reads the reference particle, its successor, the observation and
+then the per-particle vector, and the next action comes from a validated
+``Belief``.  Tests compare the batched returns against these bit for bit.
+``as_belief`` reads a particle set back as the belief it represents.
 """
 
 import numpy as np
 
-from riskgap.estimation import _ROLLOUT, DegenerateWeightsError, _stream
+from riskgap.estimation import _ROLLOUT, DegenerateWeightsError
 from riskgap.pomdp import PROB_FLOOR, Belief
 
 
@@ -65,14 +63,33 @@ def as_belief(particles, n_states):
     return Belief(probs / probs.sum())
 
 
+class RowReader:
+    """Hands out one rollout's uniforms in order, like a generator would."""
+
+    def __init__(self, values):
+        self.values = values
+        self.pos = 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.pos:self.pos + n]
+        self.pos += n
+        return out[0] if size is None else out
+
+
 def loop_rollout_returns(pair, policy, b_bar, a, t, depth, config,
                          model="simplified"):
     """Same contract as ``rollout_returns``, one rollout after another."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    n_rows = config.num_rollouts_C
+    if depth == 0:
+        return np.zeros(n_rows)
     kernel = LoopKernel(pair, model)
-    vals = [0.0 if depth == 0 else
-            kernel.rollout(policy, b_bar.states, b_bar.weights, a, t, depth,
-                           _stream(config.rng_seed, _ROLLOUT, i))
-            for i in range(config.num_rollouts_C)]
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.rng_seed, spawn_key=(_ROLLOUT, 0)))
+    blocks = [rng.random((n_rows, 3 + b_bar.states.size)) for _ in range(depth)]
+    vals = [kernel.rollout(policy, b_bar.states, b_bar.weights, a, t, depth,
+                           RowReader(np.concatenate([block[i] for block in blocks])))
+            for i in range(n_rows)]
     return np.asarray(vals, dtype=float)

@@ -101,6 +101,16 @@ def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "absent" / "r.json"
+    rc = main(["enumerate", "--scenario", "corridor4", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_enumerate_budget_exceeded_exits_3(tmp_path, monkeypatch):
     def blow_up(*args, **kwargs):
         raise BudgetExceededError("enumeration frontier exceeds leaf budget")
@@ -282,11 +292,11 @@ def test_concentration_deterministic_across_workers(tmp_path):
 # the fields that changed.
 PINNED_REPORTS = {
     "certify-corridor4":
-        "c0b1c222ac432421477269f4bbd968be71ec70a77d95cf3a11f99269d013f210",
+        "d1e379e9856c01f20202b3b6cf4766591dffc7abe708fc58776ed203c80a7f92",
     "certify-degrade_heavy":
-        "9aea2c61340fba6b123a1ccf3fef00db7a71eb5e0c261cd3fbe4df59feb6c14c",
+        "20995873855a352960a7a862984b2f6be71d952eddf92bd9010cefd106d8df32",
     "certify-two_state_sensor":
-        "729279ea15e8853c9fb6c2204a086dd4a423d5a125a0aceabe4de522c58a38b7",
+        "d434553d9f41d9a84a150a8e658543629040acc95a7a0c2c04ce42d998cd0b4b",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
     "enumerate-corridor4":

@@ -22,8 +22,6 @@ from riskgap.estimation import (
     _RolloutKernel,
     _draw_counts,
     _simplified_return_pool,
-    _spawn_states,
-    _spawn_streams,
     _stream,
     binned_h,
     build_default_proposal,
@@ -253,10 +251,6 @@ def test_rollout_returns_deterministic_and_equal_to_loop_oracle():
     r3 = loop_rollout_returns(pair, policy, pb, a0, 0, full_depth(pair), cfg)
     assert np.array_equal(r1, r2)
     assert np.array_equal(r1, r3)
-    # rollout i depends on the seed and i only, not on the pool size
-    head = rollout_returns(pair, policy, pb, a0, 0, full_depth(pair),
-                           RolloutConfig(20, 100, 123))
-    assert np.array_equal(head, r1[:20])
 
 
 def test_estimate_q_alpha_near_one_is_sample_mean():
@@ -339,18 +333,6 @@ def test_batched_rollouts_equal_loop_on_random_instances(seed, rollout_seed, hor
                          RolloutConfig(n_rollouts, n_particles, rollout_seed), model)
 
 
-@pytest.mark.parametrize("n", (1, 2, 1000))
-@pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1))
-def test_spawn_states_equal_numpy_seed_sequence(seed, n):
-    children = np.random.SeedSequence(seed, spawn_key=(_ROLLOUT,)).spawn(n)
-    want = np.array([c.generate_state(4, np.uint64) for c in children])
-    got = _spawn_states(seed, _ROLLOUT, n)
-    assert got.dtype == np.uint64 and np.array_equal(got, want)
-    for i, rng in enumerate(_spawn_streams(seed, _ROLLOUT, n)):
-        assert np.array_equal(rng.random(1000),
-                              _stream(seed, _ROLLOUT, i).random(1000))
-
-
 def test_rollout_weights_survive_long_horizons():
     # an uninformative 0.6/0.4 sensor shrinks every weight by at least 0.4
     # per step, so unnormalised weights underflow long before step 1100;
@@ -370,6 +352,29 @@ def test_rollout_weights_survive_long_horizons():
     assert np.all(np.isfinite(returns))
     # every step's mean cost lies in the state-cost range
     assert np.all((returns >= 0.2 * (horizon + 1)) & (returns <= 0.9 * (horizon + 1)))
+
+
+def test_rollout_pool_draws_one_block_per_step():
+    pair, policy, query = sensor_setup()
+    pb = ParticleBelief.from_belief(query.belief, 30, np.random.default_rng(0))
+    a0 = policy.action(0, query.belief)
+    depth = full_depth(pair)
+    blocks = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, **kwargs):
+            blocks.append(kwargs["out"].shape)
+            return self.rng.random(**kwargs)
+
+    returns = _RolloutKernel(pair, "simplified").rollouts(
+        policy, pb.states, pb.weights, a0, 0, depth, 12,
+        CountingGenerator(_stream(7, _ROLLOUT, 0)))
+    assert blocks == [(12, 3 + 30)] * depth
+    assert np.array_equal(returns, rollout_returns(pair, policy, pb, a0, 0, depth,
+                                                   RolloutConfig(12, 30, 7)))
 
 
 def test_rollout_beyond_policy_table_raises():
