@@ -6,9 +6,10 @@ a RolloutConfig seed. Seeded entry points derive one independent PCG64
 stream per logical task (initial particles, rollout pool, draw batch) via
 SeedSequence spawn keys, so outputs depend on the seed alone, not on the
 order in which the tasks are evaluated. A rollout pool draws from the one
-stream ``SeedSequence(seed, spawn_key=(_ROLLOUT, 0))``: each step takes one
-(C, 3 + N_x) block of uniforms, row i for rollout i, so the pool's returns
-are iid and depend on the seed and C.
+stream ``SeedSequence(seed, spawn_key=(_ROLLOUT, 0))``: each transition
+takes one (C, 3 + N_x) block of uniforms, row i for rollout i, and a pool of
+d step costs makes d - 1 transitions, so the pool's returns are iid and
+depend on the seed and C.
 """
 
 from __future__ import annotations
@@ -231,105 +232,103 @@ class CertifiedBound:
 class _RolloutKernel:
     """Particle-filter steps for a batch of rollouts over one (pair, model) tensor set.
 
-    Row i of the (C, N_x) state and weight arrays is rollout i. A step reads
-    its randomness from a (C, 3 + N_x) array of uniforms; row i holds, in
-    draw order, rollout i's reference-particle, reference-successor and
-    observation draws, then one draw per particle.
+    Row i of the (C, N_x) state and weight arrays and of the (C, S) masses
+    (m_x = summed weight of the particles in state x) is rollout i. Row i
+    stores state x as i * S + x, its entry in the flattened masses, so the
+    masses are one bincount and each step's per-row tables are gathered
+    without index arithmetic. A step reads its randomness from a
+    (C, 3 + N_x) array of uniforms; row i holds, in draw order, rollout i's
+    reference-state draw (from the masses, which has the law of a particle
+    drawn by weight), reference-successor and observation draws, then one
+    draw per particle.
     """
 
     def __init__(self, pair: SimplifiedPair, model: str):
         trans, obs = pair.tensors(model)
         self.n_states = trans.shape[1]
+        # a last entry of 1 is never below a draw in [0, 1), which caps counts
         self.cum_trans = np.cumsum(trans, axis=2)
+        self.cum_trans[..., -1] = 1.0
         self.cum_obs = np.cumsum(obs, axis=1)
-        # flat gather tables: entry a * S + x of cum_cols[col] is
-        # cum_trans[a, x, col], of flat_costs is cost[x, a]; entry z * S + x
-        # of flat_obs is obs[x, z]
-        self.cum_cols = np.ascontiguousarray(
-            np.moveaxis(self.cum_trans, 2, 0).reshape(self.n_states, -1))
-        self.flat_costs = np.ascontiguousarray(pair.original.state_cost.T).ravel()
-        self.flat_obs = np.ascontiguousarray(obs.T).ravel()
+        self.cum_obs[:, -1] = 1.0
+        # cum_cols[col, a, x] is cum_trans[a, x, col]; obs_rows[z, x] is obs[x, z]
+        self.cum_cols = np.ascontiguousarray(np.moveaxis(self.cum_trans, 2, 0))
+        self.obs_rows = np.ascontiguousarray(obs.T)
+        self.cost_rows = np.ascontiguousarray(pair.original.state_cost.T)
 
-    def step(self, states, weights, actions, u, t: int | None = None):
-        """One transition of every row; returns (successors, new weights, rho).
+    def masses(self, states, weights):
+        """(C, S) per-state weight sums of (C, N_x) state and weight rows."""
+        n_rows = states.shape[0]
+        return np.bincount(states.ravel(), weights=weights.ravel(),
+                           minlength=n_rows * self.n_states).reshape(n_rows, -1)
 
-        rho is each row's mean cost under its *old* weights and *current*
-        states. A row whose weight sum falls below 1/2 is scaled up by a
-        power of two, which is exact, so rho, the reference draw and the
+    def mean_cost(self, masses, actions):
+        """Each row's mean cost of its action under its belief."""
+        return (masses * self.cost_rows[actions]).sum(axis=1) / masses.sum(axis=1)
+
+    def step(self, states, weights, masses, actions, u, t: int | None = None):
+        """One transition of every row; returns (successors, weights, masses).
+
+        A row whose weight sum falls below 1/2 is scaled up by a power of
+        two, which is exact, so the mean cost, the reference draw and the
         belief argmax of later steps are unchanged by it. Each (C, N_x)
         temporary is dropped as soon as it is used, which keeps peak memory
         near that of the state, weight and uniform arrays.
         """
-        n_rows, n = states.shape
-        cum_w = np.cumsum(weights, axis=1)
-        total = cum_w[:, -1].copy()
-        # counting entries below the draw is searchsorted(side="left") on a
-        # non-decreasing row
-        j = np.minimum(np.count_nonzero(cum_w < (u[:, 0] * total)[:, None], axis=1),
-                       n - 1)
-        del cum_w
-        ref_row = self.cum_trans[actions, states[np.arange(n_rows), j]]
-        x0p = np.minimum(np.count_nonzero(ref_row < u[:, 1:2], axis=1),
-                         self.n_states - 1)
-        obs_row = self.cum_obs[x0p]
-        z = np.minimum(np.count_nonzero(obs_row < u[:, 2:3], axis=1),
-                       obs_row.shape[1] - 1)
-        # successor = number of cumulative-transition entries below the draw;
-        # counting the first S - 1 columns caps it at S - 1 without a
-        # (C, N_x, S) tensor
-        flat = actions[:, None] * self.n_states + states
-        succ = np.zeros(states.shape, dtype=np.intp)
-        for col in range(self.n_states - 1):
-            succ += np.take(self.cum_cols[col], flat) < u[:, 3:]
-        # a stacked matmul keeps each row's dot product identical to
-        # weights[i] @ costs[i]
-        costs = np.take(self.flat_costs, flat)
-        del flat
-        rho = (weights[:, None, :] @ costs[:, :, None])[:, 0, 0] / total
-        del costs
-        new_w = np.take(self.flat_obs, z[:, None] * self.n_states + succ)
+        n_rows, n_states = masses.shape
+        cum_m = np.cumsum(masses, axis=1)
+        x0 = np.count_nonzero(cum_m < (u[:, 0] * cum_m[:, -1])[:, None], axis=1)
+        x0p = np.count_nonzero(self.cum_trans[actions, x0] < u[:, 1:2], axis=1)
+        z = np.count_nonzero(self.cum_obs[x0p] < u[:, 2:3], axis=1)
+        # successor = row offset + count of cumulative-transition entries
+        # below the draw, one column at a time, with no (C, N_x, S) tensor
+        cols = self.cum_cols[:, actions]
+        succ = np.arange(n_rows)[:, None] * n_states + (np.take(cols[0], states) < u[:, 3:])
+        for col in range(1, n_states - 1):
+            succ += np.take(cols[col], states) < u[:, 3:]
+        new_w = np.take(self.obs_rows[z], succ)
         new_w *= weights
-        sums = new_w.sum(axis=1)
+        masses = self.masses(succ, new_w)
+        sums = masses.sum(axis=1)
         if not np.all(sums > 0.0):
             i = int(np.argmin(sums > 0.0))
             where = "" if t is None else f" at step {t}"
             raise DegenerateWeightsError(
-                f"all {n} particle weights of rollout {i} are zero after the "
-                f"observation reweight{where}")
+                f"all {states.shape[1]} particle weights of rollout {i} are zero "
+                f"after the observation reweight{where}")
         exponent = np.frexp(sums)[1]
         if np.any(exponent < 0):
-            np.ldexp(new_w, np.maximum(-exponent, 0)[:, None], out=new_w)
-        return succ, new_w, rho
+            scale = np.maximum(-exponent, 0)[:, None]
+            np.ldexp(new_w, scale, out=new_w)
+            np.ldexp(masses, scale, out=masses)
+        return succ, new_w, masses
 
     def rollouts(self, policy: Policy, states, weights, a: int, t: int,
                  depth: int, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-        """Returns of n_rows rollouts of `depth` steps from time t.
+        """Returns of n_rows rollouts of `depth` step costs from time t.
 
-        Each step fills its (n_rows, 3 + N_x) block of uniforms, row after
-        row, with one ``rng.random`` call; row i is rollout i's, as ``step``
-        reads it.
+        Each of the depth - 1 transitions fills its (n_rows, 3 + N_x) block
+        of uniforms, row after row, with one ``rng.random`` call; row i is
+        rollout i's, as ``step`` reads it. No transition follows the last
+        cost.
         """
         table_rows = range(t + 1 - policy.start_k, t + depth - policy.start_k)
         if table_rows and not (0 <= table_rows[0]
                                and table_rows[-1] < policy.actions.shape[0]):
             raise ValueError(f"policy has no row for time steps {t + 1}..{t + depth - 1}")
-        n_states = self.n_states
-        states = np.tile(states, (n_rows, 1))
+        states = np.arange(n_rows)[:, None] * self.n_states + states
         weights = np.tile(weights, (n_rows, 1))
+        masses = np.tile(self.masses(states[:1], weights[:1]), (n_rows, 1))
         actions = np.full(n_rows, int(a), dtype=np.intp)
         u = np.empty((n_rows, 3 + states.shape[1]))
-        offsets = np.arange(n_rows)[:, None] * n_states
-        returns = np.zeros(n_rows)
-        for step in range(depth):
+        returns = self.mean_cost(masses, actions)
+        for step in range(t + 1, t + depth):
             rng.random(out=u)
-            states, weights, rho = self.step(states, weights, actions, u, t + step)
-            returns += rho
-            if step + 1 < depth:
-                probs = np.bincount((offsets + states).ravel(), weights=weights.ravel(),
-                                    minlength=n_rows * n_states).reshape(n_rows, n_states)
-                probs /= probs.sum(axis=1, keepdims=True)
-                actions = policy.actions[t + step + 1 - policy.start_k,
-                                         probs.argmax(axis=1)]
+            states, weights, masses = self.step(states, weights, masses, actions, u,
+                                                step - 1)
+            probs = masses / masses.sum(axis=1, keepdims=True)
+            actions = policy.actions[step - policy.start_k, probs.argmax(axis=1)]
+            returns += self.mean_cost(masses, actions)
         return returns
 
 

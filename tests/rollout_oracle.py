@@ -3,11 +3,15 @@
 This is the straightforward form of the rollout pool that the batched kernel
 in ``riskgap.estimation`` replaces.  The pool's one generator is built
 through NumPy directly, ``default_rng(SeedSequence(seed, spawn_key=(_ROLLOUT,
-0)))``, and each step's (C, 3 + N_x) block of uniforms is drawn from it up
-front.  Rollout i then runs alone on a reader over row i of every block:
-each step reads the reference particle, its successor, the observation and
-then the per-particle vector, and the next action comes from a validated
-``Belief``.  Tests compare the batched returns against these bit for bit.
+0)))``, and each transition's (C, 3 + N_x) block of uniforms is drawn from
+it up front; a rollout of d step costs makes d - 1 transitions and so takes
+d - 1 blocks.  Rollout i then runs alone on a reader over row i of every
+block: each transition reads the reference state (searched in the
+cumulative ``bincount(states, weights, minlength=S)``), its successor, the
+observation and then the per-particle vector, and the next action comes
+from a validated ``Belief``.  Each step cost is the kernel's row-wise dot of
+those masses with the cost column, over their sum, taken on a one-row
+array.  Tests compare the batched returns against these bit for bit.
 ``as_belief`` reads a particle set back as the belief it represents.
 """
 
@@ -26,12 +30,14 @@ class LoopKernel:
         self.costs = pair.original.state_cost
         self.n_states = trans.shape[1]
 
-    def step(self, states, weights, a, rng):
-        cum_w = np.cumsum(weights)
-        total = cum_w[-1]
-        j = min(int(np.searchsorted(cum_w, rng.random() * total, side="left")),
-                states.size - 1)
-        row = self.cum_trans[a, states[j]]
+    def cost(self, masses, a):
+        m = masses[None, :]  # the kernel's row-wise dot, on a one-row array
+        return float(((m * self.costs[:, a]).sum(axis=1) / m.sum(axis=1))[0])
+
+    def step(self, states, weights, masses, a, rng):
+        cum_m = np.cumsum(masses)
+        x0 = int(np.searchsorted(cum_m, rng.random() * cum_m[-1], side="left"))
+        row = self.cum_trans[a, x0]
         x0p = min(int(np.searchsorted(row, rng.random(), side="left")),
                   self.n_states - 1)
         z = min(int(np.searchsorted(self.cum_obs[x0p], rng.random(), side="left")),
@@ -39,21 +45,20 @@ class LoopKernel:
         u = rng.random(states.size)
         succ = (self.cum_trans[a][states] < u[:, None]).sum(axis=1)
         succ = np.minimum(succ, self.n_states - 1)
-        rho = float(weights @ self.costs[states, a] / total)
         new_w = weights * self.obs[succ, z]
         if new_w.sum() <= PROB_FLOOR:
             raise DegenerateWeightsError(
                 "all particle weights underflowed on observation reweight")
-        return succ, new_w, rho
+        return succ, new_w
 
     def rollout(self, policy, states, weights, a, t, depth, rng):
-        total = 0.0
-        for step in range(depth):
-            states, weights, rho = self.step(states, weights, a, rng)
-            total += rho
-            if step + 1 < depth:
-                probs = np.bincount(states, weights=weights, minlength=self.n_states)
-                a = policy.action(t + step + 1, Belief(probs / probs.sum()))
+        masses = np.bincount(states, weights=weights, minlength=self.n_states)
+        total = self.cost(masses, a)
+        for step in range(t + 1, t + depth):
+            states, weights = self.step(states, weights, masses, a, rng)
+            masses = np.bincount(states, weights=weights, minlength=self.n_states)
+            a = policy.action(step, Belief(masses / masses.sum()))
+            total += self.cost(masses, a)
         return total
 
 
@@ -88,8 +93,9 @@ def loop_rollout_returns(pair, policy, b_bar, a, t, depth, config,
     kernel = LoopKernel(pair, model)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.rng_seed, spawn_key=(_ROLLOUT, 0)))
-    blocks = [rng.random((n_rows, 3 + b_bar.states.size)) for _ in range(depth)]
+    # one block per transition, drawn in the order the kernel fills them
+    blocks = rng.random((depth - 1, n_rows, 3 + b_bar.states.size))
     vals = [kernel.rollout(policy, b_bar.states, b_bar.weights, a, t, depth,
-                           RowReader(np.concatenate([block[i] for block in blocks])))
+                           RowReader(blocks[:, i].ravel()))
             for i in range(n_rows)]
     return np.asarray(vals, dtype=float)

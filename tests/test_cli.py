@@ -292,11 +292,11 @@ def test_concentration_deterministic_across_workers(tmp_path):
 # the fields that changed.
 PINNED_REPORTS = {
     "certify-corridor4":
-        "d1e379e9856c01f20202b3b6cf4766591dffc7abe708fc58776ed203c80a7f92",
+        "17261b871bf48ca325c5e55a3eeaccb14c42d89ec7a6d5b2f2450f446392f23f",
     "certify-degrade_heavy":
-        "20995873855a352960a7a862984b2f6be71d952eddf92bd9010cefd106d8df32",
+        "63806006dc2ceeff37a6ad00d18fc8100de010865bfc94c944acfebb4a34afef",
     "certify-two_state_sensor":
-        "d434553d9f41d9a84a150a8e658543629040acc95a7a0c2c04ce42d998cd0b4b",
+        "f30be94ea7cf96ab07458dbb367ede743ff4e46c8c8d9dc266e44dd75daa31f9",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
     "enumerate-corridor4":

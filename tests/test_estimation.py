@@ -130,9 +130,12 @@ def test_proposal_rejects_misshapen_gaps():
 
 def kernel_step(pair, pb, a, rng):
     """One original-model step of a single rollout: (states, weights, rho)."""
+    kernel = _RolloutKernel(pair, "original")
+    states, weights, actions = pb.states[None, :], pb.weights[None, :], np.array([a])
+    masses = kernel.masses(states, weights)
+    rho = kernel.mean_cost(masses, actions)
     u = rng.random((1, 3 + pb.states.size))
-    succ, weights, rho = _RolloutKernel(pair, "original").step(
-        pb.states[None, :], pb.weights[None, :], np.array([a]), u)
+    succ, weights, _ = kernel.step(states, weights, masses, actions, u)
     return succ[0], weights[0], float(rho[0])
 
 
@@ -191,6 +194,23 @@ def test_genpf_degenerate_weights_raises():
     with pytest.raises(DegenerateWeightsError):
         for seed in range(32):
             kernel_step(pair, pb, 0, np.random.default_rng(seed))
+
+
+def test_reference_draw_samples_the_particle_belief():
+    # identity transition and sensor: the observation names the reference
+    # state, which draw 0 picks from the masses 0.2 (state 0) and 1.55
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    model = make_model([eye], eye, [[0.0], [0.0]], [0.5, 0.5], horizon_T=2)
+    kernel = _RolloutKernel(SimplifiedPair.identical(model), "original")
+    rows = 20_000
+    states = np.arange(rows)[:, None] * 2 + [0, 1, 1]  # row i keeps x as 2i + x
+    weights = np.tile([0.2, 1.5, 0.05], (rows, 1))
+    u = np.random.default_rng(4).random((rows, 3 + 3))
+    _, _, masses = kernel.step(states, weights, kernel.masses(states, weights),
+                               np.zeros(rows, dtype=np.intp), u)
+    p = 0.2 / 1.75
+    freq = np.count_nonzero(masses[:, 0] > 0.0) / rows
+    assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / rows)
 
 
 # --------------------------------------------------------- rollout returns
@@ -372,7 +392,7 @@ def test_rollout_pool_draws_one_block_per_step():
     returns = _RolloutKernel(pair, "simplified").rollouts(
         policy, pb.states, pb.weights, a0, 0, depth, 12,
         CountingGenerator(_stream(7, _ROLLOUT, 0)))
-    assert blocks == [(12, 3 + 30)] * depth
+    assert blocks == [(12, 3 + 30)] * (depth - 1)
     assert np.array_equal(returns, rollout_returns(pair, policy, pb, a0, 0, depth,
                                                    RolloutConfig(12, 30, 7)))
 
@@ -397,6 +417,31 @@ def test_rollout_zero_likelihood_names_the_step():
     pb = ParticleBelief(np.array([0]), np.ones(1))
     with pytest.raises(DegenerateWeightsError, match=r"are zero .* at step [0-6]$"):
         rollout_returns(pair, policy, pb, 0, 0, 7, RolloutConfig(16, 1, 3), "original")
+
+
+def test_depth_one_pool_simulates_no_transition():
+    # the same lone particle: a depth-1 pool reads one cost and no successor,
+    # so it cannot meet a zero-likelihood observation
+    trans = [[[0.5, 0.5], [0.5, 0.5]]]
+    obs = [[1.0, 0.0], [0.0, 1.0]]
+    model = make_model(trans, obs, [[0.25], [0.75]], [1.0, 0.0], horizon_T=6)
+    pair = SimplifiedPair.identical(model)
+    policy = Policy(np.zeros((7, 2), dtype=int), start_k=0)
+    pb = ParticleBelief(np.array([0]), np.ones(1))
+    for seed in range(50):
+        returns = rollout_returns(pair, policy, pb, 0, 0, 1, RolloutConfig(16, 1, seed),
+                                  "original")
+        assert np.array_equal(returns, np.full(16, 0.25))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_step_gap_pool_runs_on_random_instances(seed):
+    # horizon_gap 1: two step costs and one transition; a second transition,
+    # past the horizon, would zero a whole particle cloud on 8 of these seeds
+    spec = scenarios.random_instance(seed, horizon_gap=1)
+    returns = _simplified_return_pool(spec.pair, spec.policy, spec.default_query,
+                                      RolloutConfig(500, 200, seed))
+    assert returns.shape == (500,) and np.all(np.isfinite(returns))
 
 
 # ----------------------------------------------------------------- proposal
