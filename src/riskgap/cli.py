@@ -8,8 +8,10 @@ Every report shares one envelope::
 Records are flat dicts of scalars, so a CSV export carries the same rows
 one-to-one.  All randomness is derived from the manifest seed through named
 (slot, trial, query) streams, which makes a report a deterministic function
-of the manifest.  Runs are single-threaded; ``--workers`` is accepted and
-validated for compatibility but has no effect.
+of the manifest.  ``certify`` draws one rollout pool and one importance draw
+per query and reads every certificate at every level from them;
+``concentration`` still draws them per certificate and level.  Runs are
+single-threaded; ``--workers`` is accepted and validated but has no effect.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .estimation import (
     DegenerateWeightsError,
     InapplicableCaseError,
     RolloutConfig,
+    _certified_n_delta,
+    _certify_levels,
     _simplified_return_pool,
     binned_h,
     build_default_proposal,
@@ -41,8 +45,6 @@ from .estimation import (
     n_delta_for_epsilon,
     n_delta_for_g,
     n_delta_for_h,
-    n_delta_for_tight_lower,
-    n_delta_for_uniform_bounds,
 )
 from .pomdp import (
     Belief,
@@ -88,8 +90,9 @@ SCHEMA = {
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
-# Stream slots: one per independent randomness consumer, combined with the
-# trial and query indices so reports never depend on evaluation order.
+# Stream slots, combined with trial and query indices so reports never depend
+# on evaluation order. certify's per-query pool is _SLOT_POOL (trial 0, query 0);
+# _SLOT_UNIF and _SLOT_TIGHT seed concentration's per-certificate pools.
 _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
 
@@ -295,26 +298,20 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
 
 
 def cmd_certify(manifest: RunManifest) -> dict:
-    """Monte-Carlo certified bounds, plus the exact values when enumerable."""
+    """Monte-Carlo certified bounds from one rollout pool and one importance
+    draw for all levels, plus the exact values when enumerable."""
     pair, policy = _resolve_problem(manifest)
-    m = pair.original
     grid = BinGrid.uniform(pair, manifest.bins)
     q0 = build_default_proposal(pair, policy)
-    bound_b = q0.importance_bound
-
     if manifest.n_delta is None:
-        n_unif = n_delta_for_uniform_bounds(
-            manifest.v, manifest.delta, bound_b, m.horizon_T, m.start_k)
-        n_tight = n_delta_for_tight_lower(
-            manifest.eta, manifest.delta, bound_b, grid.n_bins,
-            m.horizon_T, m.start_k)
         manifest = replace(
-            manifest, n_delta=max(n_unif, n_tight), n_delta_derived=True,
+            manifest, n_delta_derived=True,
+            n_delta=_certified_n_delta(pair, q0, None, manifest.delta, manifest.v,
+                                       manifest.eta, grid),
             n_delta_formula=("max(n_delta_for_uniform_bounds,"
                              " n_delta_for_tight_lower)"))
-    n_delta = manifest.n_delta
 
-    records = [{"kind": "proposal", "importance_bound": float(bound_b),
+    records = [{"kind": "proposal", "importance_bound": float(q0.importance_bound),
                 "n_atoms": int(q0.proposal_probs.size),
                 "n_steps": int(q0.n_steps)}]
     # exact laws for the q_exact records, enumerated once for every alpha;
@@ -327,17 +324,12 @@ def cmd_certify(manifest: RunManifest) -> dict:
     except BudgetExceededError:
         pass
 
-    for idx, alpha in enumerate(manifest.alphas):
-        query = _initial_query(pair, alpha)
-        cfg_unif = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
-                                 _derived_seed(manifest.seed, _SLOT_UNIF, 0, idx))
-        bounds = certify_uniform(pair, policy, query, cfg_unif, q0, n_delta,
-                                 manifest.v, manifest.delta)
-        cfg_tight = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
-                                  _derived_seed(manifest.seed, _SLOT_TIGHT, 0, idx))
-        bounds.append(certify_tight_lower(pair, policy, query, cfg_tight, q0,
-                                          n_delta, manifest.eta, manifest.delta,
-                                          grid))
+    cfg = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
+                        _derived_seed(manifest.seed, _SLOT_POOL, 0, 0))
+    per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alphas[0]),
+                                cfg, q0, manifest.n_delta, manifest.v, manifest.eta,
+                                manifest.delta, grid, manifest.alphas)
+    for alpha, bounds in zip(manifest.alphas, per_alpha):
         records.extend(_bound_record(alpha, b) for b in bounds)
         records.extend({"kind": "q_exact", "alpha": float(alpha), "model": model,
                         "value": float(cvar_exact(dist, alpha))}
@@ -396,10 +388,8 @@ def cmd_concentration(manifest: RunManifest) -> dict:
         nd_g = n_delta_for_g(v, delta, bound_b, m.horizon_T, m.start_k)
         nd_h = n_delta_for_h(v, delta, bound_b, grid.n_bins,
                              m.horizon_T, m.start_k)
-        nd_unif = n_delta_for_uniform_bounds(v, delta, bound_b,
-                                             m.horizon_T, m.start_k)
-        nd_tight = n_delta_for_tight_lower(eta, delta, bound_b, grid.n_bins,
-                                           m.horizon_T, m.start_k)
+        nd_unif = _certified_n_delta(pair, q0, None, delta, v=v)
+        nd_tight = _certified_n_delta(pair, q0, None, delta, eta=eta, grid=grid)
 
     def one_trial(t: int) -> dict:
         events = {}

@@ -494,34 +494,40 @@ def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQu
                            "simplified")
 
 
-def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                    config: RolloutConfig, q0: ProposalQ0, n_delta: int,
-                    v: float, delta: float) -> list:
-    """Certified lower and upper bounds from one pool of simplified rollouts.
-
-    Emits L1 (small estimated gap) or L2 (gap too large for the shifted-tail
-    form), plus U when alpha > epsilon_hat; each bound records its deviation
-    radii. When alpha <= epsilon_hat the upper bound is omitted and the lower
-    bound's radii carry a ``u_omitted`` tag.
-    """
-    m = pair.original
-    T, k = m.horizon_T, m.start_k
-    span = _return_span(pair)
-    alpha = query.alpha.alpha
-    required = n_delta_for_uniform_bounds(v, delta, q0.importance_bound, T, k)
-    if n_delta < required:
+def _certified_n_delta(pair: SimplifiedPair, q0: ProposalQ0, n_delta: int | None,
+                       delta: float, v=None, eta=None, grid: BinGrid | None = None) -> int:
+    """Draws the uniform bounds (given v) and TightLower (given eta and grid)
+    need together; raises ValueError if an explicit n_delta falls short."""
+    m, b = pair.original, q0.importance_bound
+    required = []
+    if v is not None:
+        required.append(n_delta_for_uniform_bounds(v, delta, b, m.horizon_T, m.start_k))
+    if grid is not None:
+        if eta <= 0.0:
+            raise ValueError("eta must be > 0")
+        if not grid.covers_return_range(pair):
+            raise ValueError("bin grid must span the full return range")
+        required.append(n_delta_for_tight_lower(eta, delta, b, grid.n_bins,
+                                                m.horizon_T, m.start_k))
+    need = max(required)
+    if n_delta is not None and n_delta < need:
         raise ValueError(
-            f"n_delta {n_delta} is below the certified-rate requirement {required}")
+            f"n_delta {n_delta} is below the certified-rate requirement {need}")
+    return need
 
-    eps_hat = estimate_epsilon(q0, pair, policy, n_delta,
-                               _stream(config.rng_seed, _EPS, 0))
-    returns = _simplified_return_pool(pair, policy, query, config)
-    C = config.num_rollouts_C
+
+def _uniform_bounds(returns: np.ndarray, eps_hat: float, alpha: float, v: float,
+                    delta: float, span: float, n_delta: int) -> list:
+    """L1 (small estimated gap) or L2 (gap too large for the shifted-tail
+    form), plus U when alpha > eps_hat, from one pool of simplified returns;
+    each bound records its deviation radii. When alpha <= eps_hat the upper
+    bound is omitted and the lower bound's radii carry a ``u_omitted`` tag.
+    """
+    C = returns.size
 
     def q_hat(level: float) -> float:
         return cvar_estimate_sorted(returns, level)
 
-    bounds = []
     if eps_hat + alpha < 1.0:
         second = 0.0
         if eps_hat > 0.0:
@@ -531,6 +537,7 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                     f"shifted tail level epsilon_hat - 4v = {shifted:.6g} "
                     "falls outside (0, 1); no certified lower bound applies")
             second = (eps_hat / alpha) * q_hat(shifted)
+        kind = "L1"
         value = ((alpha + eps_hat - 4.0 * v) / alpha) * q_hat(alpha + eps_hat) - second
         radii = {
             "epsilon_hat": eps_hat,
@@ -540,8 +547,8 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
             "lambda_2": (math.sqrt(eps_hat) / alpha) * 2.0 * span * math.sqrt(
                 5.0 * math.log(3.0 / (delta / 4.0)) / C),
         }
-        lower = CertifiedBound(value, "L1", delta, v, 0.0, n_delta, C, radii)
     else:
+        kind = "L2"
         value = (float(returns.mean())
                  - (eps_hat + 4.0 * v) * q_hat(alpha)
                  - (alpha + eps_hat + 4.0 * v - 1.0) * span) / alpha
@@ -551,21 +558,29 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
             "eta_2": (2.0 * math.sqrt(eps_hat + 4.0 * v) / alpha) * span * math.sqrt(
                 5.0 * math.log(3.0 / (delta / 4.0)) / C),
         }
-        lower = CertifiedBound(value, "L2", delta, v, 0.0, n_delta, C, radii)
-    bounds.append(lower)
+    if alpha <= eps_hat:
+        radii["u_omitted"] = 1.0
+        return [CertifiedBound(value, kind, delta, v, 0.0, n_delta, C, radii)]
+    upper = (((alpha - eps_hat + 4.0 * v) / alpha) * q_hat(alpha - eps_hat)
+             + (eps_hat / alpha) * span)
+    lam = 2.0 * span * (math.sqrt(alpha - eps_hat) / alpha) * math.sqrt(
+        5.0 * math.log(3.0 / (delta / 2.0)) / C)
+    return [CertifiedBound(value, kind, delta, v, 0.0, n_delta, C, radii),
+            CertifiedBound(upper, "U", delta, v, 0.0, n_delta, C,
+                           {"epsilon_hat": eps_hat, "lambda": lam})]
 
-    if alpha > eps_hat:
-        value = (((alpha - eps_hat + 4.0 * v) / alpha) * q_hat(alpha - eps_hat)
-                 + (eps_hat / alpha) * span)
-        radii = {
-            "epsilon_hat": eps_hat,
-            "lambda": 2.0 * span * (math.sqrt(alpha - eps_hat) / alpha) * math.sqrt(
-                5.0 * math.log(3.0 / (delta / 2.0)) / C),
-        }
-        bounds.append(CertifiedBound(value, "U", delta, v, 0.0, n_delta, C, radii))
-    else:
-        lower.radii["u_omitted"] = 1.0
-    return bounds
+
+def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
+                    config: RolloutConfig, q0: ProposalQ0, n_delta: int,
+                    v: float, delta: float) -> list:
+    """Certified lower and upper bounds (``_uniform_bounds``) from one pool of
+    simplified rollouts and an epsilon estimate of its own ``_EPS`` stream."""
+    _certified_n_delta(pair, q0, n_delta, delta, v=v)
+    eps_hat = estimate_epsilon(q0, pair, policy, n_delta,
+                               _stream(config.rng_seed, _EPS, 0))
+    returns = _simplified_return_pool(pair, policy, query, config)
+    return _uniform_bounds(returns, eps_hat, query.alpha.alpha, v, delta,
+                           _return_span(pair), n_delta)
 
 
 def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
@@ -583,40 +598,55 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
     return dominated_cdf(empirical, PointwiseEnvelope(edges, h_plus.at(edges) + eta))
 
 
+def _dominated_law(returns: np.ndarray, g_hat: np.ndarray, grid: BinGrid, eta: float,
+                   n_delta: int, rng: np.random.Generator) -> DiscreteDistribution:
+    """Empirical law of n_delta iid draws from min(1, empirical
+    simplified-return CDF + h_plus + eta), with h_plus binned from g_hat."""
+    h_plus, _ = binned_h(g_hat, grid)
+    dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
+    # the empirical CVaR of iid draws depends on their multiset only
+    counts = _draw_counts(dist.probs, n_delta, rng)
+    return DiscreteDistribution(dist.values, counts / n_delta)
+
+
+def _tight_bound(law: DiscreteDistribution, alpha: float, delta: float, eta: float,
+                 n_delta: int, c_used: int, span: float) -> CertifiedBound:
+    """TightLower: the CVaR of the dominated draws, its radius in ``v``."""
+    radius = (2.0 * span / alpha) * math.sqrt(
+        math.log(1.0 / (delta / 4.0)) / (2.0 * n_delta))
+    return CertifiedBound(cvar_exact(law, alpha), "TightLower", delta, radius, eta,
+                          int(n_delta), c_used, {"v": radius})
+
+
 def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                         config: RolloutConfig, q0: ProposalQ0, n_delta: int,
                         eta: float, delta: float, grid: BinGrid) -> CertifiedBound:
-    """Certified lower bound via the estimated dominated CDF.
-
-    Builds min(1, empirical simplified-return CDF + h_plus + eta), draws
-    n_delta iid values from it as multinomial counts over its atoms, and
-    returns the empirical CVaR of those draws with the deviation radius
-    recorded in ``v``.
-    """
-    m = pair.original
-    T, k = m.horizon_T, m.start_k
-    span = _return_span(pair)
-    alpha = query.alpha.alpha
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
-    if not grid.covers_return_range(pair):
-        raise ValueError("bin grid must span the full return range")
-    required = n_delta_for_tight_lower(eta, delta, q0.importance_bound,
-                                       grid.n_bins, T, k)
-    if n_delta < required:
-        raise ValueError(
-            f"n_delta {n_delta} is below the certified-rate requirement {required}")
-
+    """Certified lower bound: the empirical CVaR of n_delta iid draws from the
+    dominated law (``_dominated_law``), built from a g estimate of its own
+    ``_GDRAW`` stream, with the deviation radius recorded in ``v``."""
+    _certified_n_delta(pair, q0, n_delta, delta, eta=eta, grid=grid)
     g_hat = estimate_g(q0, pair, policy, n_delta, grid.edges,
                        _stream(config.rng_seed, _GDRAW, 0))
-    h_plus, _ = binned_h(g_hat, grid)
     returns = _simplified_return_pool(pair, policy, query, config)
-    dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
+    law = _dominated_law(returns, g_hat, grid, eta, n_delta,
+                         _stream(config.rng_seed, _GINV, 0))
+    return _tight_bound(law, query.alpha.alpha, delta, eta, n_delta, returns.size,
+                        _return_span(pair))
 
-    # the empirical CVaR of iid draws depends on their multiset only
-    counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV, 0))
-    value = cvar_exact(DiscreteDistribution(dist.values, counts / n_delta), alpha)
-    radius = (2.0 * span / alpha) * math.sqrt(
-        math.log(1.0 / (delta / 4.0)) / (2.0 * n_delta))
-    return CertifiedBound(value, "TightLower", delta, radius, eta,
-                          int(n_delta), config.num_rollouts_C, {"v": radius})
+
+def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
+                    config: RolloutConfig, q0: ProposalQ0, n_delta: int, v: float,
+                    eta: float, delta: float, grid: BinGrid, alphas) -> list:
+    """Per level in ``alphas``, the uniform bounds then TightLower, all read from
+    one pool, one ``_EPS`` importance draw (its epsilon_hat and g_hat; n_delta
+    meets both rates) and one dominated law. Each bound keeps its marginal
+    law, so each delta-guarantee holds; one query's bounds are dependent."""
+    _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
+    returns = _simplified_return_pool(pair, policy, query, config)
+    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS, 0))
+    law = _dominated_law(returns, gaps.g_at(grid.edges), grid, eta, n_delta,
+                         _stream(config.rng_seed, _GINV, 0))
+    span = _return_span(pair)
+    return [_uniform_bounds(returns, gaps.epsilon, a, v, delta, span, n_delta)
+            + [_tight_bound(law, a, delta, eta, n_delta, returns.size, span)]
+            for a in alphas]

@@ -7,21 +7,43 @@ import math
 import numpy as np
 import pytest
 
-from riskgap import pomdp
+from riskgap import estimation, pomdp
 from riskgap.cli import (
+    _SLOT_POOL,
     SCHEMA_VERSION,
+    _bound_record,
+    _derived_seed,
+    _initial_query,
     binomial_pass_threshold,
     main,
     validate_report,
 )
-from riskgap.estimation import DegenerateWeightsError
+from riskgap.estimation import (
+    _EPS,
+    _GINV,
+    BinGrid,
+    DegenerateWeightsError,
+    RolloutConfig,
+    _draw_counts,
+    _simplified_return_pool,
+    _tight_bound,
+    binned_h,
+    build_default_proposal,
+    certify_uniform,
+    estimate_g,
+    lower_cdf_distribution,
+    n_delta_for_tight_lower,
+    n_delta_for_uniform_bounds,
+)
 from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
+    _return_span,
     enumerate_trajectory_expectations,
     save_problem,
 )
-from riskgap.scenarios import random_instance
+from riskgap.risk import DiscreteDistribution
+from riskgap.scenarios import builtin, builtin_names, random_instance
 from riskgap.value_bounds import ValueQuery, bound_report
 
 from test_pomdp import random_pair, random_policy
@@ -215,6 +237,76 @@ def test_certify_explicit_ndelta_below_rate_exits_2(tmp_path, capsys):
     assert "certified-rate requirement" in capsys.readouterr().err
 
 
+def test_certify_ndelta_one_below_the_binding_rate_exits_2(tmp_path, capsys):
+    # the binding requirement is the larger of the two certificates' rates
+    # at the CLI defaults: v = 0.1, delta = 0.1, eta = 0.25, 8 bins
+    spec = builtin("two_state_sensor")
+    m = spec.pair.original
+    b = build_default_proposal(spec.pair, spec.policy).importance_bound
+    need = max(n_delta_for_uniform_bounds(0.1, 0.1, b, m.horizon_T, m.start_k),
+               n_delta_for_tight_lower(0.25, 0.1, b, 8, m.horizon_T, m.start_k))
+    args = ["certify", "--scenario", "two_state_sensor", "--rollouts", "60",
+            "--particles", "50"]
+    rc, _ = run_cli([*args, "--ndelta", str(need - 1)], tmp_path / "r.json")
+    assert rc == 2
+    assert f"certified-rate requirement {need}" in capsys.readouterr().err
+    rc, text = run_cli([*args, "--ndelta", str(need)], tmp_path / "r.json")
+    assert rc == 0
+    assert json.loads(text)["manifest"]["ndelta"] == need
+
+
+def test_certify_draws_one_pool_and_one_importance_draw(tmp_path, monkeypatch):
+    calls = dict.fromkeys(("rollout_returns", "_sampled_gaps", "_draw_counts"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(estimation, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, name, counted)
+    rc, text = run_cli(["certify", "--scenario", "two_state_sensor",
+                        "--alpha", "0.25,0.9", "--rollouts", "60",
+                        "--particles", "50", "--seed", "5"], tmp_path / "r.json")
+    assert rc == 0
+    assert {r["alpha"] for r in records_of(text, "certified_bound")} == {0.25, 0.9}
+    # the importance draw from the proposal and the dominated law's count draw
+    assert calls == {"rollout_returns": 1, "_sampled_gaps": 1, "_draw_counts": 2}
+
+
+@pytest.mark.parametrize("scenario", builtin_names())
+def test_certify_bounds_equal_the_single_certificate_paths(scenario, capsys):
+    # certify's bounds are the wrappers' bounds read from one shared pool and
+    # one shared importance draw: certify_uniform with the query's config
+    # reads the same pool and the same _EPS draw, and TightLower is the CVaR
+    # of the dominated law composed as certify_tight_lower composes it, from
+    # the g estimate of that _EPS draw
+    capsys.readouterr()
+    assert main(["certify", "--scenario", scenario, "--alpha", "0.25,0.9",
+                 "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n_delta = report["manifest"]["ndelta"]
+    spec = builtin(scenario)
+    pair, policy = spec.pair, spec.policy
+    q0 = build_default_proposal(pair, policy)
+    grid = BinGrid.uniform(pair, 8)
+    cfg = RolloutConfig(500, 200, _derived_seed(3, _SLOT_POOL, 0, 0))
+    g_hat = estimate_g(q0, pair, policy, n_delta, grid.edges,
+                       estimation._stream(cfg.rng_seed, _EPS, 0))
+    h_plus, _ = binned_h(g_hat, grid)
+    returns = _simplified_return_pool(pair, policy, _initial_query(pair, 0.25), cfg)
+    dist = lower_cdf_distribution(returns, h_plus, 0.25, grid.edges)
+    counts = _draw_counts(dist.probs, n_delta,
+                          estimation._stream(cfg.rng_seed, _GINV, 0))
+    law = DiscreteDistribution(dist.values, counts / n_delta)
+    for alpha in (0.25, 0.9):
+        expected = certify_uniform(pair, policy, _initial_query(pair, alpha), cfg,
+                                   q0, n_delta, 0.1, 0.1)
+        expected.append(_tight_bound(law, alpha, 0.1, 0.25, n_delta, 500,
+                                     _return_span(pair)))
+        got = [r for r in report["records"]
+               if r["kind"] == "certified_bound" and r["alpha"] == alpha]
+        assert got == [_bound_record(alpha, b) for b in expected]
+
+
 def test_certify_inapplicable_case_exits_4(tmp_path, capsys):
     # v = 0.2 pushes epsilon_hat - 4v below zero on two_state_sensor
     rc, _ = run_cli(["certify", "--scenario", "two_state_sensor",
@@ -292,11 +384,11 @@ def test_concentration_deterministic_across_workers(tmp_path):
 # the fields that changed.
 PINNED_REPORTS = {
     "certify-corridor4":
-        "17261b871bf48ca325c5e55a3eeaccb14c42d89ec7a6d5b2f2450f446392f23f",
+        "290aa665ba8c5c4b4869d7a2619a87f0a1057e8b64862144cfe4b8038121a8d1",
     "certify-degrade_heavy":
-        "63806006dc2ceeff37a6ad00d18fc8100de010865bfc94c944acfebb4a34afef",
+        "1f32e9e1ae8fb23a93857322ed5a323759db9319f2b3c917f8b71b73dd29c49f",
     "certify-two_state_sensor":
-        "f30be94ea7cf96ab07458dbb367ede743ff4e46c8c8d9dc266e44dd75daa31f9",
+        "e19c9dc08e7e22056ddd81935a7dfd7ebd50815699c3400053fccb315defe212",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
     "enumerate-corridor4":
