@@ -8,10 +8,12 @@ Every report shares one envelope::
 Records are flat dicts of scalars, so a CSV export carries the same rows
 one-to-one.  All randomness is derived from the manifest seed through named
 (slot, trial, query) streams, which makes a report a deterministic function
-of the manifest.  ``certify`` draws one rollout pool and one importance draw
-per query and reads every certificate at every level from them;
-``concentration`` still draws them per certificate and level.  Runs are
-single-threaded; ``--workers`` is accepted and validated but has no effect.
+of the manifest.  Every certificate is read through
+``estimation._certify_levels``, which draws one rollout pool and one
+importance draw per call and reads every level from them: ``certify`` makes
+one call per query, and a ``concentration`` trial one per certificate kind.
+Runs are single-threaded; ``--workers`` is accepted and validated but has no
+effect.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .estimation import (
     _simplified_return_pool,
     binned_h,
     build_default_proposal,
-    certify_tight_lower,
-    certify_uniform,
     estimate_epsilon,
     estimate_g,
     n_delta_for_epsilon,
@@ -92,7 +92,7 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 # Stream slots, combined with trial and query indices so reports never depend
 # on evaluation order. certify's per-query pool is _SLOT_POOL (trial 0, query 0);
-# _SLOT_UNIF and _SLOT_TIGHT seed concentration's per-certificate pools.
+# _SLOT_UNIF and _SLOT_TIGHT seed a concentration trial's certificate pools.
 _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
 
@@ -327,10 +327,13 @@ def cmd_certify(manifest: RunManifest) -> dict:
     cfg = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
                         _derived_seed(manifest.seed, _SLOT_POOL, 0, 0))
     per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alphas[0]),
-                                cfg, q0, manifest.n_delta, manifest.v, manifest.eta,
-                                manifest.delta, grid, manifest.alphas)
-    for alpha, bounds in zip(manifest.alphas, per_alpha):
-        records.extend(_bound_record(alpha, b) for b in bounds)
+                                cfg, q0, manifest.n_delta, manifest.delta,
+                                manifest.alphas, v=manifest.v, eta=manifest.eta,
+                                grid=grid)
+    for alpha, (uniform, tight) in zip(manifest.alphas, per_alpha):
+        if isinstance(uniform, InapplicableCaseError):
+            raise uniform
+        records.extend(_bound_record(alpha, b) for b in uniform + [tight])
         records.extend({"kind": "q_exact", "alpha": float(alpha), "model": model,
                         "value": float(cvar_exact(dist, alpha))}
                        for model, dist in laws)
@@ -391,12 +394,16 @@ def cmd_concentration(manifest: RunManifest) -> dict:
         nd_unif = _certified_n_delta(pair, q0, None, delta, v=v)
         nd_tight = _certified_n_delta(pair, q0, None, delta, eta=eta, grid=grid)
 
+    # every pool starts from the initial belief; its level plays no part
+    query = _initial_query(pair, alphas[0])
+
+    def pool_config(slot: int, t: int) -> RolloutConfig:
+        return RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
+                             _derived_seed(manifest.seed, slot, t))
+
     def one_trial(t: int) -> dict:
         events = {}
-        cfg = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
-                            _derived_seed(manifest.seed, _SLOT_POOL, t))
-        pool = _simplified_return_pool(pair, policy,
-                                       _initial_query(pair, alphas[0]), cfg)
+        pool = _simplified_return_pool(pair, policy, query, pool_config(_SLOT_POOL, t))
         for alpha in alphas:
             radii = deviation_radii(pool.size, alpha, delta, value_range)
             q_hat = cvar_estimate_sorted(pool, alpha)
@@ -419,31 +426,24 @@ def cmd_concentration(manifest: RunManifest) -> dict:
         events[("h_envelope_uniform", None)] = \
             bool(np.any(g_exact_probe - h_plus.at(probe) > v))
 
-        for idx, alpha in enumerate(alphas):
-            query = _initial_query(pair, alpha)
-            cfg_u = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
-                                  _derived_seed(manifest.seed, _SLOT_UNIF, t, idx))
-            try:
-                bounds = certify_uniform(pair, policy, query, cfg_u, q0,
-                                         nd_unif, v, delta)
-            except InapplicableCaseError:
-                events[("uniform_lower", alpha)] = None
-                events[("uniform_upper", alpha)] = None
-            else:
-                lower = next(b for b in bounds if b.kind in ("L1", "L2"))
-                slack = (lower.radii["lambda_1"] + lower.radii["lambda_2"]
-                         if lower.kind == "L1"
-                         else lower.radii["eta_1"] + lower.radii["eta_2"])
-                events[("uniform_lower", alpha)] = \
-                    lower.value - exact_p[alpha] > slack
-                uppers = [b for b in bounds if b.kind == "U"]
-                events[("uniform_upper", alpha)] = (
-                    exact_p[alpha] - uppers[0].value > uppers[0].radii["lambda"]
-                    if uppers else None)
-            cfg_t = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
-                                  _derived_seed(manifest.seed, _SLOT_TIGHT, t, idx))
-            tight = certify_tight_lower(pair, policy, query, cfg_t, q0,
-                                        nd_tight, eta, delta, grid)
+        # one pool per certificate kind, each at its own formula N_delta
+        uniform_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_UNIF, t),
+                                         q0, nd_unif, delta, alphas, v=v)
+        for alpha, (uniform, _) in zip(alphas, uniform_levels):
+            if isinstance(uniform, InapplicableCaseError):
+                events[("uniform_lower", alpha)] = events[("uniform_upper", alpha)] = None
+                continue
+            lower, *upper = uniform
+            slack = (lower.radii["lambda_1"] + lower.radii["lambda_2"]
+                     if lower.kind == "L1"
+                     else lower.radii["eta_1"] + lower.radii["eta_2"])
+            events[("uniform_lower", alpha)] = lower.value - exact_p[alpha] > slack
+            events[("uniform_upper", alpha)] = (
+                exact_p[alpha] - upper[0].value > upper[0].radii["lambda"]
+                if upper else None)
+        tight_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_TIGHT, t),
+                                       q0, nd_tight, delta, alphas, eta=eta, grid=grid)
+        for alpha, (_, tight) in zip(alphas, tight_levels):
             events[("tight_lower", alpha)] = tight.value - exact_p[alpha] > tight.v
         return events
 

@@ -33,8 +33,8 @@ from .pomdp import (
 from .risk import _COMPARE_TOL, DiscreteDistribution, cvar_estimate_sorted, cvar_exact
 from .value_bounds import ValueQuery
 
-# spawn-key stream kinds; one namespace per source of randomness
-_INIT, _ROLLOUT, _EPS, _GDRAW, _GINV = range(5)
+# spawn-key stream kinds, one per source of randomness (kind 3 is unused)
+_INIT, _ROLLOUT, _EPS, _GINV = 0, 1, 2, 4
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -206,8 +206,8 @@ class CertifiedBound:
 
     ``v`` is the gap-accuracy parameter for the uniform kinds and the derived
     deviation radius for TightLower; ``radii`` holds the named radius terms.
-    The certify_* constructors enforce that n_delta_used meets the matching
-    sample-size requirement before building the bound.
+    ``_certify_levels`` checks that n_delta_used meets the matching
+    sample-size requirement before it builds a bound.
     """
 
     value: float
@@ -387,23 +387,16 @@ def _sampled_gaps(q0: ProposalQ0, pair: SimplifiedPair, n_delta: int,
 
 def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
                      n_delta: int, rng: np.random.Generator) -> float:
-    """Importance-weighted estimate of the summed per-step expected gap.
-
-    m_hat_i = (1/N) * sum_n [target_i(atom_n) / proposal(atom_n)] * gap(atom_n);
-    returns sum_i m_hat_i. The gap is the exact TV distance stored on the
-    proposal, so the estimate is unbiased.
-    """
+    """Unbiased estimate of the summed per-step expected gap: ``_sampled_gaps``
+    reweights the exact TV gaps stored on the proposal."""
     return _sampled_gaps(q0, pair, n_delta, rng).epsilon
 
 
 def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
                n_delta: int, grid_l, rng: np.random.Generator) -> np.ndarray:
-    """Estimated CDF-gap curve on a grid of return levels.
-
-    Each support atom carries its simulated prefix return, so the step-i
-    indicator 1{prefix <= l - c0 + (T - i) * r_max} is evaluated exactly per
-    draw; the result is right-continuous and saturates at the epsilon estimate.
-    """
+    """Estimated CDF-gap curve on a grid of return levels. Each atom carries
+    its prefix return, so the step-i indicator 1{prefix <= l - c0 + (T - i) *
+    r_max} is exact per draw; the curve saturates at the epsilon estimate."""
     return _sampled_gaps(q0, pair, n_delta, rng).g_at(grid_l)
 
 
@@ -517,11 +510,12 @@ def _certified_n_delta(pair: SimplifiedPair, q0: ProposalQ0, n_delta: int | None
 
 
 def _uniform_bounds(returns: np.ndarray, eps_hat: float, alpha: float, v: float,
-                    delta: float, span: float, n_delta: int) -> list:
+                    delta: float, span: float, n_delta: int) -> list | InapplicableCaseError:
     """L1 (small estimated gap) or L2 (gap too large for the shifted-tail
     form), plus U when alpha > eps_hat, from one pool of simplified returns;
     each bound records its deviation radii. When alpha <= eps_hat the upper
     bound is omitted and the lower bound's radii carry a ``u_omitted`` tag.
+    Where no lower bound applies, it returns (not raises) InapplicableCaseError.
     """
     C = returns.size
 
@@ -533,7 +527,7 @@ def _uniform_bounds(returns: np.ndarray, eps_hat: float, alpha: float, v: float,
         if eps_hat > 0.0:
             shifted = eps_hat - 4.0 * v
             if not 0.0 < shifted < 1.0:
-                raise InapplicableCaseError(
+                return InapplicableCaseError(
                     f"shifted tail level epsilon_hat - 4v = {shifted:.6g} "
                     "falls outside (0, 1); no certified lower bound applies")
             second = (eps_hat / alpha) * q_hat(shifted)
@@ -570,19 +564,6 @@ def _uniform_bounds(returns: np.ndarray, eps_hat: float, alpha: float, v: float,
                            {"epsilon_hat": eps_hat, "lambda": lam})]
 
 
-def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                    config: RolloutConfig, q0: ProposalQ0, n_delta: int,
-                    v: float, delta: float) -> list:
-    """Certified lower and upper bounds (``_uniform_bounds``) from one pool of
-    simplified rollouts and an epsilon estimate of its own ``_EPS`` stream."""
-    _certified_n_delta(pair, q0, n_delta, delta, v=v)
-    eps_hat = estimate_epsilon(q0, pair, policy, n_delta,
-                               _stream(config.rng_seed, _EPS, 0))
-    returns = _simplified_return_pool(pair, policy, query, config)
-    return _uniform_bounds(returns, eps_hat, query.alpha.alpha, v, delta,
-                           _return_span(pair), n_delta)
-
-
 def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
                            edges) -> DiscreteDistribution:
     """Dominated step law min(1, empirical CDF + h_plus + eta) as a distribution.
@@ -598,17 +579,6 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
     return dominated_cdf(empirical, PointwiseEnvelope(edges, h_plus.at(edges) + eta))
 
 
-def _dominated_law(returns: np.ndarray, g_hat: np.ndarray, grid: BinGrid, eta: float,
-                   n_delta: int, rng: np.random.Generator) -> DiscreteDistribution:
-    """Empirical law of n_delta iid draws from min(1, empirical
-    simplified-return CDF + h_plus + eta), with h_plus binned from g_hat."""
-    h_plus, _ = binned_h(g_hat, grid)
-    dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
-    # the empirical CVaR of iid draws depends on their multiset only
-    counts = _draw_counts(dist.probs, n_delta, rng)
-    return DiscreteDistribution(dist.values, counts / n_delta)
-
-
 def _tight_bound(law: DiscreteDistribution, alpha: float, delta: float, eta: float,
                  n_delta: int, c_used: int, span: float) -> CertifiedBound:
     """TightLower: the CVaR of the dominated draws, its radius in ``v``."""
@@ -618,35 +588,52 @@ def _tight_bound(law: DiscreteDistribution, alpha: float, delta: float, eta: flo
                           int(n_delta), c_used, {"v": radius})
 
 
+def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
+                    config: RolloutConfig, q0: ProposalQ0, n_delta: int, delta: float,
+                    alphas, v: float | None = None, eta: float | None = None,
+                    grid: BinGrid | None = None) -> list:
+    """The one path from a query to its certificates: per level in ``alphas``,
+    (uniform, tight) read from one pool, one ``_EPS`` importance draw (its
+    epsilon_hat and g_hat; n_delta meets every rate asked for) and one
+    dominated law. ``uniform`` is the ``_uniform_bounds`` result (given v), so a
+    level they do not cover gets its InapplicableCaseError and leaves the other
+    levels standing; ``tight`` is TightLower (given eta and grid). Each bound
+    keeps its marginal law, so each delta-guarantee holds; a call's bounds are dependent."""
+    _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
+    returns = _simplified_return_pool(pair, policy, query, config)
+    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS, 0))
+    span = _return_span(pair)
+    if grid is not None:
+        # the counts of n_delta iid draws from min(1, empirical CDF + h_plus + eta)
+        h_plus, _ = binned_h(gaps.g_at(grid.edges), grid)
+        dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
+        counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV, 0))
+        law = DiscreteDistribution(dist.values, counts / n_delta)
+    return [(None if v is None else _uniform_bounds(returns, gaps.epsilon, a, v,
+                                                    delta, span, n_delta),
+             None if grid is None else _tight_bound(law, a, delta, eta, n_delta,
+                                                    returns.size, span))
+            for a in alphas]
+
+
+def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
+                    config: RolloutConfig, q0: ProposalQ0, n_delta: int,
+                    v: float, delta: float) -> list:
+    """Certified lower and upper bounds (``_uniform_bounds``) at the query's
+    level: ``_certify_levels`` at that one level."""
+    [(bounds, _)] = _certify_levels(pair, policy, query, config, q0, n_delta, delta,
+                                    [query.alpha.alpha], v=v)
+    if isinstance(bounds, InapplicableCaseError):
+        raise bounds
+    return bounds
+
+
 def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                         config: RolloutConfig, q0: ProposalQ0, n_delta: int,
                         eta: float, delta: float, grid: BinGrid) -> CertifiedBound:
     """Certified lower bound: the empirical CVaR of n_delta iid draws from the
-    dominated law (``_dominated_law``), built from a g estimate of its own
-    ``_GDRAW`` stream, with the deviation radius recorded in ``v``."""
-    _certified_n_delta(pair, q0, n_delta, delta, eta=eta, grid=grid)
-    g_hat = estimate_g(q0, pair, policy, n_delta, grid.edges,
-                       _stream(config.rng_seed, _GDRAW, 0))
-    returns = _simplified_return_pool(pair, policy, query, config)
-    law = _dominated_law(returns, g_hat, grid, eta, n_delta,
-                         _stream(config.rng_seed, _GINV, 0))
-    return _tight_bound(law, query.alpha.alpha, delta, eta, n_delta, returns.size,
-                        _return_span(pair))
-
-
-def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                    config: RolloutConfig, q0: ProposalQ0, n_delta: int, v: float,
-                    eta: float, delta: float, grid: BinGrid, alphas) -> list:
-    """Per level in ``alphas``, the uniform bounds then TightLower, all read from
-    one pool, one ``_EPS`` importance draw (its epsilon_hat and g_hat; n_delta
-    meets both rates) and one dominated law. Each bound keeps its marginal
-    law, so each delta-guarantee holds; one query's bounds are dependent."""
-    _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
-    returns = _simplified_return_pool(pair, policy, query, config)
-    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS, 0))
-    law = _dominated_law(returns, gaps.g_at(grid.edges), grid, eta, n_delta,
-                         _stream(config.rng_seed, _GINV, 0))
-    span = _return_span(pair)
-    return [_uniform_bounds(returns, gaps.epsilon, a, v, delta, span, n_delta)
-            + [_tight_bound(law, a, delta, eta, n_delta, returns.size, span)]
-            for a in alphas]
+    dominated law, its deviation radius in ``v``: ``_certify_levels`` at the
+    query's level."""
+    [(_, tight)] = _certify_levels(pair, policy, query, config, q0, n_delta, delta,
+                                   [query.alpha.alpha], eta=eta, grid=grid)
+    return tight

@@ -463,30 +463,42 @@ def to_problem_dict(pair: SimplifiedPair, policy: Policy) -> dict:
     }
 
 
-def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:
+def _problem_field(doc: dict, name: str, integer: bool = False,
+                   scalar: bool = False) -> np.ndarray:
+    """doc[name] as a finite float or int array; a bad entry raises a
+    ValueError that names the field."""
+    if name not in doc:
+        raise ValueError(f"problem file is missing field {name!r}")
     try:
-        model = FinitePomdp(
-            transition=np.array(doc["transition"], dtype=float),
-            observation=np.array(doc["observation"], dtype=float),
-            state_cost=np.array(doc["cost"], dtype=float),
-            r_max=float(doc["r_max"]),
-            initial_belief=np.array(doc["b0"], dtype=float),
-            horizon_T=int(doc["horizon_T"]),
-            start_k=int(doc["start_k"]),
-        )
-        pair = SimplifiedPair(
-            original=model,
-            simplified_transition=np.array(doc["simplified_transition"], dtype=float),
-            simplified_observation=np.array(doc["simplified_observation"], dtype=float),
-        )
-        policy = Policy(np.array(doc["policy"], dtype=int), start_k=model.start_k)
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing field {exc}") from exc
-    for name, declared, actual in (
-        ("states", int(doc["states"]), model.n_states),
-        ("actions", int(doc["actions"]), model.n_actions),
-        ("observations", int(doc["observations"]), model.n_obs),
-    ):
+        value = np.array(doc[name], dtype=float)
+    except (TypeError, ValueError):  # a ragged or non-numeric entry
+        value = np.array(np.nan)
+    what = ("integer" if integer else "number") + ("" if scalar else " array")
+    if not np.all(np.isfinite(value)) or (scalar and value.ndim) or (
+            integer and np.any(value % 1)):
+        raise ValueError(f"problem field {name!r} must be a finite {what}")
+    return value.astype(int) if integer else value
+
+
+def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:
+    model = FinitePomdp(
+        transition=_problem_field(doc, "transition"),
+        observation=_problem_field(doc, "observation"),
+        state_cost=_problem_field(doc, "cost"),
+        r_max=float(_problem_field(doc, "r_max", scalar=True)),
+        initial_belief=_problem_field(doc, "b0"),
+        horizon_T=int(_problem_field(doc, "horizon_T", integer=True, scalar=True)),
+        start_k=int(_problem_field(doc, "start_k", integer=True, scalar=True)),
+    )
+    pair = SimplifiedPair(
+        original=model,
+        simplified_transition=_problem_field(doc, "simplified_transition"),
+        simplified_observation=_problem_field(doc, "simplified_observation"),
+    )
+    policy = Policy(_problem_field(doc, "policy", integer=True), start_k=model.start_k)
+    for name, actual in (("states", model.n_states), ("actions", model.n_actions),
+                         ("observations", model.n_obs)):
+        declared = int(_problem_field(doc, name, integer=True, scalar=True))
         if declared != actual:
             raise ValueError(f"declared {name}={declared} but tensors imply {actual}")
     validate_policy(pair, policy)

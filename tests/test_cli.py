@@ -29,6 +29,7 @@ from riskgap.estimation import (
     _tight_bound,
     binned_h,
     build_default_proposal,
+    certify_tight_lower,
     certify_uniform,
     estimate_g,
     lower_cdf_distribution,
@@ -121,6 +122,28 @@ def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
     rc = main(["enumerate", "--problem", str(tmp_path / "absent.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("states", lambda doc: doc.pop("states")),
+    ("actions", lambda doc: doc.pop("actions")),
+    ("observations", lambda doc: doc.pop("observations")),
+    ("states", lambda doc: doc.update(states=None)),
+    ("horizon_T", lambda doc: doc.update(horizon_T=None)),
+    ("start_k", lambda doc: doc.update(start_k=None)),
+    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 0.5)),
+], ids=["no-states", "no-actions", "no-observations", "null-states",
+        "null-horizon_T", "null-start_k", "fractional-policy"])
+def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit):
+    spec = builtin("two_state_sensor")
+    doc = pomdp.to_problem_dict(spec.pair, spec.policy)
+    edit(doc)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(doc))
+    rc, _ = run_cli(["enumerate", "--problem", str(problem)], tmp_path / "r.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -274,11 +297,10 @@ def test_certify_draws_one_pool_and_one_importance_draw(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scenario", builtin_names())
 def test_certify_bounds_equal_the_single_certificate_paths(scenario, capsys):
-    # certify's bounds are the wrappers' bounds read from one shared pool and
-    # one shared importance draw: certify_uniform with the query's config
-    # reads the same pool and the same _EPS draw, and TightLower is the CVaR
-    # of the dominated law composed as certify_tight_lower composes it, from
-    # the g estimate of that _EPS draw
+    # certify's bounds are the single-level wrappers' bounds: with the query's
+    # config both read the same pool, the same _EPS draw and the same _GINV
+    # draw, and certify's n_delta meets both rates; TightLower is also the
+    # CVaR of the dominated law composed by hand from that draw's g estimate
     capsys.readouterr()
     assert main(["certify", "--scenario", scenario, "--alpha", "0.25,0.9",
                  "--seed", "3"]) == 0
@@ -298,10 +320,13 @@ def test_certify_bounds_equal_the_single_certificate_paths(scenario, capsys):
                           estimation._stream(cfg.rng_seed, _GINV, 0))
     law = DiscreteDistribution(dist.values, counts / n_delta)
     for alpha in (0.25, 0.9):
-        expected = certify_uniform(pair, policy, _initial_query(pair, alpha), cfg,
-                                   q0, n_delta, 0.1, 0.1)
-        expected.append(_tight_bound(law, alpha, 0.1, 0.25, n_delta, 500,
-                                     _return_span(pair)))
+        query = _initial_query(pair, alpha)
+        tight = certify_tight_lower(pair, policy, query, cfg, q0, n_delta, 0.25, 0.1,
+                                    grid)
+        assert tight == _tight_bound(law, alpha, 0.1, 0.25, n_delta, 500,
+                                     _return_span(pair))
+        expected = certify_uniform(pair, policy, query, cfg, q0, n_delta, 0.1, 0.1)
+        expected.append(tight)
         got = [r for r in report["records"]
                if r["kind"] == "certified_bound" and r["alpha"] == alpha]
         assert got == [_bound_record(alpha, b) for b in expected]
@@ -314,6 +339,48 @@ def test_certify_inapplicable_case_exits_4(tmp_path, capsys):
                      "--particles", "50"], tmp_path / "r.json")
     assert rc == 4
     assert "no certified lower bound applies" in capsys.readouterr().err
+
+
+def test_inapplicable_uniform_level_stays_local(tmp_path, capsys):
+    # at v = 0.2, epsilon_hat - 4v leaves (0, 1) on the L1 branch (alpha 0.25)
+    # but not on the L2 branch (alpha 0.9): only the 0.25 uniform outcomes
+    # go unevaluated in concentration, while certify still refuses the run
+    args = ["--scenario", "two_state_sensor", "--alpha", "0.25,0.9", "--v", "0.2"]
+    rc, text = run_cli(["concentration", *args, "--trials", "3"], tmp_path / "r.json")
+    assert rc == 0
+    evaluated = {(r["name"], r["alpha"]): r["evaluated"] for r in records_of(text)
+                 if r["name"] in ("uniform_lower", "uniform_upper", "tight_lower")}
+    assert evaluated == {("uniform_lower", 0.25): 0, ("uniform_upper", 0.25): 0,
+                         ("uniform_lower", 0.9): 3, ("uniform_upper", 0.9): 3,
+                         ("tight_lower", 0.25): 3, ("tight_lower", 0.9): 3}
+    rc, _ = run_cli(["certify", *args], tmp_path / "c.json")
+    assert rc == 4
+    assert "no certified lower bound applies" in capsys.readouterr().err
+
+
+def test_pools_per_query_and_per_trial(tmp_path, monkeypatch):
+    # certify draws one pool per query at any number of levels; a
+    # concentration trial draws one for the CVaR estimates and one per
+    # certificate kind
+    pools = []
+    draw = estimation._simplified_return_pool
+
+    def counted(*args, **kwargs):
+        pools.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_simplified_return_pool", counted)
+    monkeypatch.setattr("riskgap.cli._simplified_return_pool", counted)
+    common = ["--scenario", "two_state_sensor", "--rollouts", "60", "--particles", "50"]
+    for alphas in ("0.25", "0.1,0.25,0.5,0.9"):
+        pools.clear()
+        assert run_cli(["certify", *common, "--alpha", alphas],
+                       tmp_path / "c.json")[0] == 0
+        assert len(pools) == 1
+    pools.clear()
+    assert run_cli(["concentration", *common, "--alpha", "0.25,0.9", "--trials", "4"],
+                   tmp_path / "r.json")[0] == 0
+    assert len(pools) == 3 * 4
 
 
 def test_concentration_zero_trials_empty_report(tmp_path):

@@ -16,7 +16,7 @@ from riskgap.estimation import (
     ProposalQ0,
     RolloutConfig,
     UnsupportedBeliefError,
-    _GDRAW,
+    _EPS,
     _GINV,
     _ROLLOUT,
     _RolloutKernel,
@@ -869,7 +869,7 @@ def test_counted_cvar_equals_sorted_estimate_on_the_same_draws():
     cfg = RolloutConfig(300, 100, 47)
     bound = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
     g_hat = estimate_g(q0, pair, policy, nd, grid.edges,
-                       _stream(cfg.rng_seed, _GDRAW, 0))
+                       _stream(cfg.rng_seed, _EPS, 0))
     h_plus, _ = binned_h(g_hat, grid)
     dist = lower_cdf_distribution(_simplified_return_pool(pair, policy, query, cfg),
                                   h_plus, eta, grid.edges)
