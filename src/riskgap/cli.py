@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,49 +96,35 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunManifest:
-    """Resolved run parameters, echoed verbatim into every report."""
+    """Resolved run parameters, echoed into every report. Each field is named
+    after its parser dest, which is also its key in the manifest echo."""
 
     command: str
     scenario: str | None
     problem: str | None
-    alphas: tuple
+    alpha: tuple
     delta: float
     v: float
     eta: float
-    rollouts_c: int
-    particles_nx: int
-    n_delta: int | None
-    n_delta_derived: bool
-    n_delta_formula: str
+    rollouts: int
+    particles: int
+    ndelta: int | None
+    ndelta_derived: bool = False
+    ndelta_formula: str = ""
     bins: int
     seed: int
     trials: int
     out: str | None
-    workers: int
     fmt: str
 
     def to_dict(self) -> dict:
-        # workers/format/trials are execution plumbing, not run identity:
-        # leaving them out keeps reports byte-identical across their values
-        return {
-            "command": self.command,
-            "scenario": self.scenario,
-            "problem": self.problem,
-            "alpha": [float(a) for a in self.alphas],
-            "delta": float(self.delta),
-            "v": float(self.v),
-            "eta": float(self.eta),
-            "rollouts": int(self.rollouts_c),
-            "particles": int(self.particles_nx),
-            "ndelta": None if self.n_delta is None else int(self.n_delta),
-            "ndelta_derived": bool(self.n_delta_derived),
-            "ndelta_formula": self.n_delta_formula,
-            "bins": int(self.bins),
-            "seed": int(self.seed),
-            "out": self.out,
-        }
+        # trials and fmt are execution plumbing, not run identity: leaving
+        # them out keeps reports byte-identical across their values
+        fields = asdict(self)
+        del fields["trials"], fields["fmt"]
+        return {**fields, "alpha": list(self.alpha)}
 
 
 def validate_report(report: dict) -> None:
@@ -250,6 +236,11 @@ def _bound_record(alpha: float, bound) -> dict:
     return rec
 
 
+def _report(manifest: RunManifest, records: list) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
+            "records": records}
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -271,7 +262,7 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
         records.append({"kind": "g_value", "level": float(level),
                         "value": float(g_val)})
 
-    for alpha in manifest.alphas:
+    for alpha in manifest.alpha:
         rep = bound_report(pair, policy, _initial_query(pair, alpha))
         records.append({"kind": "q_exact", "alpha": float(alpha),
                         "model": "original", "value": float(rep.q_true)})
@@ -293,8 +284,7 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
                         "upper_uniform": float(rep.upper_uniform),
                         "lower_tight": float(rep.lower_tight)})
 
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
-            "records": records}
+    return _report(manifest, records)
 
 
 def cmd_certify(manifest: RunManifest) -> dict:
@@ -303,13 +293,12 @@ def cmd_certify(manifest: RunManifest) -> dict:
     pair, policy = _resolve_problem(manifest)
     grid = BinGrid.uniform(pair, manifest.bins)
     q0 = build_default_proposal(pair, policy)
-    if manifest.n_delta is None:
+    if manifest.ndelta is None:
         manifest = replace(
-            manifest, n_delta_derived=True,
-            n_delta=_certified_n_delta(pair, q0, None, manifest.delta, manifest.v,
-                                       manifest.eta, grid),
-            n_delta_formula=("max(n_delta_for_uniform_bounds,"
-                             " n_delta_for_tight_lower)"))
+            manifest, ndelta_derived=True,
+            ndelta=_certified_n_delta(pair, q0, None, manifest.delta, manifest.v,
+                                      manifest.eta, grid),
+            ndelta_formula="max(n_delta_for_uniform_bounds, n_delta_for_tight_lower)")
 
     records = [{"kind": "proposal", "importance_bound": float(q0.importance_bound),
                 "n_atoms": int(q0.proposal_probs.size),
@@ -324,13 +313,13 @@ def cmd_certify(manifest: RunManifest) -> dict:
     except BudgetExceededError:
         pass
 
-    cfg = RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
+    cfg = RolloutConfig(manifest.rollouts, manifest.particles,
                         _derived_seed(manifest.seed, _SLOT_POOL, 0, 0))
-    per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alphas[0]),
-                                cfg, q0, manifest.n_delta, manifest.delta,
-                                manifest.alphas, v=manifest.v, eta=manifest.eta,
+    per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alpha[0]),
+                                cfg, q0, manifest.ndelta, manifest.delta,
+                                manifest.alpha, v=manifest.v, eta=manifest.eta,
                                 grid=grid)
-    for alpha, (uniform, tight) in zip(manifest.alphas, per_alpha):
+    for alpha, (uniform, tight) in zip(manifest.alpha, per_alpha):
         if isinstance(uniform, InapplicableCaseError):
             raise uniform
         records.extend(_bound_record(alpha, b) for b in uniform + [tight])
@@ -338,8 +327,7 @@ def cmd_certify(manifest: RunManifest) -> dict:
                         "value": float(cvar_exact(dist, alpha))}
                        for model, dist in laws)
 
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
-            "records": records}
+    return _report(manifest, records)
 
 
 def cmd_concentration(manifest: RunManifest) -> dict:
@@ -351,18 +339,14 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     upper bound omitted) are excluded from that record's evaluated count.
     """
     trials = manifest.trials
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
     pair, policy = _resolve_problem(manifest)
     if trials == 0:
-        return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
-                "records": []}
+        return _report(manifest, [])
     m = pair.original
-    alphas = [float(a) for a in manifest.alphas]
+    alphas = manifest.alpha
     delta, v, eta = manifest.delta, manifest.v, manifest.eta
     grid = BinGrid.uniform(pair, manifest.bins)
     q0 = build_default_proposal(pair, policy)
-    bound_b = q0.importance_bound
 
     # exact ground truth (the precondition: enumeration must be feasible)
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")
@@ -374,8 +358,7 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     exact_p = {a: cvar_exact(dist_p, a) for a in alphas}
     # worst-case width of a rollout return: per-step mean costs stay inside
     # the global state-cost range
-    costs = m.state_cost
-    value_range = float((costs.max() - costs.min()) * (m.horizon_T - m.start_k + 1))
+    value_range = float(np.ptp(m.state_cost) * (m.horizon_T - m.start_k + 1))
     # one fixed probe level for the pointwise gap estimate: the grid edge
     # nearest the median simplified return, where the curve is active
     level = float(grid.edges[np.argmin(
@@ -384,21 +367,28 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     probe = np.linspace(grid.edges[0], grid.edges[-1], 241)
     g_exact_probe = traj.g_at(probe)
 
-    if manifest.n_delta is not None:
-        nd_eps = nd_g = nd_h = nd_unif = nd_tight = manifest.n_delta
-    else:
-        nd_eps = n_delta_for_epsilon(v, delta, bound_b, m.horizon_T, m.start_k)
-        nd_g = n_delta_for_g(v, delta, bound_b, m.horizon_T, m.start_k)
-        nd_h = n_delta_for_h(v, delta, bound_b, grid.n_bins,
-                             m.horizon_T, m.start_k)
-        nd_unif = _certified_n_delta(pair, q0, None, delta, v=v)
-        nd_tight = _certified_n_delta(pair, q0, None, delta, eta=eta, grid=grid)
+    # (name, one record per level?, N_delta) of every guarantee, in record
+    # order; a fixed --ndelta replaces every formula
+    fixed, b, T, k = manifest.ndelta, q0.importance_bound, m.horizon_T, m.start_k
+    guarantees = (
+        ("cvar_estimate_upper", True, None),
+        ("cvar_estimate_lower", True, None),
+        ("epsilon_within_2v", False, fixed or n_delta_for_epsilon(v, delta, b, T, k)),
+        ("g_pointwise", False, fixed or n_delta_for_g(v, delta, b, T, k)),
+        ("h_envelope_uniform", False,
+         fixed or n_delta_for_h(v, delta, b, grid.n_bins, T, k)),
+        ("uniform_lower", True, fixed or _certified_n_delta(pair, q0, None, delta, v=v)),
+        ("uniform_upper", True, fixed or _certified_n_delta(pair, q0, None, delta, v=v)),
+        ("tight_lower", True,
+         fixed or _certified_n_delta(pair, q0, None, delta, eta=eta, grid=grid)),
+    )
+    n_delta = {name: nd for name, _, nd in guarantees}
 
     # every pool starts from the initial belief; its level plays no part
     query = _initial_query(pair, alphas[0])
 
     def pool_config(slot: int, t: int) -> RolloutConfig:
-        return RolloutConfig(manifest.rollouts_c, manifest.particles_nx,
+        return RolloutConfig(manifest.rollouts, manifest.particles,
                              _derived_seed(manifest.seed, slot, t))
 
     def one_trial(t: int) -> dict:
@@ -413,22 +403,23 @@ def cmd_concentration(manifest: RunManifest) -> dict:
                 q_hat - exact_s[alpha] > radii.lower
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_EPS, t))
-        eps_hat = estimate_epsilon(q0, pair, policy, nd_eps, rng)
+        eps_hat = estimate_epsilon(q0, pair, policy, n_delta["epsilon_within_2v"], rng)
         events[("epsilon_within_2v", None)] = abs(eps_hat - traj.epsilon) > 2.0 * v
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_G, t))
-        g_hat = estimate_g(q0, pair, policy, nd_g, [level], rng)
+        g_hat = estimate_g(q0, pair, policy, n_delta["g_pointwise"], [level], rng)
         events[("g_pointwise", None)] = abs(float(g_hat[0]) - g_exact_level) > v
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_H, t))
-        h_plus, _ = binned_h(estimate_g(q0, pair, policy, nd_h, grid.edges, rng),
-                             grid)
+        g_edges = estimate_g(q0, pair, policy, n_delta["h_envelope_uniform"],
+                             grid.edges, rng)
+        h_plus, _ = binned_h(g_edges, grid)
         events[("h_envelope_uniform", None)] = \
             bool(np.any(g_exact_probe - h_plus.at(probe) > v))
 
         # one pool per certificate kind, each at its own formula N_delta
         uniform_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_UNIF, t),
-                                         q0, nd_unif, delta, alphas, v=v)
+                                         q0, n_delta["uniform_lower"], delta, alphas, v=v)
         for alpha, (uniform, _) in zip(alphas, uniform_levels):
             if isinstance(uniform, InapplicableCaseError):
                 events[("uniform_lower", alpha)] = events[("uniform_upper", alpha)] = None
@@ -442,45 +433,36 @@ def cmd_concentration(manifest: RunManifest) -> dict:
                 exact_p[alpha] - upper[0].value > upper[0].radii["lambda"]
                 if upper else None)
         tight_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_TIGHT, t),
-                                       q0, nd_tight, delta, alphas, eta=eta, grid=grid)
+                                       q0, n_delta["tight_lower"], delta, alphas,
+                                       eta=eta, grid=grid)
         for alpha, (_, tight) in zip(alphas, tight_levels):
             events[("tight_lower", alpha)] = tight.value - exact_p[alpha] > tight.v
         return events
 
     results = [one_trial(t) for t in range(trials)]
 
-    guarantee_keys = []
-    for name in ("cvar_estimate_upper", "cvar_estimate_lower"):
-        guarantee_keys += [(name, a, None) for a in alphas]
-    guarantee_keys += [("epsilon_within_2v", None, nd_eps),
-                       ("g_pointwise", None, nd_g),
-                       ("h_envelope_uniform", None, nd_h)]
-    for name, nd in (("uniform_lower", nd_unif), ("uniform_upper", nd_unif),
-                     ("tight_lower", nd_tight)):
-        guarantee_keys += [(name, a, nd) for a in alphas]
-
     records = []
-    for name, alpha, nd in guarantee_keys:
-        outcomes = [res[(name, alpha)] for res in results]
-        evaluated = sum(o is not None for o in outcomes)
-        violations = sum(bool(o) for o in outcomes if o is not None)
-        threshold = binomial_pass_threshold(evaluated, delta)
-        records.append({
-            "kind": "guarantee",
-            "name": name,
-            "alpha": alpha,
-            "delta": float(delta),
-            "n_delta": None if nd is None else int(nd),
-            "trials": int(trials),
-            "evaluated": int(evaluated),
-            "violations": int(violations),
-            "frequency": (violations / evaluated) if evaluated else 0.0,
-            "threshold": int(threshold),
-            "passed": bool(violations <= threshold),
-        })
+    for name, per_level, nd in guarantees:
+        for alpha in alphas if per_level else [None]:
+            outcomes = [res[(name, alpha)] for res in results]
+            evaluated = sum(o is not None for o in outcomes)
+            violations = sum(bool(o) for o in outcomes if o is not None)
+            threshold = binomial_pass_threshold(evaluated, delta)
+            records.append({
+                "kind": "guarantee",
+                "name": name,
+                "alpha": alpha,
+                "delta": delta,
+                "n_delta": nd,
+                "trials": trials,
+                "evaluated": evaluated,
+                "violations": violations,
+                "frequency": (violations / evaluated) if evaluated else 0.0,
+                "threshold": threshold,
+                "passed": violations <= threshold,
+            })
 
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
-            "records": records}
+    return _report(manifest, records)
 
 
 # ----------------------------------------------------------------- interface
@@ -490,7 +472,11 @@ def _parse_alphas(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("--alpha needs at least one level")
-    return tuple(ConfidenceLevel(float(p)).alpha for p in parts)
+    alphas = tuple(ConfidenceLevel(float(p)).alpha for p in parts)
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise ValueError(f"--alpha lists level {alpha} twice")
+    return alphas
 
 
 def _parse_ndelta(text: str) -> int | None:
@@ -537,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trials", type=int, default=100, metavar="N")
         cmd.add_argument("--out", metavar="PATH",
                          help="write the report here instead of stdout")
-        cmd.add_argument("--workers", type=int, default=None, metavar="N",
+        cmd.add_argument("--workers", type=int, metavar="N",
+                         default=os.environ.get("RISKGAP_WORKERS", "1"),
                          help="accepted and ignored: runs are single-threaded "
                               "(default: $RISKGAP_WORKERS or 1; must be >= 1)")
         cmd.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -546,31 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("RISKGAP_WORKERS", "1"))
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return RunManifest(
-        command=args.command,
-        scenario=args.scenario,
-        problem=args.problem,
-        alphas=_parse_alphas(args.alpha),
-        delta=float(args.delta),
-        v=float(args.v),
-        eta=float(args.eta),
-        rollouts_c=int(args.rollouts),
-        particles_nx=int(args.particles),
-        n_delta=_parse_ndelta(args.ndelta),
-        n_delta_derived=False,
-        n_delta_formula="",
-        bins=int(args.bins),
-        seed=int(args.seed),
-        trials=int(args.trials),
-        out=args.out,
-        workers=int(workers),
-        fmt=args.fmt,
-    )
+    params = vars(args).copy()
+    for flag, low in (("workers", 1), ("seed", 0), ("bins", 1), ("trials", 0)):
+        if params[flag] < low:
+            raise ValueError(f"--{flag} must be >= {low}, got {params[flag]}")
+    del params["workers"]  # validated, but runs are single-threaded
+    return RunManifest(**{**params, "alpha": _parse_alphas(args.alpha),
+                          "ndelta": _parse_ndelta(args.ndelta)})
 
 
 _COMMANDS = {

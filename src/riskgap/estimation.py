@@ -27,6 +27,7 @@ from .pomdp import (
     SimplifiedPair,
     _first_action,
     _gap_reduction,
+    _integer_array,
     _return_span,
     _walk_simplified,
 )
@@ -63,13 +64,15 @@ class RolloutConfig:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if int(self.num_rollouts_C) < 1 or int(self.num_particles_Nx) < 1:
+        for name in ("num_rollouts_C", "num_particles_Nx", "rng_seed"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be integral, got {value}")
+            object.__setattr__(self, name, int(value))
+        if self.num_rollouts_C < 1 or self.num_particles_Nx < 1:
             raise ValueError("rollout and particle counts must be >= 1")
-        if int(self.rng_seed) < 0:
+        if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
-        object.__setattr__(self, "num_rollouts_C", int(self.num_rollouts_C))
-        object.__setattr__(self, "num_particles_Nx", int(self.num_particles_Nx))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class ParticleBelief:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=np.int64)
+        s = _integer_array(self.states, "states")
         w = np.asarray(self.weights, dtype=float)
         if s.ndim != 1 or s.shape != w.shape or s.size == 0:
             raise ValueError("states and weights must be aligned non-empty vectors")

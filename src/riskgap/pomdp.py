@@ -161,6 +161,17 @@ class SimplifiedPair:
         raise ValueError(f"model must be 'original' or 'simplified', got {model!r}")
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """values as an int array; a fractional or non-finite entry (3.0 passes,
+    2.5 does not) raises a ValueError that names the field."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
+        if bad.size:
+            raise ValueError(f"{name} must be integral, got {bad[0]}")
+    return a.astype(int)
+
+
 @dataclass(frozen=True)
 class Policy:
     """Action table indexed by (time step, most-likely state).
@@ -173,7 +184,7 @@ class Policy:
     start_k: int
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.actions, dtype=int)
+        a = _integer_array(self.actions, "actions")
         if a.ndim != 2 or a.size == 0:
             raise ValueError("policy table must be 2-D (steps x states)")
         if np.any(a < 0):

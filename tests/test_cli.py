@@ -536,6 +536,27 @@ def test_alpha_parsing_rejects_bad_levels(tmp_path):
         assert rc == 2
 
 
+def test_repeated_alpha_level_exits_2_naming_it(tmp_path, capsys):
+    for command in ("enumerate", "certify", "concentration"):
+        rc = main([command, "--scenario", "two_state_sensor",
+                   "--alpha", "0.25,0.9,0.250", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "--alpha lists level 0.25 twice" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "certify", "concentration"])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--bins", "0"),
+                                         ("--bins", "-3")])
+def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
+                                                   flag, value):
+    rc = main([command, "--scenario", "two_state_sensor", flag, value,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert f"error: {flag} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_scenario_and_problem_are_exclusive(tmp_path):
     rc = main(["enumerate", "--scenario", "two_state_sensor",
                "--problem", "x.json"])

@@ -81,6 +81,17 @@ def test_rollout_config_validation():
         RolloutConfig(10, 10, -1)
 
 
+def test_rollout_config_rejects_fractional_values_naming_the_field():
+    for args, field in (((2.9, 3, 1), "num_rollouts_C"),
+                        ((2, 3.5, 1), "num_particles_Nx"),
+                        ((2, 3, 1.5), "rng_seed")):
+        with pytest.raises(ValueError, match=f"^{field} must be integral"):
+            RolloutConfig(*args)
+    # integral floats are accepted as the integers they hold
+    cfg = RolloutConfig(3.0, 4.0, 2.0)
+    assert (cfg.num_rollouts_C, cfg.num_particles_Nx, cfg.rng_seed) == (3, 4, 2)
+
+
 def test_particle_belief_validation():
     with pytest.raises(ValueError):
         ParticleBelief(np.array([], dtype=int), np.array([]))
@@ -88,6 +99,13 @@ def test_particle_belief_validation():
         ParticleBelief(np.array([0, 1]), np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         ParticleBelief(np.array([0, 1]), np.array([0.0, 0.0]))
+
+
+def test_particle_belief_rejects_fractional_states_naming_the_field():
+    for bad in ([0.5, 1.7], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^states must be integral"):
+            ParticleBelief(np.array(bad), np.ones(2))
+    assert ParticleBelief(np.array([0.0, 1.0]), np.ones(2)).states.tolist() == [0, 1]
 
 
 def test_particle_belief_from_point_mass():

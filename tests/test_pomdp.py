@@ -96,6 +96,14 @@ def test_policy_shape_checked_against_model():
     validate_policy(pair, good)
 
 
+def test_policy_rejects_fractional_actions_naming_the_field():
+    for bad in ([[0.5, 1.7]], [[0.0, np.nan]]):
+        with pytest.raises(ValueError, match="^actions must be integral"):
+            Policy(np.array(bad), start_k=0)
+    # integral floats are accepted as the integers they hold
+    assert Policy(np.array([[0.0, 3.0]]), start_k=0).actions.tolist() == [[0, 3]]
+
+
 # ---------------------------------------------------------------- belief update
 
 
