@@ -7,7 +7,7 @@ Every report shares one envelope::
 
 Records are flat dicts of scalars, so a CSV export carries the same rows
 one-to-one.  All randomness is derived from the manifest seed through named
-(slot, trial, query) streams, which makes a report a deterministic function
+(slot, trial) streams, which makes a report a deterministic function
 of the manifest.  Every certificate is read through
 ``estimation._certify_levels``, which draws one rollout pool and one
 importance draw per call and reads every level from them: ``certify`` makes
@@ -49,7 +49,6 @@ from .estimation import (
 from .pomdp import (
     Belief,
     BudgetExceededError,
-    _gap_reduction,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
@@ -90,8 +89,8 @@ SCHEMA = {
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
-# Stream slots, combined with trial and query indices so reports never depend
-# on evaluation order. certify's per-query pool is _SLOT_POOL (trial 0, query 0);
+# Stream slots, combined with trial indices so reports never depend on
+# evaluation order. certify's pool is _SLOT_POOL (trial 0);
 # _SLOT_UNIF and _SLOT_TIGHT seed a concentration trial's certificate pools.
 _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
@@ -214,8 +213,9 @@ def _initial_query(pair, alpha) -> ValueQuery:
     return ValueQuery(Belief(pair.original.initial_belief), alpha)
 
 
-def _derived_seed(base: int, slot: int, trial: int = 0, query: int = 0) -> int:
-    ss = np.random.SeedSequence((int(base), int(slot), int(trial), int(query)))
+def _derived_seed(base: int, slot: int, trial: int = 0) -> int:
+    # the constant 0 is part of every seed's entropy; without it every report changes
+    ss = np.random.SeedSequence((int(base), int(slot), int(trial), 0))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -314,7 +314,7 @@ def cmd_certify(manifest: RunManifest) -> dict:
         pass
 
     cfg = RolloutConfig(manifest.rollouts, manifest.particles,
-                        _derived_seed(manifest.seed, _SLOT_POOL, 0, 0))
+                        _derived_seed(manifest.seed, _SLOT_POOL))
     per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alpha[0]),
                                 cfg, q0, manifest.ndelta, manifest.delta,
                                 manifest.alpha, v=manifest.v, eta=manifest.eta,
@@ -352,8 +352,7 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")
     dist_p = enumerate_return_distribution(pair, policy, model="original")
     # the exact gaps are q0's own atoms, exactly weighted
-    traj = _gap_reduction(pair, q0.prefix_returns, q0.c0, q0.first_step,
-                          q0.target_probs * q0.gaps)
+    traj = q0.reduce(pair)
     exact_s = {a: cvar_exact(dist_s, a) for a in alphas}
     exact_p = {a: cvar_exact(dist_p, a) for a in alphas}
     # worst-case width of a rollout return: per-step mean costs stay inside

@@ -23,10 +23,10 @@ from .envelopes import PointwiseEnvelope, dominated_cdf
 from .pomdp import (
     DEFAULT_LEAF_BUDGET,
     Belief,
+    GapAtoms,
     Policy,
     SimplifiedPair,
     _first_action,
-    _gap_reduction,
     _integer_array,
     _return_span,
     _walk_simplified,
@@ -50,8 +50,9 @@ class InapplicableCaseError(RuntimeError):
     """The estimated gap landed in a regime the certified bound does not cover."""
 
 
-def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, index)))
+def _stream(seed: int, kind: int) -> np.random.Generator:
+    # the constant 0 is part of every stream's key; without it every report changes
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, 0)))
 
 
 # ---------------------------------------------------------------------- types
@@ -108,64 +109,26 @@ class ParticleBelief:
         return cls(states, np.ones(int(n_particles)))
 
 
-@dataclass(frozen=True)
-class ProposalQ0:
-    """Finite proposal over (successor belief, prefix return) support atoms.
+@dataclass(frozen=True, kw_only=True)
+class ProposalQ0(GapAtoms):
+    """A finite importance proposal: ``proposal_probs[e]`` > 0 is the mass of
+    gap atom e. The exact ``target_probs`` tie it to one (pair, policy) and
+    ``b_k``/``a_k`` to one query; the estimators reduce its atoms
+    (``GapAtoms.reduce``) with sampled importance weights."""
 
-    ``target_probs[e, j]`` is the exact simplified-model probability of atom
-    e at interior step ``first_step + j``; prefixes include the step's own
-    belief cost. ``c0`` is the step-k belief cost of the queried action, used
-    by the event thresholds of g. ``gaps[e, j]`` is the exact TV gap of atom
-    e under the policy's action at step ``first_step + j``; the target
-    probabilities already tie the proposal to one (pair, policy). The exact
-    gap oracle and the estimators are one reduction of these atoms
-    (``pomdp._gap_reduction``): the oracle weighs them by
-    ``target_probs * gaps``, the estimators by sampled importance weights.
-    """
-
-    beliefs: tuple
-    prefix_returns: np.ndarray
     proposal_probs: np.ndarray
-    target_probs: np.ndarray
-    first_step: int
-    c0: float
-    gaps: np.ndarray
 
     def __post_init__(self) -> None:
-        pref = np.asarray(self.prefix_returns, dtype=float)
+        super().__post_init__()
         prop = np.asarray(self.proposal_probs, dtype=float)
-        targ = np.asarray(self.target_probs, dtype=float)
-        gaps = np.asarray(self.gaps, dtype=float)
-        n = len(self.beliefs)
-        if n == 0:
-            raise ValueError("proposal support must be non-empty")
-        if pref.shape != (n,) or prop.shape != (n,):
-            raise ValueError("prefix_returns and proposal_probs must have one entry per atom")
-        if targ.ndim != 2 or targ.shape[0] != n or targ.shape[1] < 1:
-            raise ValueError("target_probs must be (n_atoms, n_steps) with n_steps >= 1")
-        if np.any(targ < 0.0) or not np.all(np.isfinite(targ)):
-            raise ValueError("target probabilities must be finite and >= 0")
-        if gaps.shape != targ.shape:
-            raise ValueError("gaps must have the shape of target_probs")
-        if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
-            raise ValueError("gaps must be finite and >= 0")
+        if prop.shape != (len(self.beliefs),):
+            raise ValueError("proposal_probs must have one entry per atom")
         if np.any(prop <= 0.0):
             raise UnsupportedBeliefError("every support atom needs positive proposal mass")
         if abs(prop.sum() - 1.0) > _COMPARE_TOL:
             raise ValueError("proposal probabilities must sum to 1")
-        for arr in (pref, prop, targ, gaps):
-            arr.flags.writeable = False
-        object.__setattr__(self, "beliefs", tuple(self.beliefs))
-        object.__setattr__(self, "prefix_returns", pref)
+        prop.flags.writeable = False
         object.__setattr__(self, "proposal_probs", prop)
-        object.__setattr__(self, "target_probs", targ)
-        object.__setattr__(self, "first_step", int(self.first_step))
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "gaps", gaps)
-
-    @property
-    def n_steps(self) -> int:
-        return self.target_probs.shape[1]
 
     @property
     def importance_bound(self) -> float:
@@ -349,7 +312,7 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
         return np.zeros(config.num_rollouts_C)
     return _RolloutKernel(pair, model).rollouts(
         policy, b_bar.states, b_bar.weights, a, t, depth, config.num_rollouts_C,
-        _stream(config.rng_seed, _ROLLOUT, 0))
+        _stream(config.rng_seed, _ROLLOUT))
 
 
 # ------------------------------------------------------- importance estimators
@@ -363,10 +326,9 @@ def build_default_proposal(pair: SimplifiedPair, policy: Policy,
     atoms of interior steps k+1..T-1: 0.5 * (per-step marginal averaged over
     steps) + 0.5 * uniform over the pooled support, which keeps the importance
     ratio finite and exactly computable."""
-    beliefs, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
-        pair, policy, b_k, first_action, leaf_budget)
-    proposal = 0.5 * targets.mean(axis=1) + 0.5 / len(beliefs)
-    return ProposalQ0(beliefs, prefixes, proposal, targets, first_step, c0, gaps)
+    atoms = _walk_simplified(pair, policy, b_k, first_action, leaf_budget)
+    proposal = 0.5 * atoms.target_probs.mean(axis=1) + 0.5 / len(atoms.beliefs)
+    return ProposalQ0(**vars(atoms), proposal_probs=proposal)
 
 
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -378,14 +340,12 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
 
 def _sampled_gaps(q0: ProposalQ0, pair: SimplifiedPair, n_delta: int,
                   rng: np.random.Generator):
-    """The gap reduction of q0's atoms under n_delta importance draws: atom e
-    at step j weighs count_e * target[e, j] / proposal[e] * gap[e, j] / n_delta."""
+    """q0's gap reduction under n_delta importance draws from its proposal."""
     if n_delta < 1:
         raise ValueError("n_delta must be >= 1")
     counts = _draw_counts(q0.proposal_probs, n_delta, rng)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
-    return _gap_reduction(pair, q0.prefix_returns, q0.c0, q0.first_step,
-                          counts[:, None] * ratio * q0.gaps, float(n_delta))
+    return q0.reduce(pair, counts[:, None] * ratio, float(n_delta))
 
 
 def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
@@ -483,7 +443,7 @@ def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQu
                             config: RolloutConfig) -> np.ndarray:
     m = pair.original
     b_bar = ParticleBelief.from_belief(
-        query.belief, config.num_particles_Nx, _stream(config.rng_seed, _INIT, 0))
+        query.belief, config.num_particles_Nx, _stream(config.rng_seed, _INIT))
     a_k = _first_action(pair, policy, query.belief, query.action)
     depth = m.horizon_T - m.start_k + 1
     return rollout_returns(pair, policy, b_bar, a_k, m.start_k, depth, config,
@@ -601,16 +561,23 @@ def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     dominated law. ``uniform`` is the ``_uniform_bounds`` result (given v), so a
     level they do not cover gets its InapplicableCaseError and leaves the other
     levels standing; ``tight`` is TightLower (given eta and grid). Each bound
-    keeps its marginal law, so each delta-guarantee holds; a call's bounds are dependent."""
+    keeps its marginal law, so each delta-guarantee holds; a call's bounds are dependent.
+    A q0 walked from another belief or first action than the query's raises
+    ValueError."""
+    a_k = _first_action(pair, policy, query.belief, query.action)
+    if a_k != q0.a_k or not np.array_equal(query.belief.probs, q0.b_k.probs):
+        raise ValueError(f"the proposal was walked from (belief {q0.b_k.probs.tolist()}, "
+                         f"action {q0.a_k}), but the query is (belief "
+                         f"{query.belief.probs.tolist()}, action {a_k})")
     _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
     returns = _simplified_return_pool(pair, policy, query, config)
-    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS, 0))
+    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS))
     span = _return_span(pair)
     if grid is not None:
         # the counts of n_delta iid draws from min(1, empirical CDF + h_plus + eta)
         h_plus, _ = binned_h(gaps.g_at(grid.edges), grid)
         dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
-        counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV, 0))
+        counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV))
         law = DiscreteDistribution(dist.values, counts / n_delta)
     return [(None if v is None else _uniform_bounds(returns, gaps.epsilon, a, v,
                                                     delta, span, n_delta),

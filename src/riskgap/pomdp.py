@@ -10,10 +10,10 @@ estimator modules are validated against.
 
 One forward walk over merged (belief, return) nodes gives every exact
 quantity.  Its step-T frontier is the return law of either model.  On the
-simplified model, its interior frontiers are the (belief, prefix) atoms,
-with exact step probabilities and TV gaps, that the estimators' proposal is
-built on.  One reduction of those atoms gives the gaps: the exact oracle
-weighs them exactly, the importance estimators with sampled weights.
+simplified model, its interior frontiers are the ``GapAtoms`` table of
+(belief, prefix) atoms with exact step probabilities and TV gaps, which the
+estimators' proposal extends.  Its one reduction gives the gaps: the exact
+oracle weighs the atoms exactly, the importance estimators by sampling.
 """
 
 from __future__ import annotations
@@ -352,54 +352,14 @@ def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
     return DiscreteDistribution(np.array(values), np.array(masses))
 
 
-def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
-                     first_action, leaf_budget: int):
-    """Reachable (belief, prefix-return) atoms of the simplified model's
-    interior steps k+1..T-1: ``(beliefs, prefixes, targets, gaps, first_step, c0)``.
-
-    The atoms are the walk's frontiers pooled over steps; an atom met at
-    several steps keeps its first belief and prefix, which includes the
-    step's own belief cost but not the step-k one. ``targets[e, j]`` is the
-    exact probability of atom e at step ``first_step + j`` and ``gaps[e, j]``
-    its TV gap under the policy's action there, one ``tv_distance`` per
-    (atom, action); ``c0`` is the step-k belief cost of the queried action.
-    """
-    m = pair.original
-    b_k = Belief(m.initial_belief) if b_k is None else b_k
-    n_steps = m.horizon_T - 1 - m.start_k
-    if n_steps <= 0:
-        raise ValueError("the simplified walk needs an interior step (k+1 <= T-1)")
-    a0 = _first_action(pair, policy, b_k, first_action)
-    first_step = m.start_k + 1
-
-    pool: dict = {}  # key -> (belief, prefix, per-step probability row)
-    frontiers = _walk(pair, policy, "simplified", b_k, a0, 0.0, m.horizon_T - 1,
-                      leaf_budget)
-    for j, frontier in enumerate(frontiers):
-        for key, (b, _, r, p) in frontier.items():
-            pool.setdefault(key, (b, r, np.zeros(n_steps)))[2][j] += p
-
-    beliefs, prefixes, rows = zip(*(pool[key] for key in sorted(pool)))
-    gaps = np.empty((len(beliefs), n_steps))
-    for e, b in enumerate(beliefs):
-        actions = [policy.action(first_step + j, b) for j in range(n_steps)]
-        tv = {a: tv_distance(pair, b, a) for a in set(actions)}
-        gaps[e] = [tv[a] for a in actions]
-    return (beliefs, np.array(prefixes), np.vstack(rows), gaps, first_step,
-            belief_cost(pair, b_k, a0))
-
-
 @dataclass(frozen=True)
 class TrajectoryExpectations:
     """Per-step expected model gaps along simplified trajectories, exact or
-    importance-sampled (see ``_gap_reduction``).
-
-    ``per_step_m[i - (k+1)]`` is E over simplified trajectories of the
-    successor-law TV distance at step i; ``epsilon`` is their sum.  The
-    cumulative-gap function g is a right-continuous step function of the
-    threshold l; its jump locations/weights are kept so g can be
-    evaluated anywhere and turned into a CDF-gap envelope.
-    """
+    importance-sampled (``GapAtoms.reduce``): ``per_step_m[i - (k+1)]`` is E
+    over simplified trajectories of the successor-law TV distance at step i,
+    ``epsilon`` their sum. g is a right-continuous step function of the
+    threshold l, kept as its jump locations and weights so that it can be
+    evaluated anywhere and turned into a CDF-gap envelope."""
 
     per_step_m: np.ndarray
     epsilon: float
@@ -415,25 +375,102 @@ class TrajectoryExpectations:
         return PointwiseEnvelope(self.thresholds, np.cumsum(self.threshold_weights))
 
 
-def _gap_reduction(pair: SimplifiedPair, prefixes: np.ndarray, c0: float,
-                   first_step: int, w: np.ndarray,
-                   scale: float = 1.0) -> TrajectoryExpectations:
-    """m_i, epsilon and g(l) from simplified walk atoms with weights ``w / scale``.
+@dataclass(frozen=True)
+class GapAtoms:
+    """The simplified walk's (belief, prefix-return) atoms of interior steps
+    k+1..T-1, walked from belief ``b_k`` under the resolved first action ``a_k``.
 
-    ``w[e, j]`` weighs atom e at step i = first_step + j: its exact probability
-    times its TV gap for the exact oracle, its draw count times importance
-    ratio times gap for the estimators, which pass ``scale = n_delta``. g jumps
-    by an atom's weight at its event threshold, the least level l with
-    prefix <= l - c0 + (T - i) * r_max; jumps within ``MERGE_TOL`` of a
-    cluster's first one merge into it.
-    """
+    ``target_probs[e, j]`` is the exact probability of atom e at step
+    ``first_step + j`` and ``gaps[e, j]`` its TV gap under the policy's action
+    there. A prefix includes its step's own belief cost but not the step-k
+    one, ``c0``, the cost of ``a_k`` at ``b_k``. ``reduce`` gives the gaps."""
+
+    beliefs: tuple
+    prefix_returns: np.ndarray
+    target_probs: np.ndarray
+    gaps: np.ndarray
+    first_step: int
+    c0: float
+    b_k: Belief
+    a_k: int
+
+    def __post_init__(self) -> None:
+        pref, targ, gaps = (np.asarray(getattr(self, name), dtype=float)
+                            for name in ("prefix_returns", "target_probs", "gaps"))
+        n = len(self.beliefs)
+        if n == 0 or pref.shape != (n,):
+            raise ValueError("prefix_returns must have one entry per atom, and n_atoms >= 1")
+        if targ.ndim != 2 or targ.shape[0] != n or targ.shape[1] < 1:
+            raise ValueError("target_probs must be (n_atoms, n_steps) with n_steps >= 1")
+        if gaps.shape != targ.shape:
+            raise ValueError("gaps must have the shape of target_probs")
+        for name, arr in (("target probabilities", targ), ("gaps", gaps)):
+            if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite and >= 0")
+            arr.flags.writeable = False
+        pref.flags.writeable = False
+        for name, value in (("beliefs", tuple(self.beliefs)), ("prefix_returns", pref),
+                            ("target_probs", targ), ("gaps", gaps),
+                            ("first_step", int(self.first_step)),
+                            ("c0", float(self.c0)), ("a_k", int(self.a_k))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_steps(self) -> int:
+        return self.target_probs.shape[1]
+
+    def reduce(self, pair: SimplifiedPair, weights: np.ndarray | None = None,
+               scale: float = 1.0) -> TrajectoryExpectations:
+        """m_i, epsilon and g(l), atom e at step i = first_step + j weighing
+        ``weights[e, j] * gaps[e, j] / scale``: the exact ``target_probs`` by
+        default, draw count times importance ratio with ``scale = n_delta`` for
+        the estimators. g jumps by an atom's weight at the least level l with
+        prefix <= l - c0 + (T - i) * r_max; jumps within ``MERGE_TOL`` of a
+        cluster's first one merge into it."""
+        m = pair.original
+        w = (self.target_probs if weights is None else weights) * self.gaps
+        t_axis = self.first_step + np.arange(self.n_steps)
+        thr = self.prefix_returns[:, None] + self.c0 - (m.horizon_T - t_axis) * m.r_max
+        hit = w > 0.0
+        per_step = w.sum(axis=0) / scale
+        return TrajectoryExpectations(per_step, float(per_step.sum()),
+                                      *_sort_and_merge(thr[hit], w[hit] / scale))
+
+
+def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
+                     first_action, leaf_budget: int) -> GapAtoms:
+    """The simplified model's gap atoms from ``b_k`` (default: the initial
+    belief): the walk's frontiers pooled over steps, an atom met at several
+    steps keeping its first belief and prefix. An atom's actions are one
+    argmax into the policy rows of the interior steps, and it pays one
+    ``tv_distance`` per distinct action."""
     m = pair.original
-    t_axis = first_step + np.arange(w.shape[1])
-    thr = prefixes[:, None] + c0 - (m.horizon_T - t_axis) * m.r_max
-    hit = w > 0.0
-    per_step = w.sum(axis=0) / scale
-    return TrajectoryExpectations(per_step, float(per_step.sum()),
-                                  *_sort_and_merge(thr[hit], w[hit] / scale))
+    b_k = Belief(m.initial_belief) if b_k is None else b_k
+    n_steps = m.horizon_T - 1 - m.start_k
+    if n_steps <= 0:
+        raise ValueError(
+            "the simplified walk needs an interior step (start_k + 1 <= horizon_T - 1), "
+            f"got horizon_T={m.horizon_T}, start_k={m.start_k}")
+    a0 = _first_action(pair, policy, b_k, first_action)
+    first_step = m.start_k + 1
+
+    pool: dict = {}  # key -> (belief, prefix, per-step probability row)
+    frontiers = _walk(pair, policy, "simplified", b_k, a0, 0.0, m.horizon_T - 1,
+                      leaf_budget)
+    for j, frontier in enumerate(frontiers):
+        for key, (b, _, r, p) in frontier.items():
+            pool.setdefault(key, (b, r, np.zeros(n_steps)))[2][j] += p
+
+    beliefs, prefixes, rows = zip(*(pool[key] for key in sorted(pool)))
+    # the walk read the policy at every interior step, so these rows exist
+    table = policy.actions[first_step - policy.start_k:][:n_steps]
+    gaps = np.empty((len(beliefs), n_steps))
+    for e, b in enumerate(beliefs):
+        actions = table[:, b.most_likely_state()].tolist()
+        tv = {a: tv_distance(pair, b, a) for a in set(actions)}
+        gaps[e] = [tv[a] for a in actions]
+    return GapAtoms(beliefs, np.array(prefixes), np.vstack(rows), gaps, first_step,
+                    belief_cost(pair, b_k, a0), b_k, a0)
 
 
 def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
@@ -441,15 +478,12 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       first_action=None,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l): the gap reduction of the simplified
-    walk's atoms under their exact weights; all zero when there is no
-    interior step."""
+    """Exact m_i, epsilon and g(l): the simplified walk's gap atoms reduced
+    under their exact weights; all zero when there is no interior step."""
     m = pair.original
     if m.horizon_T - 1 - m.start_k <= 0:
         return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    _, prefixes, targets, gaps, first_step, c0 = _walk_simplified(
-        pair, policy, b_k, first_action, leaf_budget)
-    return _gap_reduction(pair, prefixes, c0, first_step, targets * gaps)
+    return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce(pair)
 
 
 # ---------------------------------------------------------------- problem files

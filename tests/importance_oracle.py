@@ -1,9 +1,9 @@
 """Reference importance estimators that sum their draws directly.
 
 ``riskgap.estimation.estimate_epsilon`` and ``estimate_g`` read both
-estimates off one gap reduction of the proposal's atoms
-(``riskgap.pomdp._gap_reduction``), the reduction the exact oracle uses with
-exact weights.  These oracles sum the same multinomial draws without it:
+estimates off ``GapAtoms.reduce``, the proposal's gap atoms reduced with
+sampled weights, as the exact oracle reduces them with exact ones.  These
+oracles sum the same multinomial draws without it:
 epsilon as the per-step weighted sums divided by N, g as a cumsum of the
 scaled weights over every (atom, step) threshold sorted together, with no
 merging of near-equal thresholds.  They draw from ``rng`` exactly as the

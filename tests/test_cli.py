@@ -146,6 +146,22 @@ def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit):
     assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("command", ["certify", "concentration"])
+@pytest.mark.parametrize("horizon_T, start_k", [(4, 3), (4, 4), (1, 0)])
+def test_no_interior_step_exits_2_naming_the_horizon(tmp_path, capsys, command,
+                                                     horizon_T, start_k):
+    # enumerate reports zero gaps here, but the proposal needs interior atoms
+    rng = np.random.default_rng(5)
+    pair = random_pair(rng, horizon_T=horizon_T, start_k=start_k)
+    problem = tmp_path / "p.json"
+    save_problem(problem, pair, random_policy(rng, pair))
+    rc, _ = run_cli([command, "--problem", str(problem)], tmp_path / "r.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "interior step (start_k + 1 <= horizon_T - 1)" in err
+    assert f"horizon_T={horizon_T}, start_k={start_k}" in err
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "absent" / "r.json"
     rc = main(["enumerate", "--scenario", "corridor4", "--out", str(out)])
@@ -310,14 +326,14 @@ def test_certify_bounds_equal_the_single_certificate_paths(scenario, capsys):
     pair, policy = spec.pair, spec.policy
     q0 = build_default_proposal(pair, policy)
     grid = BinGrid.uniform(pair, 8)
-    cfg = RolloutConfig(500, 200, _derived_seed(3, _SLOT_POOL, 0, 0))
+    cfg = RolloutConfig(500, 200, _derived_seed(3, _SLOT_POOL))
     g_hat = estimate_g(q0, pair, policy, n_delta, grid.edges,
-                       estimation._stream(cfg.rng_seed, _EPS, 0))
+                       estimation._stream(cfg.rng_seed, _EPS))
     h_plus, _ = binned_h(g_hat, grid)
     returns = _simplified_return_pool(pair, policy, _initial_query(pair, 0.25), cfg)
     dist = lower_cdf_distribution(returns, h_plus, 0.25, grid.edges)
     counts = _draw_counts(dist.probs, n_delta,
-                          estimation._stream(cfg.rng_seed, _GINV, 0))
+                          estimation._stream(cfg.rng_seed, _GINV))
     law = DiscreteDistribution(dist.values, counts / n_delta)
     for alpha in (0.25, 0.9):
         query = _initial_query(pair, alpha)

@@ -131,16 +131,16 @@ def test_bin_grid_validation_and_uniform():
 def test_proposal_rejects_zero_mass_support():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(UnsupportedBeliefError):
-        ProposalQ0((b, b), np.zeros(2), np.array([1.0, 0.0]),
-                   np.array([[0.5], [0.5]]), first_step=1, c0=0.0,
-                   gaps=np.zeros((2, 1)))
+        ProposalQ0((b, b), np.zeros(2), np.array([[0.5], [0.5]]), np.zeros((2, 1)),
+                   first_step=1, c0=0.0, b_k=b, a_k=0,
+                   proposal_probs=np.array([1.0, 0.0]))
 
 
 def test_proposal_rejects_misshapen_gaps():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="gaps"):
-        ProposalQ0((b,), np.zeros(1), np.array([1.0]), np.array([[1.0]]),
-                   first_step=1, c0=0.0, gaps=np.zeros((1, 2)))
+        ProposalQ0((b,), np.zeros(1), np.array([[1.0]]), np.zeros((1, 2)),
+                   first_step=1, c0=0.0, b_k=b, a_k=0, proposal_probs=np.array([1.0]))
 
 
 # --------------------------------------------------- one particle-filter step
@@ -409,7 +409,7 @@ def test_rollout_pool_draws_one_block_per_step():
 
     returns = _RolloutKernel(pair, "simplified").rollouts(
         policy, pb.states, pb.weights, a0, 0, depth, 12,
-        CountingGenerator(_stream(7, _ROLLOUT, 0)))
+        CountingGenerator(_stream(7, _ROLLOUT)))
     assert blocks == [(12, 3 + 30)] * (depth - 1)
     assert np.array_equal(returns, rollout_returns(pair, policy, pb, a0, 0, depth,
                                                    RolloutConfig(12, 30, 7)))
@@ -519,8 +519,9 @@ def test_estimate_epsilon_unit_weights_is_plain_average():
     keep = full.target_probs[:, 0] > 0
     beliefs = tuple(b for b, k in zip(full.beliefs, keep) if k)
     target = full.target_probs[keep, :1]
-    q0 = ProposalQ0(beliefs, full.prefix_returns[keep], target[:, 0], target,
-                    first_step=1, c0=full.c0, gaps=full.gaps[keep, :1])
+    q0 = ProposalQ0(beliefs, full.prefix_returns[keep], target, full.gaps[keep, :1],
+                    first_step=1, c0=full.c0, b_k=full.b_k, a_k=full.a_k,
+                    proposal_probs=target[:, 0])
     tv = np.array([tv_distance(pair, b, policy.action(1, b)) for b in beliefs])
     counts = np.random.default_rng(7).multinomial(400, target[:, 0])
     eps = estimate_epsilon(q0, pair, policy, 400, np.random.default_rng(7))
@@ -887,11 +888,11 @@ def test_counted_cvar_equals_sorted_estimate_on_the_same_draws():
     cfg = RolloutConfig(300, 100, 47)
     bound = certify_tight_lower(pair, policy, query, cfg, q0, nd, eta, delta, grid)
     g_hat = estimate_g(q0, pair, policy, nd, grid.edges,
-                       _stream(cfg.rng_seed, _EPS, 0))
+                       _stream(cfg.rng_seed, _EPS))
     h_plus, _ = binned_h(g_hat, grid)
     dist = lower_cdf_distribution(_simplified_return_pool(pair, policy, query, cfg),
                                   h_plus, eta, grid.edges)
-    counts = _draw_counts(dist.probs, nd, _stream(cfg.rng_seed, _GINV, 0))
+    counts = _draw_counts(dist.probs, nd, _stream(cfg.rng_seed, _GINV))
     draws = np.repeat(dist.values, counts)
     assert bound.value == pytest.approx(
         cvar_estimate_sorted(draws, query.alpha.alpha), abs=1e-12)
@@ -909,6 +910,32 @@ def test_certify_tight_lower_validation():
                             BinGrid(np.array([-1.0, 1.0])))
     with pytest.raises(ValueError, match="below the certified-rate"):
         certify_tight_lower(pair, policy, query, cfg, q0, 10, 0.2, 0.1, grid)
+
+
+def test_certificates_reject_a_proposal_walked_for_another_query():
+    # the default proposal is walked under the policy's first action, 1 on
+    # two_state_sensor, so a Q-query for action 0 needs its own proposal
+    pair, policy, query = sensor_setup()
+    m = pair.original
+    q0 = build_default_proposal(pair, policy)
+    assert q0.a_k == 1 and np.array_equal(q0.b_k.probs, query.belief.probs)
+    q_query = ValueQuery(query.belief, query.alpha, action=0)
+    cfg, grid = RolloutConfig(50, 50, 0), BinGrid.uniform(pair, 4)
+    mismatch = (r"\(belief \[1.0, 0.0\], action 1\), "
+                r"but the query is \(belief \[1.0, 0.0\], action 0\)")
+    with pytest.raises(ValueError, match=mismatch):
+        certify_uniform(pair, policy, q_query, cfg, q0, 10**6, 0.1, 0.1)
+    with pytest.raises(ValueError, match=mismatch):
+        certify_tight_lower(pair, policy, q_query, cfg, q0, 10**6, 0.25, 0.1, grid)
+    elsewhere = ValueQuery(Belief(np.array([0.25, 0.75])), query.alpha, action=1)
+    with pytest.raises(ValueError, match=r"query is \(belief \[0.25, 0.75\], action 1\)"):
+        certify_uniform(pair, policy, elsewhere, cfg, q0, 10**6, 0.1, 0.1)
+
+    matched = build_default_proposal(pair, policy, first_action=0)
+    assert matched.a_k == 0 and matched.c0 == belief_cost(pair, query.belief, 0)
+    nd = n_delta_for_uniform_bounds(0.1, 0.1, matched.importance_bound,
+                                    m.horizon_T, m.start_k)
+    assert certify_uniform(pair, policy, q_query, cfg, matched, nd, 0.1, 0.1)
 
 
 def test_certify_tight_lower_deterministic_and_bounded(monkeypatch):

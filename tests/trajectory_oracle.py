@@ -2,7 +2,8 @@
 
 The tree forms of ``riskgap.pomdp.enumerate_return_distribution`` and
 ``riskgap.pomdp.enumerate_trajectory_expectations``, which read the merged
-(belief, return) nodes of one forward walk instead.  In the return-law walk
+(belief, return) nodes of one forward walk instead; the gaps are that walk's
+``GapAtoms`` table, reduced with exact weights.  In the return-law walk
 every leaf is one path of the tree with its own return.  In the gap walk
 every tree node pays its own ``tv_distance``; its weight prob * TV is added
 to the step's m_i, and its indicator threshold joins the jumps of g, which
