@@ -352,7 +352,7 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")
     dist_p = enumerate_return_distribution(pair, policy, model="original")
     # the exact gaps are q0's own atoms, exactly weighted
-    traj = q0.reduce(pair)
+    traj = q0.reduce()
     exact_s = {a: cvar_exact(dist_s, a) for a in alphas}
     exact_p = {a: cvar_exact(dist_p, a) for a in alphas}
     # worst-case width of a rollout return: per-step mean costs stay inside
@@ -533,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     params = vars(args).copy()
-    for flag, low in (("workers", 1), ("seed", 0), ("bins", 1), ("trials", 0)):
+    for flag, low in (("workers", 1), ("seed", 0), ("bins", 1), ("trials", 0),
+                      ("rollouts", 1), ("particles", 1)):
         if params[flag] < low:
             raise ValueError(f"--{flag} must be >= {low}, got {params[flag]}")
     del params["workers"]  # validated, but runs are single-threaded

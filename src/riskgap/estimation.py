@@ -335,32 +335,31 @@ def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     # n iid draws from a finite law realized as multinomial counts over its
     # atoms; every estimator here depends on the draw multiset only, so
     # this is distribution-identical to drawing one atom at a time.
+    if not 1 <= n <= 2**63 - 1:  # numpy's multinomial takes n as a C long
+        raise ValueError(f"n_delta {n} is outside [1, 2**63 - 1], the limit of one draw")
     return rng.multinomial(int(n), probs / probs.sum())
 
 
-def _sampled_gaps(q0: ProposalQ0, pair: SimplifiedPair, n_delta: int,
-                  rng: np.random.Generator):
+def _sampled_gaps(q0: ProposalQ0, n_delta: int, rng: np.random.Generator):
     """q0's gap reduction under n_delta importance draws from its proposal."""
-    if n_delta < 1:
-        raise ValueError("n_delta must be >= 1")
     counts = _draw_counts(q0.proposal_probs, n_delta, rng)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
-    return q0.reduce(pair, counts[:, None] * ratio, float(n_delta))
+    return q0.reduce(counts[:, None] * ratio, float(n_delta))
 
 
 def estimate_epsilon(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
                      n_delta: int, rng: np.random.Generator) -> float:
     """Unbiased estimate of the summed per-step expected gap: ``_sampled_gaps``
-    reweights the exact TV gaps stored on the proposal."""
-    return _sampled_gaps(q0, pair, n_delta, rng).epsilon
+    reweights q0's exact TV gaps. Reads q0 only, not ``pair`` or ``policy``."""
+    return _sampled_gaps(q0, n_delta, rng).epsilon
 
 
 def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
                n_delta: int, grid_l, rng: np.random.Generator) -> np.ndarray:
-    """Estimated CDF-gap curve on a grid of return levels. Each atom carries
-    its prefix return, so the step-i indicator 1{prefix <= l - c0 + (T - i) *
-    r_max} is exact per draw; the curve saturates at the epsilon estimate."""
-    return _sampled_gaps(q0, pair, n_delta, rng).g_at(grid_l)
+    """Estimated CDF-gap curve on a grid of return levels: each atom's step-i
+    indicator 1{l >= its threshold} is exact per draw, and the curve saturates
+    at the epsilon estimate. Reads q0 only, as ``estimate_epsilon`` does."""
+    return _sampled_gaps(q0, n_delta, rng).g_at(grid_l)
 
 
 # --------------------------------------------------------- sample-size formulas
@@ -571,7 +570,7 @@ def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                          f"{query.belief.probs.tolist()}, action {a_k})")
     _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
     returns = _simplified_return_pool(pair, policy, query, config)
-    gaps = _sampled_gaps(q0, pair, n_delta, _stream(config.rng_seed, _EPS))
+    gaps = _sampled_gaps(q0, n_delta, _stream(config.rng_seed, _EPS))
     span = _return_span(pair)
     if grid is not None:
         # the counts of n_delta iid draws from min(1, empirical CDF + h_plus + eta)

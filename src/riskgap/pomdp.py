@@ -9,11 +9,17 @@ enumeration.  These exact quantities are the ground truth the bound and
 estimator modules are validated against.
 
 One forward walk over merged (belief, return) nodes gives every exact
-quantity.  Its step-T frontier is the return law of either model.  On the
-simplified model, its interior frontiers are the ``GapAtoms`` table of
-(belief, prefix) atoms with exact step probabilities and TV gaps, which the
-estimators' proposal extends.  Its one reduction gives the gaps: the exact
-oracle weighs the atoms exactly, the importance estimators by sampling.
+quantity, in three runs per query: the original and simplified return laws
+(each a step-T frontier) and, from the simplified interior frontiers, the
+``GapAtoms`` table of (belief, prefix) atoms with exact step probabilities and
+TV gaps, which the estimators' proposal extends.  The simplified law and the
+atoms stay two walks: the law's returns include the step-k cost and the
+prefixes do not, so one shared walk's rounded keys would merge some nodes
+differently (6 of 40 random instances at horizon gap 8) and move exact
+TightLower bits; and a law that takes its step-k transition from the
+original model shares no walk with the atoms.  The table's one reduction
+gives the gaps: exactly weighed for the exact oracle, by sampling for the
+importance estimators.
 """
 
 from __future__ import annotations
@@ -381,60 +387,51 @@ class GapAtoms:
     k+1..T-1, walked from belief ``b_k`` under the resolved first action ``a_k``.
 
     ``target_probs[e, j]`` is the exact probability of atom e at step
-    ``first_step + j`` and ``gaps[e, j]`` its TV gap under the policy's action
-    there. A prefix includes its step's own belief cost but not the step-k
-    one, ``c0``, the cost of ``a_k`` at ``b_k``. ``reduce`` gives the gaps."""
+    i = k+1+j. Where it is positive, ``gaps[e, j]`` is the atom's TV gap under
+    the policy's action there; elsewhere 0, as every reduction weighs it by 0.
+    ``thresholds[e, j]`` = prefix + c0 - (T - i) * r_max is the least level l
+    at which the atom counts toward g(l) at step i; a prefix includes its
+    step's own belief cost but not c0, the cost of ``a_k`` at ``b_k``."""
 
     beliefs: tuple
-    prefix_returns: np.ndarray
+    thresholds: np.ndarray
     target_probs: np.ndarray
     gaps: np.ndarray
-    first_step: int
-    c0: float
     b_k: Belief
     a_k: int
 
     def __post_init__(self) -> None:
-        pref, targ, gaps = (np.asarray(getattr(self, name), dtype=float)
-                            for name in ("prefix_returns", "target_probs", "gaps"))
+        targ = np.asarray(self.target_probs, dtype=float)
         n = len(self.beliefs)
-        if n == 0 or pref.shape != (n,):
-            raise ValueError("prefix_returns must have one entry per atom, and n_atoms >= 1")
-        if targ.ndim != 2 or targ.shape[0] != n or targ.shape[1] < 1:
-            raise ValueError("target_probs must be (n_atoms, n_steps) with n_steps >= 1")
-        if gaps.shape != targ.shape:
-            raise ValueError("gaps must have the shape of target_probs")
-        for name, arr in (("target probabilities", targ), ("gaps", gaps)):
-            if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        if n == 0 or targ.ndim != 2 or targ.shape[0] != n or targ.shape[1] < 1:
+            raise ValueError("target_probs must be (n_atoms, n_steps) with n_atoms, n_steps >= 1")
+        for name in ("thresholds", "target_probs", "gaps"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != targ.shape:
+                raise ValueError(f"{name} must have the shape of target_probs")
+            if name != "thresholds" and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
                 raise ValueError(f"{name} must be finite and >= 0")
             arr.flags.writeable = False
-        pref.flags.writeable = False
-        for name, value in (("beliefs", tuple(self.beliefs)), ("prefix_returns", pref),
-                            ("target_probs", targ), ("gaps", gaps),
-                            ("first_step", int(self.first_step)),
-                            ("c0", float(self.c0)), ("a_k", int(self.a_k))):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "beliefs", tuple(self.beliefs))
+        object.__setattr__(self, "a_k", int(self.a_k))
 
     @property
     def n_steps(self) -> int:
         return self.target_probs.shape[1]
 
-    def reduce(self, pair: SimplifiedPair, weights: np.ndarray | None = None,
+    def reduce(self, weights: np.ndarray | None = None,
                scale: float = 1.0) -> TrajectoryExpectations:
-        """m_i, epsilon and g(l), atom e at step i = first_step + j weighing
+        """m_i, epsilon and g(l), atom e at step k+1+j weighing
         ``weights[e, j] * gaps[e, j] / scale``: the exact ``target_probs`` by
         default, draw count times importance ratio with ``scale = n_delta`` for
-        the estimators. g jumps by an atom's weight at the least level l with
-        prefix <= l - c0 + (T - i) * r_max; jumps within ``MERGE_TOL`` of a
-        cluster's first one merge into it."""
-        m = pair.original
+        the estimators. g jumps by an atom's weight at its threshold; jumps
+        within ``MERGE_TOL`` of a cluster's first one merge into it."""
         w = (self.target_probs if weights is None else weights) * self.gaps
-        t_axis = self.first_step + np.arange(self.n_steps)
-        thr = self.prefix_returns[:, None] + self.c0 - (m.horizon_T - t_axis) * m.r_max
         hit = w > 0.0
         per_step = w.sum(axis=0) / scale
         return TrajectoryExpectations(per_step, float(per_step.sum()),
-                                      *_sort_and_merge(thr[hit], w[hit] / scale))
+                                      *_sort_and_merge(self.thresholds[hit], w[hit] / scale))
 
 
 def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
@@ -443,7 +440,7 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     belief): the walk's frontiers pooled over steps, an atom met at several
     steps keeping its first belief and prefix. An atom's actions are one
     argmax into the policy rows of the interior steps, and it pays one
-    ``tv_distance`` per distinct action."""
+    ``tv_distance`` per distinct action at the steps where it has mass."""
     m = pair.original
     b_k = Belief(m.initial_belief) if b_k is None else b_k
     n_steps = m.horizon_T - 1 - m.start_k
@@ -462,15 +459,18 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
             pool.setdefault(key, (b, r, np.zeros(n_steps)))[2][j] += p
 
     beliefs, prefixes, rows = zip(*(pool[key] for key in sorted(pool)))
+    targets = np.vstack(rows)
+    thresholds = (np.array(prefixes)[:, None] + belief_cost(pair, b_k, a0)
+                  - (m.horizon_T - (first_step + np.arange(n_steps))) * m.r_max)
     # the walk read the policy at every interior step, so these rows exist
     table = policy.actions[first_step - policy.start_k:][:n_steps]
-    gaps = np.empty((len(beliefs), n_steps))
+    gaps = np.zeros_like(targets)
     for e, b in enumerate(beliefs):
-        actions = table[:, b.most_likely_state()].tolist()
+        steps = np.flatnonzero(targets[e])
+        actions = table[steps, b.most_likely_state()].tolist()
         tv = {a: tv_distance(pair, b, a) for a in set(actions)}
-        gaps[e] = [tv[a] for a in actions]
-    return GapAtoms(beliefs, np.array(prefixes), np.vstack(rows), gaps, first_step,
-                    belief_cost(pair, b_k, a0), b_k, a0)
+        gaps[e, steps] = [tv[a] for a in actions]
+    return GapAtoms(beliefs, thresholds, targets, gaps, b_k, a0)
 
 
 def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
@@ -483,7 +483,7 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
     m = pair.original
     if m.horizon_T - 1 - m.start_k <= 0:
         return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce(pair)
+    return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce()
 
 
 # ---------------------------------------------------------------- problem files

@@ -13,7 +13,6 @@ library does, so tests compare the two on one seed.
 import numpy as np
 
 from riskgap.estimation import ProposalQ0, _draw_counts
-from riskgap.pomdp import SimplifiedPair
 
 
 def oracle_epsilon(q0: ProposalQ0, n_delta: int, rng: np.random.Generator) -> float:
@@ -23,17 +22,13 @@ def oracle_epsilon(q0: ProposalQ0, n_delta: int, rng: np.random.Generator) -> fl
     return float(m_hat.sum())
 
 
-def oracle_g(q0: ProposalQ0, pair: SimplifiedPair, n_delta: int, grid_l,
-             rng: np.random.Generator) -> np.ndarray:
-    m = pair.original
+def oracle_g(q0: ProposalQ0, n_delta: int, grid_l, rng: np.random.Generator) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid_l, dtype=float))
     counts = _draw_counts(q0.proposal_probs, n_delta, rng)
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     contrib = (counts[:, None] * ratio * q0.gaps) / float(n_delta)
-    # step i = first_step + j counts atom e once l >= prefix + c0 - (T - i) r_max
-    t_axis = q0.first_step + np.arange(q0.n_steps)
-    thresholds = q0.prefix_returns[:, None] + q0.c0 - (m.horizon_T - t_axis) * m.r_max
-    order = np.argsort(thresholds, axis=None)
+    # atom e counts at step k+1+j once l >= thresholds[e, j]
+    order = np.argsort(q0.thresholds, axis=None)
     cum = np.cumsum(contrib.ravel()[order])
-    idx = np.searchsorted(thresholds.ravel()[order], grid, side="right")
+    idx = np.searchsorted(q0.thresholds.ravel()[order], grid, side="right")
     return np.concatenate(([0.0], cum))[idx]

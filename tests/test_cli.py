@@ -563,13 +563,29 @@ def test_repeated_alpha_level_exits_2_naming_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["enumerate", "certify", "concentration"])
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--bins", "0"),
-                                         ("--bins", "-3")])
+                                         ("--bins", "-3"), ("--rollouts", "0"),
+                                         ("--particles", "0")])
 def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
                                                    flag, value):
     rc = main([command, "--scenario", "two_state_sensor", flag, value,
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert f"error: {flag} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--v", "1e-9"],
+    ["concentration", "--v", "1e-9", "--trials", "1"],
+    ["certify", "--ndelta", "99999999999999999999999"],
+])
+def test_draw_count_past_the_multinomial_limit_exits_2(tmp_path, capsys, args):
+    # numpy's multinomial takes its count as a C long
+    rc = main([*args, "--scenario", "two_state_sensor", "--rollouts", "20",
+               "--particles", "20", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_delta ") and "outside [1, 2**63 - 1]" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from riskgap.estimation import (
     _ROLLOUT,
     _RolloutKernel,
     _draw_counts,
+    _sampled_gaps,
     _simplified_return_pool,
     _stream,
     binned_h,
@@ -56,6 +58,7 @@ from riskgap.value_bounds import ValueQuery, q_exact
 
 from importance_oracle import oracle_epsilon, oracle_g
 from rollout_oracle import as_belief, loop_rollout_returns
+from trajectory_oracle import dfs_trajectory_expectations
 from test_pomdp import make_model, random_pair, random_policy
 
 
@@ -131,16 +134,15 @@ def test_bin_grid_validation_and_uniform():
 def test_proposal_rejects_zero_mass_support():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(UnsupportedBeliefError):
-        ProposalQ0((b, b), np.zeros(2), np.array([[0.5], [0.5]]), np.zeros((2, 1)),
-                   first_step=1, c0=0.0, b_k=b, a_k=0,
-                   proposal_probs=np.array([1.0, 0.0]))
+        ProposalQ0((b, b), np.zeros((2, 1)), np.array([[0.5], [0.5]]), np.zeros((2, 1)),
+                   b_k=b, a_k=0, proposal_probs=np.array([1.0, 0.0]))
 
 
 def test_proposal_rejects_misshapen_gaps():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="gaps"):
-        ProposalQ0((b,), np.zeros(1), np.array([[1.0]]), np.zeros((1, 2)),
-                   first_step=1, c0=0.0, b_k=b, a_k=0, proposal_probs=np.array([1.0]))
+        ProposalQ0((b,), np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 2)),
+                   b_k=b, a_k=0, proposal_probs=np.array([1.0]))
 
 
 # --------------------------------------------------- one particle-filter step
@@ -468,8 +470,8 @@ def test_one_step_gap_pool_runs_on_random_instances(seed):
 def test_default_proposal_structure():
     pair, policy, _ = sensor_setup()
     q0 = build_default_proposal(pair, policy)
-    assert q0.first_step == 1
     assert q0.n_steps == 3
+    assert q0.thresholds.shape == q0.target_probs.shape
     assert np.allclose(q0.target_probs.sum(axis=0), 1.0, atol=1e-9)
     assert q0.proposal_probs.sum() == pytest.approx(1.0, abs=1e-12)
     expected = 0.5 * q0.target_probs.mean(axis=1) + 0.5 / len(q0.beliefs)
@@ -480,12 +482,15 @@ def test_default_proposal_structure():
 
 
 def test_default_proposal_stores_exact_gap_matrix():
-    # the estimators read this matrix instead of recomputing TV on each call
+    # the estimators read this matrix instead of recomputing TV on each call;
+    # an entry where the atom has no mass is weighed by 0, so it is not computed
     pair, policy, _ = sensor_setup()
     q0 = build_default_proposal(pair, policy)
-    expected = np.array([[tv_distance(pair, b, policy.action(q0.first_step + j, b))
-                          for j in range(q0.n_steps)] for b in q0.beliefs])
+    expected = np.array([[tv_distance(pair, b, policy.action(1 + j, b))
+                          if q0.target_probs[e, j] > 0.0 else 0.0
+                          for j in range(q0.n_steps)] for e, b in enumerate(q0.beliefs)])
     assert np.array_equal(q0.gaps, expected)
+    assert np.any(q0.target_probs == 0.0) and np.all(q0.gaps[q0.target_probs == 0.0] == 0.0)
 
 
 def test_default_proposal_needs_interior_step():
@@ -519,9 +524,8 @@ def test_estimate_epsilon_unit_weights_is_plain_average():
     keep = full.target_probs[:, 0] > 0
     beliefs = tuple(b for b, k in zip(full.beliefs, keep) if k)
     target = full.target_probs[keep, :1]
-    q0 = ProposalQ0(beliefs, full.prefix_returns[keep], target, full.gaps[keep, :1],
-                    first_step=1, c0=full.c0, b_k=full.b_k, a_k=full.a_k,
-                    proposal_probs=target[:, 0])
+    q0 = ProposalQ0(beliefs, full.thresholds[keep, :1], target, full.gaps[keep, :1],
+                    b_k=full.b_k, a_k=full.a_k, proposal_probs=target[:, 0])
     tv = np.array([tv_distance(pair, b, policy.action(1, b)) for b in beliefs])
     counts = np.random.default_rng(7).multinomial(400, target[:, 0])
     eps = estimate_epsilon(q0, pair, policy, 400, np.random.default_rng(7))
@@ -610,7 +614,7 @@ def _estimators_and_oracle(pair, policy):
         out.append((estimate_epsilon(q0, pair, policy, nd, rngs[0]),
                     oracle_epsilon(q0, nd, rngs[1])))
         out.append((estimate_g(q0, pair, policy, nd, levels, rngs[2]),
-                    oracle_g(q0, pair, nd, levels, rngs[3])))
+                    oracle_g(q0, nd, levels, rngs[3])))
     return out
 
 
@@ -636,6 +640,46 @@ def test_estimators_match_inline_sums_on_random_instances(seed, horizon_gap):
     spec = scenarios.random_instance(seed, horizon_gap=horizon_gap)
     for got, want in _estimators_and_oracle(spec.pair, spec.policy):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _assert_same_gaps(got, want):
+    for name in ("per_step_m", "thresholds", "threshold_weights"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.epsilon == want.epsilon
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=st.one_of(st.sampled_from(scenarios.builtin_names()),
+                          st.tuples(st.integers(0, 2**31 - 1), st.integers(2, 5))),
+       fill_seed=st.integers(0, 2**32 - 1),
+       fill_scale=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+def test_gaps_without_mass_are_never_read(instance, fill_seed, fill_scale):
+    # an atom's gap at a step where it has no mass is weighed by 0 in the
+    # exact and the sampled reduction, so any finite value there reduces alike
+    spec = (scenarios.builtin(instance) if isinstance(instance, str)
+            else scenarios.random_instance(instance[0], horizon_gap=instance[1]))
+    q0 = build_default_proposal(spec.pair, spec.policy)
+    empty = q0.target_probs == 0.0
+    fill = fill_scale * np.random.default_rng(fill_seed).random(q0.gaps.shape)
+    filled = dataclasses.replace(q0, gaps=np.where(empty, fill, q0.gaps))
+    assert np.all(q0.gaps[empty] == 0.0)
+    _assert_same_gaps(filled.reduce(), q0.reduce())
+    for n_delta in (1, 5_000):
+        _assert_same_gaps(_sampled_gaps(filled, n_delta, np.random.default_rng(fill_seed)),
+                          _sampled_gaps(q0, n_delta, np.random.default_rng(fill_seed)))
+
+
+def test_estimators_read_only_the_proposal():
+    # a proposal carries its own horizon and r_max in its thresholds, so the
+    # pair passed to the estimators cannot shift g (corridor4 has T = 4,
+    # two_state_sensor T = 3)
+    spec, other = scenarios.builtin("two_state_sensor"), scenarios.builtin("corridor4")
+    q0 = build_default_proposal(spec.pair, spec.policy)
+    levels = np.linspace(-5.0, 5.0, 41)
+    own = estimate_g(q0, spec.pair, spec.policy, 5_000, levels, np.random.default_rng(3))
+    foreign = estimate_g(q0, other.pair, other.policy, 5_000, levels,
+                         np.random.default_rng(3))
+    assert np.array_equal(foreign, own)
 
 
 # ------------------------------------------------------- sample-size formulas
@@ -932,7 +976,10 @@ def test_certificates_reject_a_proposal_walked_for_another_query():
         certify_uniform(pair, policy, elsewhere, cfg, q0, 10**6, 0.1, 0.1)
 
     matched = build_default_proposal(pair, policy, first_action=0)
-    assert matched.a_k == 0 and matched.c0 == belief_cost(pair, query.belief, 0)
+    assert matched.a_k == 0
+    # its g thresholds add the step-k cost of action 0, as the tree walk's do
+    tree = dfs_trajectory_expectations(pair, policy, first_action=0)
+    assert np.array_equal(matched.reduce().thresholds, tree.thresholds)
     nd = n_delta_for_uniform_bounds(0.1, 0.1, matched.importance_bound,
                                     m.horizon_T, m.start_k)
     assert certify_uniform(pair, policy, q_query, cfg, matched, nd, 0.1, 0.1)
