@@ -9,9 +9,10 @@ Records are flat dicts of scalars, so a CSV export carries the same rows
 one-to-one.  All randomness is derived from the manifest seed through named
 (slot, trial) streams, which makes a report a deterministic function
 of the manifest.  Every certificate is read through
-``estimation._certify_levels``, which draws one rollout pool and one
-importance draw per call and reads every level from them: ``certify`` makes
-one call per query, and a ``concentration`` trial one per certificate kind.
+``estimation._certify_levels``, which takes a rollout pool and a draw seed,
+makes one importance draw per call and reads every level from them:
+``certify`` makes one call per query, and a ``concentration`` trial one per
+certificate kind, each on the trial's one pool.
 Runs are single-threaded; ``--workers`` is accepted and validated but has no
 effect.
 """
@@ -90,8 +91,9 @@ SCHEMA = {
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 # Stream slots, combined with trial indices so reports never depend on
-# evaluation order. certify's pool is _SLOT_POOL (trial 0);
-# _SLOT_UNIF and _SLOT_TIGHT seed a concentration trial's certificate pools.
+# evaluation order. _SLOT_POOL seeds certify's pool and draws (trial 0) and
+# each concentration trial's one pool; _SLOT_UNIF and _SLOT_TIGHT seed that
+# trial's uniform and TightLower importance draws.
 _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
 
@@ -313,12 +315,13 @@ def cmd_certify(manifest: RunManifest) -> dict:
     except BudgetExceededError:
         pass
 
-    cfg = RolloutConfig(manifest.rollouts, manifest.particles,
-                        _derived_seed(manifest.seed, _SLOT_POOL))
-    per_alpha = _certify_levels(pair, policy, _initial_query(pair, manifest.alpha[0]),
-                                cfg, q0, manifest.ndelta, manifest.delta,
-                                manifest.alpha, v=manifest.v, eta=manifest.eta,
-                                grid=grid)
+    seed = _derived_seed(manifest.seed, _SLOT_POOL)
+    query = _initial_query(pair, manifest.alpha[0])
+    pool = _simplified_return_pool(
+        pair, policy, query, RolloutConfig(manifest.rollouts, manifest.particles, seed))
+    per_alpha = _certify_levels(pair, policy, query, pool, seed, q0, manifest.ndelta,
+                                manifest.delta, manifest.alpha, v=manifest.v,
+                                eta=manifest.eta, grid=grid)
     for alpha, (uniform, tight) in zip(manifest.alpha, per_alpha):
         if isinstance(uniform, InapplicableCaseError):
             raise uniform
@@ -358,10 +361,11 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     # worst-case width of a rollout return: per-step mean costs stay inside
     # the global state-cost range
     value_range = float(np.ptp(m.state_cost) * (m.horizon_T - m.start_k + 1))
-    # one fixed probe level for the pointwise gap estimate: the grid edge
-    # nearest the median simplified return, where the curve is active
-    level = float(grid.edges[np.argmin(
-        np.abs(grid.edges - np.median(dist_s.values)))])
+    # probe level of the pointwise gap estimate, where the curve is active: the grid
+    # edge nearest the middle of the simplified law's distinct atom values, unweighted
+    values = dist_s.values  # sorted and distinct; np.median would import numpy.ma
+    middle = values[(values.size - 1) // 2:values.size // 2 + 1].mean()
+    level = float(grid.edges[np.argmin(np.abs(grid.edges - middle))])
     g_exact_level = float(traj.g_at(level)[0])
     probe = np.linspace(grid.edges[0], grid.edges[-1], 241)
     g_exact_probe = traj.g_at(probe)
@@ -383,16 +387,15 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     )
     n_delta = {name: nd for name, _, nd in guarantees}
 
-    # every pool starts from the initial belief; its level plays no part
+    # each trial's pool starts from the initial belief; the query's level plays no part
     query = _initial_query(pair, alphas[0])
-
-    def pool_config(slot: int, t: int) -> RolloutConfig:
-        return RolloutConfig(manifest.rollouts, manifest.particles,
-                             _derived_seed(manifest.seed, slot, t))
 
     def one_trial(t: int) -> dict:
         events = {}
-        pool = _simplified_return_pool(pair, policy, query, pool_config(_SLOT_POOL, t))
+        # one pool per trial, read by the CVaR estimates and both certificate kinds
+        config = RolloutConfig(manifest.rollouts, manifest.particles,
+                               _derived_seed(manifest.seed, _SLOT_POOL, t))
+        pool = _simplified_return_pool(pair, policy, query, config)
         for alpha in alphas:
             radii = deviation_radii(pool.size, alpha, delta, value_range)
             q_hat = cvar_estimate_sorted(pool, alpha)
@@ -416,9 +419,10 @@ def cmd_concentration(manifest: RunManifest) -> dict:
         events[("h_envelope_uniform", None)] = \
             bool(np.any(g_exact_probe - h_plus.at(probe) > v))
 
-        # one pool per certificate kind, each at its own formula N_delta
-        uniform_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_UNIF, t),
-                                         q0, n_delta["uniform_lower"], delta, alphas, v=v)
+        # one importance draw per certificate kind, each at its own formula N_delta
+        uniform_levels = _certify_levels(pair, policy, query, pool,
+                                         _derived_seed(manifest.seed, _SLOT_UNIF, t), q0,
+                                         n_delta["uniform_lower"], delta, alphas, v=v)
         for alpha, (uniform, _) in zip(alphas, uniform_levels):
             if isinstance(uniform, InapplicableCaseError):
                 events[("uniform_lower", alpha)] = events[("uniform_upper", alpha)] = None
@@ -431,8 +435,9 @@ def cmd_concentration(manifest: RunManifest) -> dict:
             events[("uniform_upper", alpha)] = (
                 exact_p[alpha] - upper[0].value > upper[0].radii["lambda"]
                 if upper else None)
-        tight_levels = _certify_levels(pair, policy, query, pool_config(_SLOT_TIGHT, t),
-                                       q0, n_delta["tight_lower"], delta, alphas,
+        tight_levels = _certify_levels(pair, policy, query, pool,
+                                       _derived_seed(manifest.seed, _SLOT_TIGHT, t), q0,
+                                       n_delta["tight_lower"], delta, alphas,
                                        eta=eta, grid=grid)
         for alpha, (_, tight) in zip(alphas, tight_levels):
             events[("tight_lower", alpha)] = tight.value - exact_p[alpha] > tight.v

@@ -158,13 +158,24 @@ def uniform_lower(dist: DiscreteDistribution, alpha, env, support: SupportBounds
 # ---------------------------------------------------------------- pointwise gap
 
 
+def _sorted_union(a, b) -> np.ndarray:
+    """``np.union1d(a, b)`` bit for bit on finite values (of 0.0 and -0.0, the
+    first in sorted order) without np.unique, which imports numpy.ma (1 MB)."""
+    merged = np.concatenate((a, b), axis=None)
+    merged.sort()
+    keep = np.empty(merged.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = merged[1:] != merged[:-1]
+    return merged[keep]
+
+
 def dominated_cdf(dist: DiscreteDistribution, env: PointwiseEnvelope) -> DiscreteDistribution:
     """Distribution of the dominating CDF ``min(1, F_Y + g)``.
 
     Its atoms live on the union of ``Y`` atoms and envelope breakpoints;
     monotonicity of ``g`` makes the clipped sum a valid CDF.
     """
-    grid = np.union1d(dist.values, env.breakpoints)
+    grid = _sorted_union(dist.values, env.breakpoints)
     h = np.minimum(1.0, dist.cdf_at(grid) + env.at(grid))
     masses = np.diff(np.concatenate(([0.0], h)))
     return DiscreteDistribution(grid, masses)
@@ -184,7 +195,7 @@ def cdf_gap_envelope(dist_x: DiscreteDistribution, dist_y: DiscreteDistribution)
     Returns ``(envelope, sup_gap)``; mainly a validation-harness helper for
     manufacturing conforming envelopes from two known laws.
     """
-    grid = np.union1d(dist_x.values, dist_y.values)
+    grid = _sorted_union(dist_x.values, dist_y.values)
     gap = np.abs(dist_x.cdf_at(grid) - dist_y.cdf_at(grid))
     env = PointwiseEnvelope(grid, np.maximum.accumulate(gap))
     return env, float(gap.max())

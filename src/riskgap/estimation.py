@@ -198,16 +198,17 @@ class CertifiedBound:
 class _RolloutKernel:
     """Particle-filter steps for a batch of rollouts over one (pair, model) tensor set.
 
-    Row i of the (C, N_x) state and weight arrays and of the (C, S) masses
-    (m_x = summed weight of the particles in state x) is rollout i. Row i
-    stores state x as i * S + x, its entry in the flattened masses, so the
-    masses are one bincount and each step's per-row tables are gathered
-    without index arithmetic. A step reads its randomness from a
-    (C, 3 + N_x) array of uniforms; row i holds, in draw order, rollout i's
-    reference-state draw (from the masses, which has the law of a particle
-    drawn by weight), reference-successor and observation draws, then one
-    draw per particle.
+    A step advances a block of rollouts: row j of its (rows, N_x) state and
+    weight arrays and (rows, S) masses (m_x = summed weight of the particles in
+    state x) stores state x as j * S + x, its entry in the flattened masses, so
+    the masses are one bincount and each step's per-row tables are gathered
+    without index arithmetic. Its (rows, 3 + N_x) uniforms hold per row, in
+    draw order, the reference-state draw (from the masses, which has the law of
+    a particle drawn by weight), reference-successor and observation draws, then
+    one draw per particle.
     """
+
+    block_rows = 64  # rollouts run this many at a time; the returns do not depend on it
 
     def __init__(self, pair: SimplifiedPair, model: str):
         trans, obs = pair.tensors(model)
@@ -223,7 +224,7 @@ class _RolloutKernel:
         self.cost_rows = np.ascontiguousarray(pair.original.state_cost.T)
 
     def masses(self, states, weights):
-        """(C, S) per-state weight sums of (C, N_x) state and weight rows."""
+        """(rows, S) per-state weight sums of (rows, N_x) state and weight rows."""
         n_rows = states.shape[0]
         return np.bincount(states.ravel(), weights=weights.ravel(),
                            minlength=n_rows * self.n_states).reshape(n_rows, -1)
@@ -232,14 +233,14 @@ class _RolloutKernel:
         """Each row's mean cost of its action under its belief."""
         return (masses * self.cost_rows[actions]).sum(axis=1) / masses.sum(axis=1)
 
-    def step(self, states, weights, masses, actions, u, t: int | None = None):
-        """One transition of every row; returns (successors, weights, masses).
+    def step(self, states, weights, masses, actions, u, first_row: int = 0,
+             t: int | None = None) -> None:
+        """One transition of a block of rows, in place; an error names rollout
+        ``first_row`` + the row.
 
         A row whose weight sum falls below 1/2 is scaled up by a power of
         two, which is exact, so the mean cost, the reference draw and the
-        belief argmax of later steps are unchanged by it. Each (C, N_x)
-        temporary is dropped as soon as it is used, which keeps peak memory
-        near that of the state, weight and uniform arrays.
+        belief argmax of later steps are unchanged by it.
         """
         n_rows, n_states = masses.shape
         cum_m = np.cumsum(masses, axis=1)
@@ -247,17 +248,17 @@ class _RolloutKernel:
         x0p = np.count_nonzero(self.cum_trans[actions, x0] < u[:, 1:2], axis=1)
         z = np.count_nonzero(self.cum_obs[x0p] < u[:, 2:3], axis=1)
         # successor = row offset + count of cumulative-transition entries
-        # below the draw, one column at a time, with no (C, N_x, S) tensor
+        # below the draw, one column at a time, with no (rows, N_x, S) tensor
         cols = self.cum_cols[:, actions]
         succ = np.arange(n_rows)[:, None] * n_states + (np.take(cols[0], states) < u[:, 3:])
         for col in range(1, n_states - 1):
             succ += np.take(cols[col], states) < u[:, 3:]
-        new_w = np.take(self.obs_rows[z], succ)
-        new_w *= weights
-        masses = self.masses(succ, new_w)
+        states[...] = succ
+        weights *= np.take(self.obs_rows[z], states)
+        masses[...] = self.masses(states, weights)
         sums = masses.sum(axis=1)
         if not np.all(sums > 0.0):
-            i = int(np.argmin(sums > 0.0))
+            i = first_row + int(np.argmin(sums > 0.0))
             where = "" if t is None else f" at step {t}"
             raise DegenerateWeightsError(
                 f"all {states.shape[1]} particle weights of rollout {i} are zero "
@@ -265,36 +266,39 @@ class _RolloutKernel:
         exponent = np.frexp(sums)[1]
         if np.any(exponent < 0):
             scale = np.maximum(-exponent, 0)[:, None]
-            np.ldexp(new_w, scale, out=new_w)
+            np.ldexp(weights, scale, out=weights)
             np.ldexp(masses, scale, out=masses)
-        return succ, new_w, masses
 
     def rollouts(self, policy: Policy, states, weights, a: int, t: int,
                  depth: int, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-        """Returns of n_rows rollouts of `depth` step costs from time t.
-
-        Each of the depth - 1 transitions fills its (n_rows, 3 + N_x) block
-        of uniforms, row after row, with one ``rng.random`` call; row i is
-        rollout i's, as ``step`` reads it. No transition follows the last
-        cost.
-        """
+        """Returns of n_rows rollouts of `depth` step costs (depth - 1 transitions)
+        from time t. Each transition reads one (n_rows, 3 + N_x) fill of
+        ``rng``'s PCG64 stream, row i for rollout i; ``block_rows`` rollouts at
+        a time step through every transition in place, each block filling its
+        rows of each fill and advancing the stream past the others."""
         table_rows = range(t + 1 - policy.start_k, t + depth - policy.start_k)
         if table_rows and not (0 <= table_rows[0]
                                and table_rows[-1] < policy.actions.shape[0]):
             raise ValueError(f"policy has no row for time steps {t + 1}..{t + depth - 1}")
-        states = np.arange(n_rows)[:, None] * self.n_states + states
-        weights = np.tile(weights, (n_rows, 1))
-        masses = np.tile(self.masses(states[:1], weights[:1]), (n_rows, 1))
-        actions = np.full(n_rows, int(a), dtype=np.intp)
-        u = np.empty((n_rows, 3 + states.shape[1]))
-        returns = self.mean_cost(masses, actions)
-        for step in range(t + 1, t + depth):
-            rng.random(out=u)
-            states, weights, masses = self.step(states, weights, masses, actions, u,
-                                                step - 1)
-            probs = masses / masses.sum(axis=1, keepdims=True)
-            actions = policy.actions[step - policy.start_k, probs.argmax(axis=1)]
-            returns += self.mean_cost(masses, actions)
+        block, width = min(n_rows, self.block_rows), 3 + states.size
+        returns = np.empty(n_rows)
+        for r0 in range(0, n_rows, block):
+            rows = min(block, n_rows - r0)
+            block_states = np.arange(rows)[:, None] * self.n_states + states
+            block_weights = np.tile(weights, (rows, 1))
+            masses = self.masses(block_states, block_weights)
+            actions = np.full(rows, int(a), dtype=np.intp)
+            u = np.empty((rows, width))
+            returns[r0:r0 + rows] = self.mean_cost(masses, actions)
+            for step in range(t + 1, t + depth):
+                self.step(block_states, block_weights, masses, actions,
+                          rng.random(out=u), r0, step - 1)
+                rng.bit_generator.advance((n_rows - rows) * width)
+                probs = masses / masses.sum(axis=1, keepdims=True)
+                actions = policy.actions[step - policy.start_k, probs.argmax(axis=1)]
+                returns[r0:r0 + rows] += self.mean_cost(masses, actions)
+            # back to the next block's rows of the first fill, modulo the period
+            rng.bit_generator.advance((rows - (depth - 1) * n_rows) * width % 2**128)
         return returns
 
 
@@ -303,8 +307,8 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
                     model: str = "simplified") -> np.ndarray:
     """C iid rollout returns from one derived rng stream per pool.
 
-    All C rollouts advance together as (C, N_x) arrays, so the returns depend
-    on the seed and C.
+    The C rollouts read one stream, one (C, 3 + N_x) fill per transition, so
+    the returns depend on the seed and C.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -551,32 +555,32 @@ def _tight_bound(law: DiscreteDistribution, alpha: float, delta: float, eta: flo
 
 
 def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
-                    config: RolloutConfig, q0: ProposalQ0, n_delta: int, delta: float,
-                    alphas, v: float | None = None, eta: float | None = None,
-                    grid: BinGrid | None = None) -> list:
-    """The one path from a query to its certificates: per level in ``alphas``,
-    (uniform, tight) read from one pool, one ``_EPS`` importance draw (its
-    epsilon_hat and g_hat; n_delta meets every rate asked for) and one
-    dominated law. ``uniform`` is the ``_uniform_bounds`` result (given v), so a
-    level they do not cover gets its InapplicableCaseError and leaves the other
-    levels standing; ``tight`` is TightLower (given eta and grid). Each bound
-    keeps its marginal law, so each delta-guarantee holds; a call's bounds are dependent.
-    A q0 walked from another belief or first action than the query's raises
-    ValueError."""
+                    returns: np.ndarray, draw_seed: int, q0: ProposalQ0, n_delta: int,
+                    delta: float, alphas, v: float | None = None,
+                    eta: float | None = None, grid: BinGrid | None = None) -> list:
+    """The one path from a query's pool of ``returns`` to its certificates: per
+    level in ``alphas``, (uniform, tight) read from that pool, one importance
+    draw on ``draw_seed``'s ``_EPS`` stream (its epsilon_hat and g_hat; n_delta
+    meets every rate asked for) and one dominated law on its ``_GINV`` stream.
+    ``uniform`` is the ``_uniform_bounds`` result (given v), so a level they do
+    not cover gets its InapplicableCaseError and leaves the other levels
+    standing; ``tight`` is TightLower (given eta and grid). Each bound keeps
+    its marginal law, so each delta-guarantee holds; a call's bounds are
+    dependent. A q0 walked from another belief or first action than the
+    query's raises ValueError."""
     a_k = _first_action(pair, policy, query.belief, query.action)
     if a_k != q0.a_k or not np.array_equal(query.belief.probs, q0.b_k.probs):
         raise ValueError(f"the proposal was walked from (belief {q0.b_k.probs.tolist()}, "
                          f"action {q0.a_k}), but the query is (belief "
                          f"{query.belief.probs.tolist()}, action {a_k})")
     _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
-    returns = _simplified_return_pool(pair, policy, query, config)
-    gaps = _sampled_gaps(q0, n_delta, _stream(config.rng_seed, _EPS))
+    gaps = _sampled_gaps(q0, n_delta, _stream(draw_seed, _EPS))
     span = _return_span(pair)
     if grid is not None:
         # the counts of n_delta iid draws from min(1, empirical CDF + h_plus + eta)
         h_plus, _ = binned_h(gaps.g_at(grid.edges), grid)
         dist = lower_cdf_distribution(returns, h_plus, eta, grid.edges)
-        counts = _draw_counts(dist.probs, n_delta, _stream(config.rng_seed, _GINV))
+        counts = _draw_counts(dist.probs, n_delta, _stream(draw_seed, _GINV))
         law = DiscreteDistribution(dist.values, counts / n_delta)
     return [(None if v is None else _uniform_bounds(returns, gaps.epsilon, a, v,
                                                     delta, span, n_delta),
@@ -589,9 +593,10 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                     config: RolloutConfig, q0: ProposalQ0, n_delta: int,
                     v: float, delta: float) -> list:
     """Certified lower and upper bounds (``_uniform_bounds``) at the query's
-    level: ``_certify_levels`` at that one level."""
-    [(bounds, _)] = _certify_levels(pair, policy, query, config, q0, n_delta, delta,
-                                    [query.alpha.alpha], v=v)
+    level: ``_certify_levels`` at that one level, on the config's pool and seed."""
+    returns = _simplified_return_pool(pair, policy, query, config)
+    [(bounds, _)] = _certify_levels(pair, policy, query, returns, config.rng_seed, q0,
+                                    n_delta, delta, [query.alpha.alpha], v=v)
     if isinstance(bounds, InapplicableCaseError):
         raise bounds
     return bounds
@@ -602,7 +607,9 @@ def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                         eta: float, delta: float, grid: BinGrid) -> CertifiedBound:
     """Certified lower bound: the empirical CVaR of n_delta iid draws from the
     dominated law, its deviation radius in ``v``: ``_certify_levels`` at the
-    query's level."""
-    [(_, tight)] = _certify_levels(pair, policy, query, config, q0, n_delta, delta,
-                                   [query.alpha.alpha], eta=eta, grid=grid)
+    query's level, on the config's pool and seed."""
+    returns = _simplified_return_pool(pair, policy, query, config)
+    [(_, tight)] = _certify_levels(pair, policy, query, returns, config.rng_seed, q0,
+                                   n_delta, delta, [query.alpha.alpha], eta=eta,
+                                   grid=grid)
     return tight

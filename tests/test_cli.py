@@ -3,6 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import pytest
 from riskgap import estimation, pomdp
 from riskgap.cli import (
     _SLOT_POOL,
+    _SLOT_TIGHT,
+    _SLOT_UNIF,
     SCHEMA_VERSION,
     _bound_record,
     _derived_seed,
@@ -24,6 +30,7 @@ from riskgap.estimation import (
     BinGrid,
     DegenerateWeightsError,
     RolloutConfig,
+    _certify_levels,
     _draw_counts,
     _simplified_return_pool,
     _tight_bound,
@@ -376,8 +383,8 @@ def test_inapplicable_uniform_level_stays_local(tmp_path, capsys):
 
 def test_pools_per_query_and_per_trial(tmp_path, monkeypatch):
     # certify draws one pool per query at any number of levels; a
-    # concentration trial draws one for the CVaR estimates and one per
-    # certificate kind
+    # concentration trial draws one, read by the CVaR estimates and both
+    # certificate kinds
     pools = []
     draw = estimation._simplified_return_pool
 
@@ -396,7 +403,71 @@ def test_pools_per_query_and_per_trial(tmp_path, monkeypatch):
     pools.clear()
     assert run_cli(["concentration", *common, "--alpha", "0.25,0.9", "--trials", "4"],
                    tmp_path / "r.json")[0] == 0
-    assert len(pools) == 3 * 4
+    assert len(pools) == 4
+
+
+def test_concentration_certificates_read_the_trial_pool(tmp_path, monkeypatch):
+    # trial t's uniform and TightLower certificates are _certify_levels on
+    # the trial's one _SLOT_POOL pool, with the _SLOT_UNIF and _SLOT_TIGHT
+    # draw seeds, each at its own formula N_delta
+    calls = []
+
+    def recorded(pair, policy, query, returns, draw_seed, *args, **kwargs):
+        levels = _certify_levels(pair, policy, query, returns, draw_seed, *args,
+                                 **kwargs)
+        calls.append((returns.copy(), draw_seed, repr(levels)))
+        return levels
+
+    monkeypatch.setattr("riskgap.cli._certify_levels", recorded)
+    seed, alphas = 9, (0.25, 0.9)
+    assert run_cli(["concentration", "--scenario", "two_state_sensor", "--alpha",
+                    "0.25,0.9", "--rollouts", "60", "--particles", "50",
+                    "--trials", "2", "--seed", str(seed)], tmp_path / "r.json")[0] == 0
+    spec = builtin("two_state_sensor")
+    pair, policy, m = spec.pair, spec.policy, spec.pair.original
+    q0 = build_default_proposal(pair, policy)
+    b, grid = q0.importance_bound, BinGrid.uniform(pair, 8)
+    query = _initial_query(pair, 0.25)
+    n_uniform = n_delta_for_uniform_bounds(0.1, 0.1, b, m.horizon_T, m.start_k)
+    n_tight = n_delta_for_tight_lower(0.25, 0.1, b, 8, m.horizon_T, m.start_k)
+    expected = []
+    for t in range(2):
+        pool = _simplified_return_pool(pair, policy, query, RolloutConfig(
+            60, 50, _derived_seed(seed, _SLOT_POOL, t)))
+        uniform = _derived_seed(seed, _SLOT_UNIF, t)
+        tight = _derived_seed(seed, _SLOT_TIGHT, t)
+        expected += [(pool, uniform, _certify_levels(pair, policy, query, pool, uniform,
+                                                     q0, n_uniform, 0.1, alphas, v=0.1)),
+                     (pool, tight, _certify_levels(pair, policy, query, pool, tight, q0,
+                                                   n_tight, 0.1, alphas, eta=0.25,
+                                                   grid=grid))]
+    assert len(calls) == len(expected)
+    for (returns, draw_seed, levels), (pool, want_seed, want) in zip(calls, expected):
+        assert np.array_equal(returns, pool)
+        assert draw_seed == want_seed
+        assert levels == repr(want)
+
+
+@pytest.mark.parametrize("argv", (
+    ["enumerate"],
+    ["certify", "--rollouts", "60", "--particles", "50"],
+    ["concentration", "--trials", "1", "--rollouts", "60", "--particles", "50"],
+), ids=lambda argv: argv[0])
+def test_one_op_leaves_numpy_ma_unimported(argv):
+    # numpy.ma costs a process about 1 MB of resident memory, and np.unique
+    # (so np.union1d) and np.median import it; a fresh interpreter shows it
+    script = ("import contextlib, io, sys\n"
+              "from riskgap.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = main(sys.argv[1:])\n"
+              "print(rc, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--scenario", "two_state_sensor"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120)
+    assert done.stdout == "0 False\n", done.stderr
 
 
 def test_concentration_zero_trials_empty_report(tmp_path):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskgap.envelopes import (
     InvalidEnvelopeError,
     PointwiseEnvelope,
     SupportBounds,
     UniformEnvelope,
+    _sorted_union,
     cdf_gap_envelope,
     dominated_cdf,
     lower_case_tag,
@@ -216,3 +219,16 @@ def test_raw_upper_defined_only_when_envelope_clears_the_top():
         with pytest.raises(UndefinedBoundError):
             raw_quantile_upper(y, env_on_support, a)
     assert dominated_checked == 300
+
+
+# small pools of values force repeats, and both signed zeros appear in any order
+_union_input = st.lists(
+    st.sampled_from([0.0, -0.0, 1.5, -2.0])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    max_size=12).map(lambda values: np.array(values, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_union_input, b=_union_input)
+def test_sorted_union_equals_union1d_bit_for_bit(a, b):
+    assert _sorted_union(a, b).tobytes() == np.union1d(a, b).tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,12 +152,13 @@ def test_proposal_rejects_misshapen_gaps():
 def kernel_step(pair, pb, a, rng):
     """One original-model step of a single rollout: (states, weights, rho)."""
     kernel = _RolloutKernel(pair, "original")
-    states, weights, actions = pb.states[None, :], pb.weights[None, :], np.array([a])
+    states, weights = pb.states[None, :].copy(), pb.weights[None, :].copy()
+    actions = np.array([a])
     masses = kernel.masses(states, weights)
     rho = kernel.mean_cost(masses, actions)
     u = rng.random((1, 3 + pb.states.size))
-    succ, weights, _ = kernel.step(states, weights, masses, actions, u)
-    return succ[0], weights[0], float(rho[0])
+    kernel.step(states, weights, masses, actions, u)
+    return states[0], weights[0], float(rho[0])
 
 
 def deterministic_pair():
@@ -226,8 +228,8 @@ def test_reference_draw_samples_the_particle_belief():
     states = np.arange(rows)[:, None] * 2 + [0, 1, 1]  # row i keeps x as 2i + x
     weights = np.tile([0.2, 1.5, 0.05], (rows, 1))
     u = np.random.default_rng(4).random((rows, 3 + 3))
-    _, _, masses = kernel.step(states, weights, kernel.masses(states, weights),
-                               np.zeros(rows, dtype=np.intp), u)
+    masses = kernel.masses(states, weights)
+    kernel.step(states, weights, masses, np.zeros(rows, dtype=np.intp), u)
     p = 0.2 / 1.75
     freq = np.count_nonzero(masses[:, 0] > 0.0) / rows
     assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / rows)
@@ -347,7 +349,9 @@ def _assert_same_as_loop(pair, policy, belief, config, model):
     return batched
 
 
-@pytest.mark.parametrize("shape", ((500, 200), (300, 150)))
+# row counts below, at and around the kernel's block of rows and several blocks
+@pytest.mark.parametrize("shape", ((1, 200), (63, 200), (65, 200), (500, 200),
+                                   (300, 150)))
 @pytest.mark.parametrize("name", scenarios.builtin_names())
 def test_batched_rollouts_equal_loop_on_builtins(name, shape):
     spec = scenarios.builtin(name)
@@ -403,7 +407,7 @@ def test_rollout_pool_draws_one_block_per_step():
 
     class CountingGenerator:
         def __init__(self, rng):
-            self.rng = rng
+            self.rng, self.bit_generator = rng, rng.bit_generator
 
         def random(self, **kwargs):
             blocks.append(kwargs["out"].shape)
@@ -415,6 +419,33 @@ def test_rollout_pool_draws_one_block_per_step():
     assert blocks == [(12, 3 + 30)] * (depth - 1)
     assert np.array_equal(returns, rollout_returns(pair, policy, pb, a0, 0, depth,
                                                    RolloutConfig(12, 30, 7)))
+
+
+def test_rollout_pool_steps_one_block_of_rows_at_a_time():
+    # a block of rollouts runs through every transition before the next block
+    # starts, reading its rows of each transition's fill; the returns are the
+    # loop oracle's, which reads the fills whole, one per transition
+    pair, policy, query = sensor_setup()
+    pb = ParticleBelief.from_belief(query.belief, 30, np.random.default_rng(0))
+    a0 = policy.action(0, query.belief)
+    depth, block = full_depth(pair), _RolloutKernel.block_rows
+    fills = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng, self.bit_generator = rng, rng.bit_generator
+
+        def random(self, out):
+            fills.append(out.shape)
+            return self.rng.random(out=out)
+
+    returns = _RolloutKernel(pair, "simplified").rollouts(
+        policy, pb.states, pb.weights, a0, 0, depth, 2 * block + 2,
+        CountingGenerator(_stream(7, _ROLLOUT)))
+    assert fills == [(block, 33)] * (depth - 1) * 2 + [(2, 33)] * (depth - 1)
+    config = RolloutConfig(2 * block + 2, 30, 7)
+    assert np.array_equal(returns, loop_rollout_returns(pair, policy, pb, a0, 0, depth,
+                                                        config))
 
 
 def test_rollout_beyond_policy_table_raises():
@@ -437,6 +468,52 @@ def test_rollout_zero_likelihood_names_the_step():
     pb = ParticleBelief(np.array([0]), np.ones(1))
     with pytest.raises(DegenerateWeightsError, match=r"are zero .* at step [0-6]$"):
         rollout_returns(pair, policy, pb, 0, 0, 7, RolloutConfig(16, 1, 3), "original")
+
+
+def test_rollout_zero_likelihood_names_the_pool_row():
+    # the same lone particle, with uniforms under which only rollout 70, in
+    # the second block of rows, moves its particle away from the reference
+    # chain and so meets an observation that particle cannot emit
+    trans = [[[0.5, 0.5], [0.5, 0.5]]]
+    obs = [[1.0, 0.0], [0.0, 1.0]]
+    model = make_model(trans, obs, [[0.0], [0.0]], [1.0, 0.0], horizon_T=2)
+    policy = Policy(np.zeros((3, 2), dtype=int), start_k=0)
+
+    class Stream:
+        """0.25 at every position of the stream but rollout 70's particle draw."""
+
+        def __init__(self):
+            self.pos, self.bit_generator = 0, self
+
+        def advance(self, n):
+            self.pos = (self.pos + n) % 2**128
+
+        def random(self, out):
+            out.fill(0.25)
+            if 0 <= 70 * 4 + 3 - self.pos < out.size:
+                out.flat[70 * 4 + 3 - self.pos] = 0.75
+            self.advance(out.size)
+            return out
+
+    kernel = _RolloutKernel(SimplifiedPair.identical(model), "original")
+    with pytest.raises(DegenerateWeightsError,
+                       match=r"rollout 70 are zero .* at step 0$"):
+        kernel.rollouts(policy, np.array([0]), np.ones(1), 0, 0, 2, 100, Stream())
+
+
+def test_rollout_pool_peaks_at_a_few_blocks_of_rows():
+    # whole (500, 200) state and weight arrays would take 1.6 MB; a block of
+    # 64 rows at a time, stepped in place, needs a few 0.1 MB arrays
+    pair, policy, query = sensor_setup()
+    config = RolloutConfig(500, 200, 7)
+    _simplified_return_pool(pair, policy, query, config)
+    tracemalloc.start()
+    try:
+        _simplified_return_pool(pair, policy, query, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
 
 
 def test_depth_one_pool_simulates_no_transition():
