@@ -13,8 +13,8 @@ of the manifest.  Every certificate is read through
 makes one importance draw per call and reads every level from them:
 ``certify`` makes one call per query, and a ``concentration`` trial one per
 certificate kind, each on the trial's one pool.
-Runs are single-threaded; ``--workers`` is accepted and validated but has no
-effect.
+Each command takes only the flags it reads.  Runs are single-threaded;
+``--workers`` is checked to be >= 1 but has no effect.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -56,7 +55,6 @@ from .pomdp import (
 )
 from .risk import (
     _COMPARE_TOL,
-    ConfidenceLevel,
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
@@ -99,26 +97,26 @@ _SLOT_POOL, _SLOT_EPS, _SLOT_G, _SLOT_H, _SLOT_UNIF, _SLOT_TIGHT = range(6)
 
 @dataclass(frozen=True, kw_only=True)
 class RunManifest:
-    """Resolved run parameters, echoed into every report. Each field is named
-    after its parser dest, which is also its key in the manifest echo."""
+    """Resolved run parameters, echoed into every report. A field is named after
+    its parser dest and its manifest key, and holds the flag's only default."""
 
     command: str
-    scenario: str | None
-    problem: str | None
-    alpha: tuple
-    delta: float
-    v: float
-    eta: float
-    rollouts: int
-    particles: int
-    ndelta: int | None
+    scenario: str | None = None
+    problem: str | None = None
+    alpha: tuple = (0.25,)
+    delta: float = 0.1
+    v: float = 0.1
+    eta: float = 0.25
+    rollouts: int = 500
+    particles: int = 200
+    ndelta: int | None = None
     ndelta_derived: bool = False
     ndelta_formula: str = ""
-    bins: int
-    seed: int
-    trials: int
-    out: str | None
-    fmt: str
+    bins: int = 8
+    seed: int = 0
+    trials: int = 100
+    out: str | None = None
+    fmt: str = "json"
 
     def to_dict(self) -> dict:
         # trials and fmt are execution plumbing, not run identity: leaving
@@ -472,79 +470,81 @@ def cmd_concentration(manifest: RunManifest) -> dict:
 # ----------------------------------------------------------------- interface
 
 
-def _parse_alphas(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("--alpha needs at least one level")
-    alphas = tuple(ConfidenceLevel(float(p)).alpha for p in parts)
-    for i, alpha in enumerate(alphas):
-        if alpha in alphas[:i]:
-            raise ValueError(f"--alpha lists level {alpha} twice")
-    return alphas
+def levels(text: str) -> tuple:
+    # an argparse type: argparse names the flag, and this type, when one fails
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _parse_ndelta(text: str) -> int | None:
-    if text == "auto":
-        return None
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"--ndelta must be >= 1 or 'auto', got {n}")
-    return n
+def count_or_auto(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+# the range of each flag that has one, as (statement, test); NaN fails every test
+_RANGES = {
+    "alpha": ("levels in (0, 1)", lambda a: a and all(0.0 < x < 1.0 for x in a)),
+    "delta": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+    "v": ("finite and > 0", lambda x: 0.0 < x < math.inf),
+    "eta": ("finite and > 0", lambda x: 0.0 < x < math.inf),
+    "ndelta": (">= 1 or 'auto'", lambda n: n is None or n >= 1),
+    **dict.fromkeys(("rollouts", "particles", "bins", "workers"), (">= 1", lambda n: n >= 1)),
+    **dict.fromkeys(("seed", "trials"), (">= 0", lambda n: n >= 0)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is declared once; a flag not given is left to RunManifest's default
+    common, sampling, trials = (argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS) for _ in range(3))
+    source = common.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", metavar="PATH", help="JSON problem file")
+    source.add_argument("--scenario", metavar="NAME",
+                        help=f"built-in scenario: {', '.join(builtin_names())}")
+    common.add_argument("--alpha", type=levels, metavar="LIST",
+                        help="comma-separated tail levels in (0, 1)")
+    common.add_argument("--bins", type=int, metavar="I")
+    common.add_argument("--out", metavar="PATH",
+                        help="write the report here instead of stdout")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    sampling.add_argument("--delta", type=float, metavar="F",
+                          help="per-guarantee failure probability")
+    sampling.add_argument("--v", type=float, metavar="F", help="gap-accuracy parameter")
+    sampling.add_argument("--eta", type=float, metavar="F",
+                          help="envelope slack for the tight lower bound")
+    sampling.add_argument("--rollouts", type=int, metavar="C")
+    sampling.add_argument("--particles", type=int, metavar="NX")
+    sampling.add_argument("--ndelta", type=count_or_auto, metavar="N|auto",
+                          help="importance-sampling draws; 'auto' derives the "
+                               "count from the certified-rate formulas")
+    sampling.add_argument("--seed", type=int, metavar="S")
+    sampling.add_argument("--workers", type=int, metavar="N",
+                          help="accepted and ignored: runs are single-threaded")
+    trials.add_argument("--trials", type=int, metavar="N")
     parser = argparse.ArgumentParser(
         prog="riskgap",
         description="Tail-risk value reports for a POMDP policy evaluated "
                     "under a simplified model: exact enumeration, certified "
                     "bounds, and concentration-rate validation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("enumerate", "exact return laws, gaps, bounds, sandwich verdicts"),
-            ("certify", "Monte-Carlo certified bounds with deviation radii"),
-            ("concentration", "violation-rate validation of each guarantee")):
-        cmd = sub.add_parser(name, help=doc)
-        source = cmd.add_mutually_exclusive_group(required=True)
-        source.add_argument("--problem", metavar="PATH",
-                            help="JSON problem file")
-        source.add_argument("--scenario", metavar="NAME",
-                            help=f"built-in scenario: {', '.join(builtin_names())}")
-        cmd.add_argument("--alpha", default="0.25", metavar="LIST",
-                         help="comma-separated tail levels in (0, 1)")
-        cmd.add_argument("--delta", type=float, default=0.1, metavar="F",
-                         help="per-guarantee failure probability")
-        cmd.add_argument("--v", type=float, default=0.1, metavar="F",
-                         help="gap-accuracy parameter")
-        cmd.add_argument("--eta", type=float, default=0.25, metavar="F",
-                         help="envelope slack for the tight lower bound")
-        cmd.add_argument("--rollouts", type=int, default=500, metavar="C")
-        cmd.add_argument("--particles", type=int, default=200, metavar="NX")
-        cmd.add_argument("--ndelta", default="auto", metavar="N|auto",
-                         help="importance-sampling draws; 'auto' derives the "
-                              "count from the certified-rate formulas")
-        cmd.add_argument("--bins", type=int, default=8, metavar="I")
-        cmd.add_argument("--seed", type=int, default=0, metavar="S")
-        cmd.add_argument("--trials", type=int, default=100, metavar="N")
-        cmd.add_argument("--out", metavar="PATH",
-                         help="write the report here instead of stdout")
-        cmd.add_argument("--workers", type=int, metavar="N",
-                         default=os.environ.get("RISKGAP_WORKERS", "1"),
-                         help="accepted and ignored: runs are single-threaded "
-                              "(default: $RISKGAP_WORKERS or 1; must be >= 1)")
-        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                         default="json")
+    sub.add_parser("enumerate", parents=[common],
+                   help="exact return laws, gaps, bounds, sandwich verdicts")
+    sub.add_parser("certify", parents=[common, sampling],
+                   help="Monte-Carlo certified bounds with deviation radii")
+    sub.add_parser("concentration", parents=[common, sampling, trials],
+                   help="violation-rate validation of each guarantee")
     return parser
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     params = vars(args).copy()
-    for flag, low in (("workers", 1), ("seed", 0), ("bins", 1), ("trials", 0),
-                      ("rollouts", 1), ("particles", 1)):
-        if params[flag] < low:
-            raise ValueError(f"--{flag} must be >= {low}, got {params[flag]}")
-    del params["workers"]  # validated, but runs are single-threaded
-    return RunManifest(**{**params, "alpha": _parse_alphas(args.alpha),
-                          "ndelta": _parse_ndelta(args.ndelta)})
+    for flag, (stated, ok) in _RANGES.items():
+        if flag in params and not ok(params[flag]):
+            raise ValueError(f"--{flag} must be {stated}, got {params[flag]}")
+    alphas = params.get("alpha", ())
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise ValueError(f"--alpha lists level {alpha} twice")
+    params.pop("workers", None)  # checked, but runs are single-threaded
+    return RunManifest(**params)
 
 
 _COMMANDS = {

@@ -370,8 +370,8 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
 
 
 def _check_rate_args(v: float, delta: float, B: float, gap: int) -> None:
-    if v <= 0.0:
-        raise ValueError("accuracy parameter must be > 0")
+    if not 0.0 < v < math.inf:  # also false for NaN
+        raise ValueError(f"accuracy parameter must be finite and > 0, got {v}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if B < 1.0:

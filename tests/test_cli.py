@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -21,6 +22,7 @@ from riskgap.cli import (
     _derived_seed,
     _initial_query,
     binomial_pass_threshold,
+    build_parser,
     main,
     validate_report,
 )
@@ -264,16 +266,6 @@ def test_certify_byte_identical_across_runs_and_workers(tmp_path):
         assert rc == 0
         outputs.append(text)
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_certify_workers_env_var_default(tmp_path, monkeypatch):
-    args = ["certify", "--scenario", "two_state_sensor", "--rollouts", "60",
-            "--particles", "50", "--seed", "2"]
-    out = tmp_path / "r.json"
-    _, explicit = run_cli([*args, "--workers", "1"], out)
-    monkeypatch.setenv("RISKGAP_WORKERS", "3")
-    _, from_env = run_cli(args, out)
-    assert explicit == from_env
 
 
 def test_certify_explicit_ndelta_below_rate_exits_2(tmp_path, capsys):
@@ -632,10 +624,58 @@ def test_repeated_alpha_level_exits_2_naming_it(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("command", ["enumerate", "certify", "concentration"])
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--bins", "0"),
-                                         ("--bins", "-3"), ("--rollouts", "0"),
-                                         ("--particles", "0")])
+# the flags of each command; enumerate runs the exact oracle, which reads
+# none of the Monte-Carlo flags
+COMMAND_FLAGS = {"enumerate": {"--problem", "--scenario", "--alpha", "--bins",
+                               "--out", "--format"}}
+COMMAND_FLAGS["certify"] = COMMAND_FLAGS["enumerate"] | {
+    "--delta", "--v", "--eta", "--rollouts", "--particles", "--ndelta", "--seed",
+    "--workers"}
+COMMAND_FLAGS["concentration"] = COMMAND_FLAGS["certify"] | {"--trials"}
+
+
+def test_each_command_takes_only_the_flags_it_reads(monkeypatch):
+    declared = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def recording(self, *names, **kwargs):
+        declared.extend(names)
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_FLAGS)
+    for name, sub in commands.choices.items():
+        taken = {s for a in sub._actions for s in a.option_strings}
+        assert taken - {"-h", "--help"} == COMMAND_FLAGS[name], name
+    # each flag is declared once, not once per command that takes it
+    flags = [n for n in declared if n not in ("-h", "--help")]
+    assert sorted(flags) == sorted(COMMAND_FLAGS["concentration"])
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("enumerate", flag) for flag in sorted(COMMAND_FLAGS["concentration"]
+                                             - COMMAND_FLAGS["enumerate"])),
+    ("certify", "--trials")])
+def test_flag_a_command_does_not_read_exits_2(capsys, command, flag):
+    rc = main([command, "--scenario", "two_state_sensor", flag, "1"])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    (flag, value, command)
+    for flag, value, commands in (
+        ("--seed", "-1", ("certify", "concentration")),
+        ("--bins", "0", ("enumerate", "certify", "concentration")),
+        ("--bins", "-3", ("enumerate", "certify", "concentration")),
+        ("--rollouts", "0", ("certify", "concentration")),
+        ("--particles", "0", ("certify", "concentration")),
+        ("--workers", "0", ("certify", "concentration")),
+        ("--trials", "-1", ("concentration",)))
+    for command in commands])
 def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
                                                    flag, value):
     rc = main([command, "--scenario", "two_state_sensor", flag, value,
@@ -643,6 +683,28 @@ def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
     assert rc == 2
     assert f"error: {flag} must be >= " in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--v", "nan"), ("certify", "--v", "inf"), ("certify", "--eta", "inf"),
+    ("concentration", "--eta", "inf"), ("concentration", "--v", "0"),
+    ("certify", "--delta", "nan"), ("concentration", "--delta", "1"),
+    ("enumerate", "--alpha", "0.5,nan")])
+def test_out_of_range_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag,
+                                                   value):
+    rc = main([command, "--scenario", "two_state_sensor", flag, value,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("enumerate", "--alpha", "a,b"), ("certify", "--ndelta", "1e9")])
+def test_unparsable_flag_value_exits_2_naming_it(capsys, command, flag, value):
+    rc = main([command, "--scenario", "two_state_sensor", flag, value])
+    assert rc == 2
+    assert f"error: argument {flag}: invalid " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -793,6 +793,9 @@ def test_n_delta_validation():
         n_delta_for_epsilon(0.1, 0.05, 1.0, 1, 0)  # no interior steps
     with pytest.raises(ValueError):
         n_delta_for_h(0.1, 0.05, 1.0, 0, 4, 0)
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            n_delta_for_epsilon(v, 0.05, 1.0, 2, 0)
 
 
 # ---------------------------------------------------------------- binned_h
