@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -277,12 +277,9 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
         ok = (rep.lower_uniform <= rep.q_true + _COMPARE_TOL
               and rep.q_true <= rep.upper_uniform + _COMPARE_TOL
               and rep.lower_tight <= rep.q_true + _COMPARE_TOL)
-        records.append({"kind": "sandwich", "alpha": float(alpha),
-                        "sandwich_ok": bool(ok),
-                        "q_true": float(rep.q_true),
-                        "lower_uniform": float(rep.lower_uniform),
-                        "upper_uniform": float(rep.upper_uniform),
-                        "lower_tight": float(rep.lower_tight)})
+        records.append({"kind": "sandwich", "alpha": float(alpha), "sandwich_ok": bool(ok),
+                        **{name: float(getattr(rep, name)) for name in
+                           ("q_true", "lower_uniform", "upper_uniform", "lower_tight")}})
 
     return _report(manifest, records)
 
@@ -491,6 +488,30 @@ _RANGES = {
 }
 
 
+class _DefaultsHelp(argparse.HelpFormatter):
+    def _get_help_string(self, action):
+        # a flag's help ends with its RunManifest default; the source has none
+        defaults = {f.name: f.default for f in fields(RunManifest)}
+        if action.dest not in defaults or action.dest in ("problem", "scenario"):
+            return action.help
+        value = defaults[action.dest]
+        if value is None:  # ndelta derives its count, out writes to stdout
+            value = "auto" if action.dest == "ndelta" else "stdout"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        return f"{action.help} (default: {value})"
+
+
+class _CommandParser(argparse.ArgumentParser):
+    # reports a flag its command does not take with the command's usage line,
+    # where argparse would hand the flag back to the top-level parser
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each flag is declared once; a flag not given is left to RunManifest's default
     common, sampling, trials = (argparse.ArgumentParser(
@@ -501,36 +522,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"built-in scenario: {', '.join(builtin_names())}")
     common.add_argument("--alpha", type=levels, metavar="LIST",
                         help="comma-separated tail levels in (0, 1)")
-    common.add_argument("--bins", type=int, metavar="I")
-    common.add_argument("--out", metavar="PATH",
-                        help="write the report here instead of stdout")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    common.add_argument("--bins", type=int, metavar="I", help="bins of the gap-envelope grid")
+    common.add_argument("--out", metavar="PATH", help="where the report is written")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
     sampling.add_argument("--delta", type=float, metavar="F",
                           help="per-guarantee failure probability")
     sampling.add_argument("--v", type=float, metavar="F", help="gap-accuracy parameter")
     sampling.add_argument("--eta", type=float, metavar="F",
                           help="envelope slack for the tight lower bound")
-    sampling.add_argument("--rollouts", type=int, metavar="C")
-    sampling.add_argument("--particles", type=int, metavar="NX")
+    sampling.add_argument("--rollouts", type=int, metavar="C", help="rollouts per pool")
+    sampling.add_argument("--particles", type=int, metavar="NX", help="particles per rollout")
     sampling.add_argument("--ndelta", type=count_or_auto, metavar="N|auto",
                           help="importance-sampling draws; 'auto' derives the "
                                "count from the certified-rate formulas")
-    sampling.add_argument("--seed", type=int, metavar="S")
+    sampling.add_argument("--seed", type=int, metavar="S", help="base of every random stream")
     sampling.add_argument("--workers", type=int, metavar="N",
                           help="accepted and ignored: runs are single-threaded")
-    trials.add_argument("--trials", type=int, metavar="N")
+    trials.add_argument("--trials", type=int, metavar="N", help="trials per guarantee")
     parser = argparse.ArgumentParser(
         prog="riskgap",
         description="Tail-risk value reports for a POMDP policy evaluated "
                     "under a simplified model: exact enumeration, certified "
                     "bounds, and concentration-rate validation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("enumerate", parents=[common],
-                   help="exact return laws, gaps, bounds, sandwich verdicts")
-    sub.add_parser("certify", parents=[common, sampling],
-                   help="Monte-Carlo certified bounds with deviation radii")
-    sub.add_parser("concentration", parents=[common, sampling, trials],
-                   help="violation-rate validation of each guarantee")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, parents, summary in (
+            ("enumerate", [common], "exact return laws, gaps, bounds, sandwich verdicts"),
+            ("certify", [common, sampling], "Monte-Carlo certified bounds with deviation radii"),
+            ("concentration", [common, sampling, trials],
+             "violation-rate validation of each guarantee")):
+        sub.add_parser(name, parents=parents, help=summary, formatter_class=_DefaultsHelp)
     return parser
 
 
@@ -567,21 +587,16 @@ def main(argv=None) -> int:
             Path(manifest.out).write_text(text)
         else:
             sys.stdout.write(text)
-    except InapplicableCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DegenerateWeightsError as exc:
         # the problem/particle configuration cannot be simulated as given
         print(f"error: rollout pool: {exc} (every particle is inconsistent "
               "with the sampled observation; increase --particles or smooth "
               "the observation model)", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (InapplicableCaseError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # no certified bound applies: 4; enumeration budget exceeded: 3; bad input: 2
+        return {InapplicableCaseError: 4, BudgetExceededError: 3}.get(type(exc), 2)
     return 0
 
 

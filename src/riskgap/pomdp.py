@@ -220,29 +220,23 @@ def validate_policy(pair: SimplifiedPair, policy: Policy) -> None:
         raise ValueError("policy references an action out of range")
 
 
-@dataclass(frozen=True)
-class BeliefTransitionAtom:
-    successor: Belief
-    probability: float
-    via_observation: int
-
-
 # ---------------------------------------------------------------- kernels
 
 
 def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
-                    model: str = "original") -> list[BeliefTransitionAtom]:
-    """Successor-belief law: one atom per observation with positive mass."""
+                    model: str = "original") -> tuple[np.ndarray, np.ndarray]:
+    """Successor-belief law as read-only arrays ``(successors, probs)``: one
+    normalised (S,) row per observation whose mass exceeds ``PROB_FLOOR``, in
+    observation order, and the (n,) masses of those observations."""
     t, o = pair.tensors(model)
-    predicted = t[a].T @ b.probs
-    atoms = []
-    for z in range(o.shape[1]):
-        unnorm = o[:, z] * predicted
-        p = float(unnorm.sum())
-        if p <= PROB_FLOOR:
-            continue
-        atoms.append(BeliefTransitionAtom(Belief(unnorm / p), p, z))
-    return atoms
+    # C order sums each row as one vector, as one observation's update does: from
+    # 8 entries on NumPy sums pairwise, so a column sum would move the last bits
+    unnorm = np.multiply(o.T, t[a].T @ b.probs, order="C")
+    probs = unnorm.sum(axis=1)
+    keep = probs > PROB_FLOOR
+    successors, probs = unnorm[keep] / probs[keep, None], probs[keep]
+    successors.flags.writeable = probs.flags.writeable = False
+    return successors, probs
 
 
 def belief_cost(pair: SimplifiedPair, b: Belief, a: int) -> float:
@@ -257,22 +251,16 @@ def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
     are first merged within each law, then identified across laws when
     their beliefs match within ``ATOM_MATCH_TOL`` componentwise.
     """
-    rows = []
-    for which, col in (("original", 0), ("simplified", 1)):
-        for atom in belief_mdp_step(pair, b, a, which):
-            rows.append((atom.successor.probs, col, atom.probability))
+    rows = [(s, col, p) for col, which in enumerate(("original", "simplified"))
+            for s, p in zip(*belief_mdp_step(pair, b, a, which))]
     # sort lexicographically, then cluster adjacent rows with matching beliefs
-    rows.sort(key=lambda r: tuple(r[0]))
+    rows.sort(key=lambda r: r[0].tolist())
     totals = []  # per cluster: [p_original, p_simplified]
-    rep = None
-    for probs, col, p in rows:
-        if rep is not None and np.max(np.abs(probs - rep)) <= ATOM_MATCH_TOL:
-            totals[-1][col] += p
-        else:
-            rep = probs
-            cluster = [0.0, 0.0]
-            cluster[col] = p
-            totals.append(cluster)
+    for row, col, p in rows:
+        if not totals or np.max(np.abs(row - rep)) > ATOM_MATCH_TOL:
+            rep = row
+            totals.append([0.0, 0.0])
+        totals[-1][col] += p
     return float(sum(abs(po - ps) for po, ps in totals))
 
 
@@ -320,11 +308,11 @@ def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int
             nodes = frontiers[-1].values()
         nxt: dict = {}
         for b, a, r, p in nodes:
-            for atom in belief_mdp_step(pair, b, a, model):
-                p2 = p * atom.probability
+            for row, q in zip(*belief_mdp_step(pair, b, a, model)):
+                p2 = p * q
                 if p2 < PROB_FLOOR:
                     continue
-                b2 = atom.successor
+                b2 = Belief(row)
                 a2 = policy.action(t, b2)
                 r2 = r + belief_cost(pair, b2, a2)
                 key = (tuple(np.round(b2.probs, _KEY_DECIMALS)), round(r2, _KEY_DECIMALS))

@@ -69,12 +69,9 @@ def q_exact(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
 def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                  leaf_budget: int = DEFAULT_LEAF_BUDGET) -> BoundReport:
     """All exact values and bounds for one query, sharing the enumerations."""
-    dist = enumerate_return_distribution(
-        pair, policy, b_k=query.belief, model="original",
-        first_action=query.action, leaf_budget=leaf_budget)
-    dist_s = enumerate_return_distribution(
-        pair, policy, b_k=query.belief, model="simplified",
-        first_action=query.action, leaf_budget=leaf_budget)
+    dist, dist_s = (enumerate_return_distribution(
+        pair, policy, b_k=query.belief, model=model, first_action=query.action,
+        leaf_budget=leaf_budget) for model in ("original", "simplified"))
     traj = enumerate_trajectory_expectations(
         pair, policy, b_k=query.belief, first_action=query.action,
         leaf_budget=leaf_budget)

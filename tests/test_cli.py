@@ -1,10 +1,12 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,11 @@ from riskgap.cli import (
     _SLOT_TIGHT,
     _SLOT_UNIF,
     SCHEMA_VERSION,
+    RunManifest,
     _bound_record,
     _derived_seed,
     _initial_query,
+    _manifest_from_args,
     binomial_pass_threshold,
     build_parser,
     main,
@@ -558,6 +562,29 @@ def test_reports_match_pinned_digests(name, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
 
 
+# sha256 of `enumerate` reports on noisy 9-state random pairs, keyed by seed.
+# From 8 entries on NumPy sums a vector pairwise, so a successor law whose
+# normalisers are summed in another order moves these bytes, while the
+# built-ins above (at most 4 states) are summed in sequence either way.
+PINNED_NINE_STATE_REPORTS = {
+    1: "f75d4fff91c557207327a78fddf7e3c57696338befe5c7462ca49d153ad1b8c9",
+    2: "ddf568bbc93cc20d0f87d9cbfd3bd00b44e7b7cbcfd86f5f59056ceb4dd3f74a",
+    3: "3ed6d583ccdbbfaedd3aafd7a31b575bd79b4b673858489293a4c26c7e85ff9d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_NINE_STATE_REPORTS))
+def test_nine_state_reports_match_pinned_digests(seed, tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(seed)
+    pair = random_pair(rng, n_states=9, horizon_T=4)
+    save_problem(tmp_path / "p.json", pair, random_policy(rng, pair))
+    monkeypatch.chdir(tmp_path)  # the manifest echoes the relative path
+    capsys.readouterr()
+    assert main(["enumerate", "--problem", "p.json", "--alpha", "0.25,0.9"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NINE_STATE_REPORTS[seed]
+
+
 def test_csv_rows_match_json_records(tmp_path):
     args = ["enumerate", "--scenario", "corridor4", "--alpha", "0.1,0.5"]
     _, json_text = run_cli(args, tmp_path / "r.json")
@@ -662,7 +689,51 @@ def test_each_command_takes_only_the_flags_it_reads(monkeypatch):
 def test_flag_a_command_does_not_read_exits_2(capsys, command, flag):
     rc = main([command, "--scenario", "two_state_sensor", flag, "1"])
     assert rc == 2
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    # the command's parser reports it, with the command's usage
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: riskgap {command} [-h] ")
+    assert err.endswith(f"riskgap {command}: error: unrecognized arguments: {flag} 1\n")
+
+
+def test_parse_args_reports_an_unknown_flag_with_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["enumerate", "--scenario", "corridor4", "--seed", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: riskgap enumerate [-h] (--problem PATH | --scenario NAME)")
+    assert "{enumerate,certify,concentration}" not in err
+    assert err.endswith("riskgap enumerate: error: unrecognized arguments: --seed 7\n")
+
+
+def stated_defaults(command) -> dict:
+    """flag -> the default that ``riskgap <command> --help`` states for it."""
+    out = io.StringIO()
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+        build_parser().parse_args([command, "--help"])
+    entries = re.split(r"\n  (?=--)", out.getvalue().split("options:\n", 1)[1])
+    return {entry.split()[0]: found.group(1) for entry in entries
+            if (found := re.search(r"\(default: (.*)\)$", " ".join(entry.split())))}
+
+
+def assert_manifest_default(command, flag, text):
+    """Parsing ``flag text`` gives the manifest that omitting the flag gives."""
+    if flag == "--out":  # no path: the report goes to stdout
+        assert text == "stdout" and RunManifest(command=command).out is None
+        return
+    args = build_parser().parse_args([command, "--scenario", "corridor4", flag, text])
+    assert _manifest_from_args(args) == RunManifest(command=command, scenario="corridor4")
+
+
+# the source pair is required, and --workers is no manifest field
+NO_DEFAULT = {"--problem", "--scenario", "--workers"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_states_each_flags_manifest_default(command):
+    stated = stated_defaults(command)
+    assert set(stated) == COMMAND_FLAGS[command] - NO_DEFAULT
+    for flag, text in stated.items():
+        assert_manifest_default(command, flag, text)
 
 
 @pytest.mark.parametrize("flag, value, command", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from riskgap import scenarios
 from riskgap.estimation import build_default_proposal
-from riskgap.risk import cvar_exact
+from riskgap.risk import PROB_FLOOR, cvar_exact
 from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
@@ -24,11 +24,13 @@ from riskgap.pomdp import (
     validate_policy,
 )
 
+from belief_rollout_oracle import dkw_radius, exact_belief_returns, midpoint_gap
 from trajectory_oracle import (
     ImpossibleObservationError,
     belief_update,
     dfs_return_distribution,
     dfs_trajectory_expectations,
+    observation_mass,
 )
 
 
@@ -167,34 +169,37 @@ def test_deterministic_models_give_single_atom():
     pair = SimplifiedPair.identical(make_model(
         [[[0.0, 1.0], [1.0, 0.0]]], [[1.0, 0.0], [0.0, 1.0]],
         [[0.0], [0.0]], [1.0, 0.0], horizon_T=1))
-    atoms = belief_mdp_step(pair, Belief(np.array([1.0, 0.0])), 0)
-    assert len(atoms) == 1
-    assert atoms[0].probability == pytest.approx(1.0, abs=1e-15)
-    assert atoms[0].via_observation == 1
-    np.testing.assert_allclose(atoms[0].successor.probs, [0.0, 1.0])
+    successors, probs = belief_mdp_step(pair, Belief(np.array([1.0, 0.0])), 0)
+    assert probs.tolist() == pytest.approx([1.0], abs=1e-15)
+    np.testing.assert_allclose(successors, [[0.0, 1.0]])
 
 
 def test_symmetric_model_splits_half_half():
     pair = SimplifiedPair.identical(make_model(
         [[[0.5, 0.5], [0.5, 0.5]]], [[0.8, 0.2], [0.2, 0.8]],
         [[0.0], [0.0]], [0.5, 0.5], horizon_T=1))
-    atoms = belief_mdp_step(pair, Belief(np.array([0.5, 0.5])), 0)
-    assert [a.probability for a in atoms] == pytest.approx([0.5, 0.5])
+    _, probs = belief_mdp_step(pair, Belief(np.array([0.5, 0.5])), 0)
+    assert probs.tolist() == pytest.approx([0.5, 0.5])
 
 
 def test_step_probabilities_sum_to_one_and_match_update():
+    # bit for bit: from 8 entries on NumPy sums a vector pairwise, so a law
+    # whose normalisers are summed in another order differs in the last bits
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        pair = random_pair(rng)
-        b = Belief(rng.dirichlet(np.ones(3)))
+    for n_states in [3] * 200 + [8, 9, 12] * 100:
+        pair = random_pair(rng, n_states=n_states)
+        b = Belief(rng.dirichlet(np.ones(n_states)))
         a = int(rng.integers(0, 2))
         for model in ("original", "simplified"):
-            atoms = belief_mdp_step(pair, b, a, model)
-            assert abs(sum(at.probability for at in atoms) - 1.0) <= 1e-12
-            for at in atoms:
-                want = belief_update(pair, b, a, at.via_observation, model)
-                np.testing.assert_allclose(at.successor.probs, want.probs,
-                                           atol=1e-12)
+            successors, probs = belief_mdp_step(pair, b, a, model)
+            assert not (successors.flags.writeable or probs.flags.writeable)
+            assert abs(probs.sum() - 1.0) <= 1e-12
+            seen = [z for z in range(pair.original.n_obs)
+                    if observation_mass(pair, b, a, z, model) > PROB_FLOOR]
+            assert successors.shape == (len(seen), n_states)
+            for row, p, z in zip(successors, probs, seen):
+                assert p == observation_mass(pair, b, a, z, model)
+                assert np.array_equal(row, belief_update(pair, b, a, z, model).probs)
 
 
 # ---------------------------------------------------------------- TV distance
@@ -241,9 +246,9 @@ def test_tv_merges_atoms_within_each_model_first():
 def _tv_by_dict(pair, b, a):
     def law(model):
         acc = {}
-        for atom in belief_mdp_step(pair, b, a, model):
-            key = tuple(np.round(atom.successor.probs, 9))
-            acc[key] = acc.get(key, 0.0) + atom.probability
+        for row, p in zip(*belief_mdp_step(pair, b, a, model)):
+            key = tuple(np.round(row, 9))
+            acc[key] = acc.get(key, 0.0) + p
         return acc
 
     p, q = law("original"), law("simplified")
@@ -291,9 +296,8 @@ def _dp_value(pair, policy, b, t, model):
     if t == pair.original.horizon_T:
         return c
     total = 0.0
-    for atom in belief_mdp_step(pair, b, a, model):
-        total += atom.probability * _dp_value(pair, policy, atom.successor,
-                                              t + 1, model)
+    for row, p in zip(*belief_mdp_step(pair, b, a, model)):
+        total += p * _dp_value(pair, policy, Belief(row), t + 1, model)
     return c + total
 
 
@@ -423,6 +427,26 @@ def test_forward_walk_law_equals_tree_dfs_on_random_instances(seed, horizon_gap,
             assert abs(cvar_exact(walk, alpha) - cvar_exact(tree, alpha)) <= 1e-12
 
 
+# exact-belief rollouts per instance, the band's failure probability, and the
+# one generator seed every instance starts from; fixed before any outcome
+_DKW_ROWS, _DKW_DELTA, _DKW_SEED = 2000, 1e-3, 0
+
+
+@pytest.mark.parametrize("name", [*scenarios.builtin_names(),
+                                  *(f"random_h{h}" for h in range(1, 6))])
+def test_exact_belief_rollouts_fall_in_the_dkw_band(name):
+    # the simplified law's return draws, sampled along exact beliefs, against
+    # the walk's exact law: a referee for the rollout pool's law
+    if name.startswith("random_h"):
+        spec = scenarios.random_instance(0, horizon_gap=int(name[len("random_h"):]))
+    else:
+        spec = scenarios.builtin(name)
+    returns = exact_belief_returns(spec.pair, spec.policy, _DKW_ROWS,
+                                   np.random.default_rng(_DKW_SEED))
+    exact = enumerate_return_distribution(spec.pair, spec.policy, model="simplified")
+    assert midpoint_gap(exact, returns) <= dkw_radius(_DKW_ROWS, _DKW_DELTA)
+
+
 # ------------------------------------------------- trajectory expectations
 
 
@@ -470,17 +494,15 @@ def test_per_step_m_matches_forward_pass():
         b0 = Belief(pair.original.initial_belief)
         out = enumerate_trajectory_expectations(pair, policy)
         # independent forward pass: propagate the simplified belief-state law
-        frontier = [(at.successor, at.probability)
-                    for at in belief_mdp_step(pair, b0, policy.action(0, b0),
-                                              "simplified")]
+        frontier = [(Belief(row), q) for row, q in zip(
+            *belief_mdp_step(pair, b0, policy.action(0, b0), "simplified"))]
         for i, m_i in enumerate(out.per_step_m):
             want = sum(p * tv_distance(pair, b, policy.action(i + 1, b))
                        for b, p in frontier)
             assert m_i == pytest.approx(want, abs=1e-12)
-            frontier = [(at.successor, p * at.probability) for b, p in frontier
-                        for at in belief_mdp_step(pair, b,
-                                                  policy.action(i + 1, b),
-                                                  "simplified")]
+            frontier = [(Belief(row), p * q) for b, p in frontier
+                        for row, q in zip(*belief_mdp_step(
+                            pair, b, policy.action(i + 1, b), "simplified"))]
         assert out.epsilon == pytest.approx(out.per_step_m.sum(), abs=1e-15)
 
 

@@ -1,5 +1,5 @@
 """The README's Python quick start runs as written, and its CLI quick start
-and flag table match the parser."""
+and flag table (with its defaults) match the parser."""
 
 import contextlib
 import io
@@ -9,7 +9,7 @@ from pathlib import Path
 
 from riskgap.cli import _manifest_from_args, build_parser
 
-from test_cli import COMMAND_FLAGS
+from test_cli import COMMAND_FLAGS, NO_DEFAULT, assert_manifest_default, stated_defaults
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,10 +36,15 @@ def test_readme_cli_quick_start_parses():
 
 
 def test_readme_flag_table_matches_the_parser():
-    rows = re.findall(r"^\| (`--.*?) \| (.*?) \|", README.read_text(), re.M)
+    rows = re.findall(r"^\| (`--.*?) \| (.*?) \| (.*?) \|", README.read_text(), re.M)
     documented = {command: set() for command in COMMAND_FLAGS}
-    for flags, commands in rows:
+    for flags, commands, default in rows:
         names = commands.split(", ") if commands != "all" else list(COMMAND_FLAGS)
         for command in names:
             documented[command] |= set(re.findall(r"`(--[a-z]+)", flags))
+            # the default column is the one --help states, RunManifest's
+            stated = stated_defaults(command)
+            for flag in set(re.findall(r"`(--[a-z]+)", flags)) - NO_DEFAULT:
+                assert default.strip("`") == stated.get(flag), flag
+                assert_manifest_default(command, flag, default.strip("`"))
     assert documented == COMMAND_FLAGS

@@ -11,8 +11,9 @@ merge within ``MERGE_TOL`` after sorting.  Tests compare the forward walk
 against these on random instances.
 
 ``belief_update`` is the one-observation Bayes update that
-``riskgap.pomdp.belief_mdp_step`` computes for every observation at once;
-tests check each step atom against it.
+``riskgap.pomdp.belief_mdp_step`` computes for every observation at once,
+and ``observation_mass`` its normaliser; tests check each successor row and
+mass against them.
 """
 
 import numpy as np
@@ -37,12 +38,22 @@ class ImpossibleObservationError(ValueError):
     """Conditioning on an observation of probability (numerically) zero."""
 
 
+def _unnormalised(pair: SimplifiedPair, b: Belief, a: int, z: int,
+                  model: str) -> np.ndarray:
+    t, o = pair.tensors(model)
+    return o[:, z] * (t[a].T @ b.probs)
+
+
+def observation_mass(pair: SimplifiedPair, b: Belief, a: int, z: int,
+                     model: str = "original") -> float:
+    """P(z | b, a): the normaliser of ``belief_update``."""
+    return float(_unnormalised(pair, b, a, z, model).sum())
+
+
 def belief_update(pair: SimplifiedPair, b: Belief, a: int, z: int,
                   model: str = "original") -> Belief:
     """Posterior over states after acting and observing: b' ∝ O[:, z] * (T' b)."""
-    t, o = pair.tensors(model)
-    predicted = t[a].T @ b.probs
-    unnorm = o[:, z] * predicted
+    unnorm = _unnormalised(pair, b, a, z, model)
     norm = float(unnorm.sum())
     if norm <= PROB_FLOOR:
         raise ImpossibleObservationError(
@@ -83,11 +94,11 @@ def dfs_return_distribution(pair: SimplifiedPair, policy: Policy,
             values.append(acc)
             masses.append(prob)
             continue
-        for atom in belief_mdp_step(pair, b, a, model):
-            p = prob * atom.probability
+        for row, q in zip(*belief_mdp_step(pair, b, a, model)):
+            p = prob * q
             if p < PROB_FLOOR:
                 continue
-            nb = atom.successor
+            nb = Belief(row)
             stack.append((t + 1, nb, policy.action(t + 1, nb), p, acc))
     return DiscreteDistribution(np.array(values), np.array(masses))
 
@@ -116,8 +127,8 @@ def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
     expanded = 0
     if steps > 0:
         stack = [
-            (first_step, atom.successor, atom.probability, 0.0)
-            for atom in belief_mdp_step(pair, b_k, a0, "simplified")
+            (first_step, Belief(row), q, 0.0)
+            for row, q in zip(*belief_mdp_step(pair, b_k, a0, "simplified"))
         ]
         while stack:
             t, b, prob, prefix = stack.pop()
@@ -133,11 +144,11 @@ def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
             if w > 0.0:
                 raw.append((prefix + c0 - (m.horizon_T - t) * m.r_max, w))
             if t < m.horizon_T - 1:
-                for atom in belief_mdp_step(pair, b, a, "simplified"):
-                    p = prob * atom.probability
+                for row, q in zip(*belief_mdp_step(pair, b, a, "simplified")):
+                    p = prob * q
                     if p < PROB_FLOOR:
                         continue
-                    stack.append((t + 1, atom.successor, p, prefix))
+                    stack.append((t + 1, Belief(row), p, prefix))
 
     raw.sort(key=lambda e: e[0])
     thresholds: list[float] = []
