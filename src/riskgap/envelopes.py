@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _COMPARE_TOL, DiscreteDistribution, _alpha_of, _step_at, cvar_exact
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _alpha_of, _read_only, _step_at,
+                   cvar_exact)
 
 
 class InvalidEnvelopeError(ValueError):
@@ -63,8 +64,8 @@ class PointwiseEnvelope:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        bp = _read_only(self.breakpoints)
+        vals = _read_only(self.values)
         if bp.ndim != 1 or vals.shape != bp.shape:
             raise InvalidEnvelopeError("breakpoints and values must be 1-D and aligned")
         if bp.size:
@@ -76,8 +77,6 @@ class PointwiseEnvelope:
                 raise InvalidEnvelopeError("envelope values must be non-negative")
             if np.any(np.diff(vals) < 0.0):
                 raise InvalidEnvelopeError("envelope values must be non-decreasing")
-        bp.flags.writeable = False
-        vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 

@@ -26,12 +26,14 @@ from .pomdp import (
     GapAtoms,
     Policy,
     SimplifiedPair,
+    _check_integral,
     _first_action,
     _integer_array,
     _return_span,
     _walk_simplified,
 )
-from .risk import _COMPARE_TOL, DiscreteDistribution, cvar_estimate_sorted, cvar_exact
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _read_only, cvar_estimate_sorted,
+                   cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -66,9 +68,9 @@ class RolloutConfig:
 
     def __post_init__(self) -> None:
         for name in ("num_rollouts_C", "num_particles_Nx", "rng_seed"):
+            # Python ints, not int64: a derived seed can reach 2**64 - 1
             value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be integral, got {value}")
+            _check_integral(value, name)
             object.__setattr__(self, name, int(value))
         if self.num_rollouts_C < 1 or self.num_particles_Nx < 1:
             raise ValueError("rollout and particle counts must be >= 1")
@@ -85,7 +87,7 @@ class ParticleBelief:
 
     def __post_init__(self) -> None:
         s = _integer_array(self.states, "states")
-        w = np.asarray(self.weights, dtype=float)
+        w = _read_only(self.weights)
         if s.ndim != 1 or s.shape != w.shape or s.size == 0:
             raise ValueError("states and weights must be aligned non-empty vectors")
         if np.any(s < 0):
@@ -94,8 +96,6 @@ class ParticleBelief:
             raise ValueError("weights must be finite and >= 0")
         if w.max() <= 0.0:
             raise ValueError("at least one particle weight must be positive")
-        s.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "weights", w)
 
@@ -120,14 +120,13 @@ class ProposalQ0(GapAtoms):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        prop = np.asarray(self.proposal_probs, dtype=float)
+        prop = _read_only(self.proposal_probs)
         if prop.shape != (len(self.beliefs),):
             raise ValueError("proposal_probs must have one entry per atom")
         if np.any(prop <= 0.0):
             raise UnsupportedBeliefError("every support atom needs positive proposal mass")
         if abs(prop.sum() - 1.0) > _COMPARE_TOL:
             raise ValueError("proposal probabilities must sum to 1")
-        prop.flags.writeable = False
         object.__setattr__(self, "proposal_probs", prop)
 
     @property
@@ -143,12 +142,11 @@ class BinGrid:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.edges, dtype=float)
+        e = _read_only(self.edges)
         if e.ndim != 1 or e.size < 2:
             raise ValueError("need at least two bin edges")
         if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
             raise ValueError("bin edges must be finite and strictly increasing")
-        e.flags.writeable = False
         object.__setattr__(self, "edges", e)
 
     @property

@@ -35,8 +35,9 @@ from .risk import (
     _KEY_DECIMALS,
     ATOM_MATCH_TOL,
     PROB_FLOOR,
-    PROB_TOL,
     DiscreteDistribution,
+    _check_rows,
+    _read_only,
     _sort_and_merge,
 )
 
@@ -47,27 +48,15 @@ class BudgetExceededError(RuntimeError):
     """An exact belief-MDP walk would expand more nodes than allowed."""
 
 
-def _check_rows(mat: np.ndarray, what: str) -> None:
-    if np.any(mat < 0.0) or not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} entries must be finite and >= 0")
-    sums = mat.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > PROB_TOL):
-        raise ValueError(f"{what} rows must sum to 1 within {PROB_TOL}")
-
-
 @dataclass(frozen=True)
 class Belief:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
+        p = _read_only(self.probs)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("belief must be a non-empty vector")
-        if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-            raise ValueError("belief entries must be finite and >= 0")
-        if abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"belief must sum to 1 within {PROB_TOL}")
-        p.flags.writeable = False
+        _check_rows(p, "belief")
         object.__setattr__(self, "probs", p)
 
     def most_likely_state(self) -> int:
@@ -88,10 +77,9 @@ class FinitePomdp:
     start_k: int
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.transition, dtype=float)
-        o = np.asarray(self.observation, dtype=float)
-        c = np.asarray(self.state_cost, dtype=float)
-        b0 = np.asarray(self.initial_belief, dtype=float)
+        for name in ("transition", "observation", "state_cost", "initial_belief"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        t, o, c = self.transition, self.observation, self.state_cost
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise ValueError(f"transition must have shape (A, X, X), got {t.shape}")
         n_actions, n_states = t.shape[0], t.shape[1]
@@ -105,19 +93,15 @@ class FinitePomdp:
             raise ValueError(f"r_max must be positive, got {self.r_max}")
         if not np.all(np.isfinite(c)) or np.any(np.abs(c) > self.r_max):
             raise ValueError("state costs must satisfy |c| <= r_max")
-        if b0.shape != (n_states,):
+        if self.initial_belief.shape != (n_states,):
             raise ValueError("initial_belief length must equal the state count")
-        Belief(b0)  # reuse belief validation
+        _check_rows(self.initial_belief, "initial_belief")
         # start_k == horizon_T is the degenerate single-decision episode;
         # ops that require k < T check it themselves
         if not (0 <= self.start_k <= self.horizon_T):
             raise ValueError(
                 f"need 0 <= start_k <= horizon_T, got k={self.start_k}, T={self.horizon_T}"
             )
-        for name, arr in (("transition", t), ("observation", o),
-                          ("state_cost", c), ("initial_belief", b0)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "r_max", float(self.r_max))
 
     @property
@@ -142,22 +126,20 @@ class SimplifiedPair:
     simplified_observation: np.ndarray
 
     def __post_init__(self) -> None:
-        st = np.asarray(self.simplified_transition, dtype=float)
-        so = np.asarray(self.simplified_observation, dtype=float)
+        st = _read_only(self.simplified_transition)
+        so = _read_only(self.simplified_observation)
         if st.shape != self.original.transition.shape:
             raise ValueError("simplified transition shape mismatch")
         if so.shape != self.original.observation.shape:
             raise ValueError("simplified observation shape mismatch")
         _check_rows(st, "simplified transition")
         _check_rows(so, "simplified observation")
-        st.flags.writeable = False
-        so.flags.writeable = False
         object.__setattr__(self, "simplified_transition", st)
         object.__setattr__(self, "simplified_observation", so)
 
     @classmethod
     def identical(cls, model: FinitePomdp) -> "SimplifiedPair":
-        return cls(model, model.transition.copy(), model.observation.copy())
+        return cls(model, model.transition, model.observation)
 
     def tensors(self, model: str):
         if model == "original":
@@ -167,15 +149,21 @@ class SimplifiedPair:
         raise ValueError(f"model must be 'original' or 'simplified', got {model!r}")
 
 
-def _integer_array(values, name: str) -> np.ndarray:
-    """values as an int array; a fractional or non-finite entry (3.0 passes,
-    2.5 does not) raises a ValueError that names the field."""
+def _check_integral(values, name: str) -> None:
+    """The one integrality rule for in-memory inputs: a fractional or
+    non-finite float entry (3.0 passes, 2.5 does not) raises a ValueError
+    that names the field."""
     a = np.asarray(values)
     if a.dtype.kind == "f":
         bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
         if bad.size:
             raise ValueError(f"{name} must be integral, got {bad[0]}")
-    return a.astype(int)
+
+
+def _integer_array(values, name: str) -> np.ndarray:
+    """values as a read-only int array, integral by ``_check_integral``."""
+    _check_integral(values, name)
+    return _read_only(values, int)
 
 
 @dataclass(frozen=True)
@@ -195,7 +183,6 @@ class Policy:
             raise ValueError("policy table must be 2-D (steps x states)")
         if np.any(a < 0):
             raise ValueError("action indices must be >= 0")
-        a.flags.writeable = False
         object.__setattr__(self, "actions", a)
 
     def action(self, t: int, belief: Belief) -> int:
@@ -389,17 +376,16 @@ class GapAtoms:
     a_k: int
 
     def __post_init__(self) -> None:
-        targ = np.asarray(self.target_probs, dtype=float)
+        shape = np.shape(self.target_probs)
         n = len(self.beliefs)
-        if n == 0 or targ.ndim != 2 or targ.shape[0] != n or targ.shape[1] < 1:
+        if n == 0 or len(shape) != 2 or shape[0] != n or shape[1] < 1:
             raise ValueError("target_probs must be (n_atoms, n_steps) with n_atoms, n_steps >= 1")
         for name in ("thresholds", "target_probs", "gaps"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != targ.shape:
+            arr = _read_only(getattr(self, name))
+            if arr.shape != shape:
                 raise ValueError(f"{name} must have the shape of target_probs")
             if name != "thresholds" and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
                 raise ValueError(f"{name} must be finite and >= 0")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "beliefs", tuple(self.beliefs))
         object.__setattr__(self, "a_k", int(self.a_k))

@@ -47,6 +47,24 @@ PROB_FLOOR = 1e-300
 _COMPARE_TOL = 1e-9
 
 
+def _read_only(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``: every array a value type stores comes
+    through here, so the caller's array stays writable and a later write to
+    it cannot change a validated value."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_rows(mat: np.ndarray, what: str) -> None:
+    """The one probability-row check: entries finite and >= 0, and each row
+    (along the last axis) summing to 1 within ``PROB_TOL``."""
+    if not np.isfinite(mat).all() or (mat < 0.0).any():
+        raise ValueError(f"{what} entries must be finite and >= 0")
+    if (np.abs(mat.sum(axis=-1) - 1.0) > PROB_TOL).any():
+        raise ValueError(f"{what} rows must sum to 1 within {PROB_TOL}")
+
+
 class DistributionError(ValueError):
     """Atoms and probabilities do not form a valid distribution."""
 
@@ -138,13 +156,8 @@ class DiscreteDistribution:
         keep = probs > 0.0
         if not np.any(keep):
             raise DistributionError("distribution has no positive-probability atom")
-        values = values[keep]
-        probs = probs[keep] / probs[keep].sum()
-
-        values.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "values", _read_only(values[keep]))
+        object.__setattr__(self, "probs", _read_only(probs[keep] / probs[keep].sum()))
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))

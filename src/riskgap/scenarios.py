@@ -58,7 +58,7 @@ def _two_state_sensor() -> ScenarioSpec:
         horizon_T=4,
         start_k=0,
     )
-    pair = SimplifiedPair(model, model.transition.copy(), obs_s)
+    pair = SimplifiedPair(model, model.transition, obs_s)
     # advance twice, then retreat; rows are (time, most-likely state)
     policy = Policy(np.array([[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]]),
                     start_k=0)
@@ -104,7 +104,7 @@ def _corridor4() -> ScenarioSpec:
         horizon_T=3,
         start_k=0,
     )
-    pair = SimplifiedPair(model, np.stack([left.copy(), right_s]), obs.copy())
+    pair = SimplifiedPair(model, np.stack([left, right_s]), obs)
     # advance twice, retreat twice; the shared deterministic retreat rows
     # pin the interior-step gap to the single slip difference: epsilon = 0.5
     policy = Policy(np.array([[1] * n, [1] * n, [0] * n, [0] * n]), start_k=0)
@@ -129,7 +129,7 @@ def _degrade_heavy() -> ScenarioSpec:
         horizon_T=3,
         start_k=0,
     )
-    pair = SimplifiedPair(model, trans.copy(), obs_s)
+    pair = SimplifiedPair(model, trans, obs_s)
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)
     return _spec("degrade_heavy", pair, policy,
                  "saturated-gap pair: epsilon exceeds every alpha", alpha=0.1)
@@ -188,7 +188,7 @@ def random_instance(seed: int, n_states: int = 3, n_actions: int = 2,
     )
     uniform_rows = np.full_like(trans, 1.0 / n_states)
     trans_s = (1.0 - perturbation) * trans + perturbation * uniform_rows
-    pair = SimplifiedPair(model, trans_s, obs.copy())
+    pair = SimplifiedPair(model, trans_s, obs)
     policy = Policy(rng.integers(0, n_actions, size=(horizon_gap + 1, n_states)),
                     start_k=0)
     return _spec(f"random_{seed}", pair, policy,

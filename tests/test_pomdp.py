@@ -243,6 +243,36 @@ def test_tv_merges_atoms_within_each_model_first():
     assert tv_distance(pair, Belief(np.array([1.0, 0.0])), 0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_tv_identifies_one_successor_reached_through_two_normalisers():
+    # The simplified sensor's z=0 column is c times the original's, so both
+    # models reach one z=0 successor belief through different Bayes
+    # normalisers; the two rows differ by 1.1e-16 and straddle a 12-decimal
+    # rounding boundary (0.5166213316785 vs 0.5166213316785001). Clustering
+    # within ATOM_MATCH_TOL gives the analytic TV; matching on the walk's
+    # rounded key would split the belief and give 2. Over the random
+    # families, the built-ins and the deep pairs no TV evaluation told the two
+    # rules apart, so only a pinned case like this one shows the difference.
+    # Literals: default_rng(1), the 2468th draw of (Dirichlet transition,
+    # sensor column, c, ten Dirichlet beliefs), its 6th belief.
+    trans = [[[0.04816911123632589, 0.3538639582243704, 0.5979669305393037],
+              [0.02051589932565606, 0.14269436998909274, 0.8367897306852511],
+              [0.18633018367761014, 0.6499892659735903, 0.1636805503487996]]]
+    o0 = np.array([0.25034578967244897, 0.36408722019837025, 0.24642035237630994])
+    c = 1.6251373532502433
+    b0 = [0.16979805670929288, 0.3533871937940798, 0.47681474949662733]
+    model = make_model(trans, np.stack([o0, 1 - o0], axis=1), [[0.0]] * 3, b0,
+                       horizon_T=1)
+    pair = SimplifiedPair(model, model.transition, np.stack([c * o0, 1 - c * o0], axis=1))
+    b = Belief(np.array(b0))
+    (s_o, _), p_o = belief_mdp_step(pair, b, 0, "original")
+    (s_s, _), p_s = belief_mdp_step(pair, b, 0, "simplified")
+    assert 0.0 < np.max(np.abs(s_o - s_s)) < 1e-15
+    assert not np.array_equal(np.round(s_o, 12), np.round(s_s, 12))
+    analytic = abs(p_o[0] - p_s[0]) + p_o[1] + p_s[1]
+    assert tv_distance(pair, b, 0) == pytest.approx(analytic, abs=1e-15)
+    assert analytic == pytest.approx(1.407397820690976, abs=1e-15)
+
+
 def _tv_by_dict(pair, b, a):
     def law(model):
         acc = {}
