@@ -26,9 +26,9 @@ from .pomdp import (
     GapAtoms,
     Policy,
     SimplifiedPair,
-    _check_integral,
     _first_action,
     _integer_array,
+    _integral_int,
     _return_span,
     _walk_simplified,
 )
@@ -69,9 +69,7 @@ class RolloutConfig:
     def __post_init__(self) -> None:
         for name in ("num_rollouts_C", "num_particles_Nx", "rng_seed"):
             # Python ints, not int64: a derived seed can reach 2**64 - 1
-            value = getattr(self, name)
-            _check_integral(value, name)
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integral_int(getattr(self, name), name))
         if self.num_rollouts_C < 1 or self.num_particles_Nx < 1:
             raise ValueError("rollout and particle counts must be >= 1")
         if self.rng_seed < 0:

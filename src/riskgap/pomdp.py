@@ -79,6 +79,8 @@ class FinitePomdp:
     def __post_init__(self) -> None:
         for name in ("transition", "observation", "state_cost", "initial_belief"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        for name in ("horizon_T", "start_k"):
+            object.__setattr__(self, name, _integral_int(getattr(self, name), name))
         t, o, c = self.transition, self.observation, self.state_cost
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise ValueError(f"transition must have shape (A, X, X), got {t.shape}")
@@ -149,21 +151,35 @@ class SimplifiedPair:
         raise ValueError(f"model must be 'original' or 'simplified', got {model!r}")
 
 
-def _check_integral(values, name: str) -> None:
-    """The one integrality rule for in-memory inputs: a fractional or
-    non-finite float entry (3.0 passes, 2.5 does not) raises a ValueError
-    that names the field."""
+def _check_integral(values, name: str) -> np.ndarray:
+    """The one type and integrality rule for outside integers: values as an
+    array, where a non-numeric entry, or a fractional or non-finite float
+    entry (3.0 passes, 2.5 does not), raises a ValueError naming the field."""
     a = np.asarray(values)
+    # an object array holds Python ints past the uint64 range, or non-numbers
+    if a.dtype.kind not in "iuf" and not all(type(x) is int for x in a.flat):
+        raise ValueError(f"{name} must be integral, got {a.dtype} entries")
     if a.dtype.kind == "f":
         bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
         if bad.size:
             raise ValueError(f"{name} must be integral, got {bad[0]}")
+    return a
+
+
+def _integral_int(value, name: str) -> int:
+    """A scalar outside integer as a Python int, integral by ``_check_integral``."""
+    return int(_check_integral(value, name))
 
 
 def _integer_array(values, name: str) -> np.ndarray:
-    """values as a read-only int array, integral by ``_check_integral``."""
-    _check_integral(values, name)
-    return _read_only(values, int)
+    """The one int64 cast of an outside integer: values as a read-only int
+    array, by ``_check_integral`` and in the int64 range before the cast."""
+    a = _check_integral(values, name)
+    if a.dtype.kind != "i":  # a signed int array fits; the rest compare exactly
+        bad = a[(a < -2**63) | (a >= 2**63)]
+        if bad.size:
+            raise ValueError(f"{name} must lie in the int64 range, got {bad[0]}")
+    return _read_only(a, int)
 
 
 @dataclass(frozen=True)
@@ -482,42 +498,45 @@ def to_problem_dict(pair: SimplifiedPair, policy: Policy) -> dict:
     }
 
 
-def _problem_field(doc: dict, name: str, integer: bool = False,
-                   scalar: bool = False) -> np.ndarray:
-    """doc[name] as a finite float or int array; a bad entry raises a
-    ValueError that names the field."""
+def _problem_field(doc: dict, name: str, scalar: bool = False) -> np.ndarray:
+    """doc[name] as an array of finite JSON numbers, ints kept exact; a string,
+    boolean, null, ragged or non-finite entry raises a ValueError naming it."""
     if name not in doc:
         raise ValueError(f"problem file is missing field {name!r}")
-    try:
-        value = np.array(doc[name], dtype=float)
-    except (TypeError, ValueError):  # a ragged or non-numeric entry
-        value = np.array(np.nan)
-    what = ("integer" if integer else "number") + ("" if scalar else " array")
-    if not np.all(np.isfinite(value)) or (scalar and value.ndim) or (
-            integer and np.any(value % 1)):
+    try:  # object dtype keeps each entry's own type; a ragged row stays a list
+        entries = np.array(doc[name], dtype=object)
+        numbers = all(type(x) in (int, float) for x in entries.flat)
+        value = np.array(entries.tolist() if numbers else np.nan)
+        finite = np.isfinite(value.astype(float, copy=False)).all()
+    except (ValueError, OverflowError):  # ragged, or an int past the float range
+        finite = False
+    what = "number" + ("" if scalar else " array")
+    if not finite or (scalar and value.ndim):
         raise ValueError(f"problem field {name!r} must be a finite {what}")
-    return value.astype(int) if integer else value
+    return value
 
 
 def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:
+    def integer(name: str, scalar: bool = False) -> np.ndarray:
+        return _integer_array(_problem_field(doc, name, scalar), f"problem field {name!r}")
     model = FinitePomdp(
         transition=_problem_field(doc, "transition"),
         observation=_problem_field(doc, "observation"),
         state_cost=_problem_field(doc, "cost"),
         r_max=float(_problem_field(doc, "r_max", scalar=True)),
         initial_belief=_problem_field(doc, "b0"),
-        horizon_T=int(_problem_field(doc, "horizon_T", integer=True, scalar=True)),
-        start_k=int(_problem_field(doc, "start_k", integer=True, scalar=True)),
+        horizon_T=integer("horizon_T", scalar=True),
+        start_k=integer("start_k", scalar=True),
     )
     pair = SimplifiedPair(
         original=model,
         simplified_transition=_problem_field(doc, "simplified_transition"),
         simplified_observation=_problem_field(doc, "simplified_observation"),
     )
-    policy = Policy(_problem_field(doc, "policy", integer=True), start_k=model.start_k)
+    policy = Policy(integer("policy"), start_k=model.start_k)
     for name, actual in (("states", model.n_states), ("actions", model.n_actions),
                          ("observations", model.n_obs)):
-        declared = int(_problem_field(doc, name, integer=True, scalar=True))
+        declared = int(integer(name, scalar=True))
         if declared != actual:
             raise ValueError(f"declared {name}={declared} but tensors imply {actual}")
     validate_policy(pair, policy)

@@ -145,8 +145,21 @@ def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):
     ("horizon_T", lambda doc: doc.update(horizon_T=None)),
     ("start_k", lambda doc: doc.update(start_k=None)),
     ("policy", lambda doc: doc["policy"][0].__setitem__(0, 0.5)),
+    # past the int64 range: no wrapped cast, no NumPy RuntimeWarning
+    ("horizon_T", lambda doc: doc.update(horizon_T=1e20)),
+    ("start_k", lambda doc: doc.update(start_k=-1e19)),
+    ("states", lambda doc: doc.update(states=1e19)),
+    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 2**64)),
+    # JSON numbers only: numeric text and booleans are not read as numbers
+    ("horizon_T", lambda doc: doc.update(horizon_T="2")),
+    ("r_max", lambda doc: doc.update(r_max="1.0")),
+    ("transition", lambda doc: doc["transition"][0].__setitem__(
+        0, [str(p) for p in doc["transition"][0][0]])),
+    ("horizon_T", lambda doc: doc.update(horizon_T=True)),
 ], ids=["no-states", "no-actions", "no-observations", "null-states",
-        "null-horizon_T", "null-start_k", "fractional-policy"])
+        "null-horizon_T", "null-start_k", "fractional-policy", "huge-horizon_T",
+        "huge-negative-start_k", "huge-states", "huge-policy", "string-horizon_T",
+        "string-r_max", "string-transition", "boolean-horizon_T"])
 def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit):
     spec = builtin("two_state_sensor")
     doc = pomdp.to_problem_dict(spec.pair, spec.policy)

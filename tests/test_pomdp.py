@@ -99,11 +99,28 @@ def test_policy_shape_checked_against_model():
 
 
 def test_policy_rejects_fractional_actions_naming_the_field():
-    for bad in ([[0.5, 1.7]], [[0.0, np.nan]]):
+    for bad in ([[0.5, 1.7]], [[0.0, np.nan]], [["1"]], [[True]], [[None]]):
         with pytest.raises(ValueError, match="^actions must be integral"):
             Policy(np.array(bad), start_k=0)
-    # integral floats are accepted as the integers they hold
+    # past the int64 range: no OverflowError, and a uint64 entry does not wrap
+    for bad in ([[2**64]], np.array([[2**63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^actions must lie in the int64 range"):
+            Policy(bad, start_k=0)
+    # integral floats are accepted as the integers they hold, int64 max as itself
     assert Policy(np.array([[0.0, 3.0]]), start_k=0).actions.tolist() == [[0, 3]]
+    assert Policy(np.array([[2**63 - 1]]), start_k=0).actions.tolist() == [[2**63 - 1]]
+
+
+def test_model_rejects_fractional_horizon_naming_the_field():
+    tensors = ([[[1, 0], [0, 1]]], [[1, 0], [0, 1]], [[0.0], [0.0]], [0.5, 0.5])
+    for horizon_T, start_k, field in ((2.5, 0, "horizon_T"), (2, 0.5, "start_k"),
+                                      ("2", 0, "horizon_T")):
+        with pytest.raises(ValueError, match=f"^{field} must be integral"):
+            make_model(*tensors, horizon_T=horizon_T, start_k=start_k)
+    # integral floats are stored as the Python ints they hold
+    model = make_model(*tensors, horizon_T=3.0, start_k=np.int64(1))
+    assert (model.horizon_T, model.start_k) == (3, 1)
+    assert type(model.horizon_T) is int and type(model.start_k) is int
 
 
 # ---------------------------------------------------------------- belief update
@@ -635,6 +652,13 @@ def test_problem_file_rejects_inconsistent_declarations(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="declared states"):
         load_problem(path)
+    # a JSON integer is read exactly, not through a float: no rounding past
+    # 2**53, and int64 max is in range
+    for declared in (2**53 + 1, 2**63 - 1):
+        doc["states"] = declared
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^declared states={declared} "):
+            load_problem(path)
     path.write_text("not json")
     with pytest.raises(ValueError, match="valid JSON"):
         load_problem(path)
