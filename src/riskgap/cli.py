@@ -12,7 +12,8 @@ of the manifest.  Every certificate is read through
 ``estimation._certify_levels``, which takes a rollout pool and a draw seed,
 makes one importance draw per call and reads every level from them:
 ``certify`` makes one call per query, and a ``concentration`` trial one per
-certificate kind, each on the trial's one pool.
+certificate kind, each on the trial's one pool.  ``certify`` reads the original
+model only for its proposal's TV gaps; the exact values are ``enumerate``'s.
 Each command takes only the flags it reads.  Runs are single-threaded;
 ``--workers`` is checked to be >= 1 but has no effect.
 """
@@ -286,7 +287,7 @@ def cmd_enumerate(manifest: RunManifest) -> dict:
 
 def cmd_certify(manifest: RunManifest) -> dict:
     """Monte-Carlo certified bounds from one rollout pool and one importance
-    draw for all levels, plus the exact values when enumerable."""
+    draw for all levels; the exact values are ``enumerate``'s."""
     pair, policy = _resolve_problem(manifest)
     grid = BinGrid.uniform(pair, manifest.bins)
     q0 = build_default_proposal(pair, policy)
@@ -300,16 +301,8 @@ def cmd_certify(manifest: RunManifest) -> dict:
     records = [{"kind": "proposal", "importance_bound": float(q0.importance_bound),
                 "n_atoms": int(q0.proposal_probs.size),
                 "n_steps": int(q0.n_steps)}]
-    # exact laws for the q_exact records, enumerated once for every alpha;
-    # the bounds stand on their own when exact enumeration is infeasible
-    laws = []
-    try:
-        for model in ("original", "simplified"):
-            laws.append((model, enumerate_return_distribution(pair, policy,
-                                                              model=model)))
-    except BudgetExceededError:
-        pass
-
+    # the original model is read only by q0's TV gaps, the offline gap table; the
+    # online pass (the pool and the levels) reads the simplified model and q0 alone
     seed = _derived_seed(manifest.seed, _SLOT_POOL)
     query = _initial_query(pair, manifest.alpha[0])
     pool = _simplified_return_pool(
@@ -321,9 +314,6 @@ def cmd_certify(manifest: RunManifest) -> dict:
         if isinstance(uniform, InapplicableCaseError):
             raise uniform
         records.extend(_bound_record(alpha, b) for b in uniform + [tight])
-        records.extend({"kind": "q_exact", "alpha": float(alpha), "model": model,
-                        "value": float(cvar_exact(dist, alpha))}
-                       for model, dist in laws)
 
     return _report(manifest, records)
 

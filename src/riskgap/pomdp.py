@@ -153,16 +153,20 @@ class SimplifiedPair:
 
 def _check_integral(values, name: str) -> np.ndarray:
     """The one type and integrality rule for outside integers: values as an
-    array, where a non-numeric entry, or a fractional or non-finite float
-    entry (3.0 passes, 2.5 does not), raises a ValueError naming the field."""
-    a = np.asarray(values)
-    # an object array holds Python ints past the uint64 range, or non-numbers
-    if a.dtype.kind not in "iuf" and not all(type(x) is int for x in a.flat):
+    array, where ragged rows, a non-numeric entry, or a fractional or
+    non-finite float entry (3.0 passes, 2.5 does not), raise a ValueError
+    naming the field."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # NumPy's inhomogeneous-shape message names no field
+        raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
+    # an object array holds Python ints past the uint64 range, maybe with floats
+    if a.dtype.kind not in "iuf" and not all(type(x) in (int, float) for x in a.flat):
         raise ValueError(f"{name} must be integral, got {a.dtype} entries")
-    if a.dtype.kind == "f":
-        bad = a[~(np.isfinite(a) & (a == np.trunc(a)))]
-        if bad.size:
-            raise ValueError(f"{name} must be integral, got {bad[0]}")
+    floats = np.array([x for x in a.flat if type(x) is float]) if a.dtype.kind == "O" else a
+    bad = floats[~(np.isfinite(floats) & (floats == np.trunc(floats)))]
+    if bad.size:
+        raise ValueError(f"{name} must be integral, got {bad[0]}")
     return a
 
 

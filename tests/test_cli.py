@@ -58,7 +58,7 @@ from riskgap.pomdp import (
 )
 from riskgap.risk import DiscreteDistribution
 from riskgap.scenarios import builtin, builtin_names, random_instance
-from riskgap.value_bounds import ValueQuery, bound_report
+from riskgap.value_bounds import ValueQuery, bound_report, q_exact
 
 from test_pomdp import random_pair, random_policy
 
@@ -137,30 +137,31 @@ def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("field, edit", [
-    ("states", lambda doc: doc.pop("states")),
-    ("actions", lambda doc: doc.pop("actions")),
-    ("observations", lambda doc: doc.pop("observations")),
-    ("states", lambda doc: doc.update(states=None)),
-    ("horizon_T", lambda doc: doc.update(horizon_T=None)),
-    ("start_k", lambda doc: doc.update(start_k=None)),
-    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 0.5)),
+@pytest.mark.parametrize("field, edit, says", [
+    ("states", lambda doc: doc.pop("states"), "missing field"),
+    ("actions", lambda doc: doc.pop("actions"), "missing field"),
+    ("observations", lambda doc: doc.pop("observations"), "missing field"),
+    ("states", lambda doc: doc.update(states=None), "finite number"),
+    ("horizon_T", lambda doc: doc.update(horizon_T=None), "finite number"),
+    ("start_k", lambda doc: doc.update(start_k=None), "finite number"),
+    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 0.5), "must be integral"),
     # past the int64 range: no wrapped cast, no NumPy RuntimeWarning
-    ("horizon_T", lambda doc: doc.update(horizon_T=1e20)),
-    ("start_k", lambda doc: doc.update(start_k=-1e19)),
-    ("states", lambda doc: doc.update(states=1e19)),
-    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 2**64)),
+    ("horizon_T", lambda doc: doc.update(horizon_T=1e20), "int64 range"),
+    ("start_k", lambda doc: doc.update(start_k=-1e19), "int64 range"),
+    ("states", lambda doc: doc.update(states=1e19), "int64 range"),
+    ("policy", lambda doc: doc["policy"][0].__setitem__(0, 2**64), "int64 range"),
+    ("policy", lambda doc: doc.update(policy=[[2**70, 1.0]]), "int64 range"),
     # JSON numbers only: numeric text and booleans are not read as numbers
-    ("horizon_T", lambda doc: doc.update(horizon_T="2")),
-    ("r_max", lambda doc: doc.update(r_max="1.0")),
+    ("horizon_T", lambda doc: doc.update(horizon_T="2"), "finite number"),
+    ("r_max", lambda doc: doc.update(r_max="1.0"), "finite number"),
     ("transition", lambda doc: doc["transition"][0].__setitem__(
-        0, [str(p) for p in doc["transition"][0][0]])),
-    ("horizon_T", lambda doc: doc.update(horizon_T=True)),
+        0, [str(p) for p in doc["transition"][0][0]]), "finite number array"),
+    ("horizon_T", lambda doc: doc.update(horizon_T=True), "finite number"),
 ], ids=["no-states", "no-actions", "no-observations", "null-states",
         "null-horizon_T", "null-start_k", "fractional-policy", "huge-horizon_T",
-        "huge-negative-start_k", "huge-states", "huge-policy", "string-horizon_T",
-        "string-r_max", "string-transition", "boolean-horizon_T"])
-def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit):
+        "huge-negative-start_k", "huge-states", "huge-policy", "huge-policy-beside-float",
+        "string-horizon_T", "string-r_max", "string-transition", "boolean-horizon_T"])
+def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit, says):
     spec = builtin("two_state_sensor")
     doc = pomdp.to_problem_dict(spec.pair, spec.policy)
     edit(doc)
@@ -169,7 +170,7 @@ def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit):
     rc, _ = run_cli(["enumerate", "--problem", str(problem)], tmp_path / "r.json")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(field) in err
+    assert err.startswith("error:") and repr(field) in err and says in err
 
 
 @pytest.mark.parametrize("command", ["certify", "concentration"])
@@ -250,14 +251,14 @@ def test_certify_report_lists_ndelta_bounds_and_radii(tmp_path):
     assert by_alpha[0.25] == ["L1", "TightLower"]
     assert by_alpha[0.9] == ["L2", "U", "TightLower"]
 
-    exact = records_of(text, "q_exact")
-    assert {(r["alpha"], r["model"]) for r in exact} == {
-        (a, m) for a in (0.25, 0.9) for m in ("original", "simplified")}
+    # exact values are enumerate's records, not certify's
+    assert records_of(text, "q_exact") == []
     # certified bounds must sit on the correct side of the exact value
-    q_true = {r["alpha"]: r["value"] for r in exact if r["model"] == "original"}
+    spec = builtin("two_state_sensor")
     for b in bounds:
         if b["bound_kind"] == "U":
-            assert b["value"] >= q_true[b["alpha"]] - 1e-9
+            query = _initial_query(spec.pair, b["alpha"])
+            assert b["value"] >= q_exact(spec.pair, spec.policy, query) - 1e-9
 
 
 def test_certify_ndelta_grows_when_delta_halves(tmp_path):
@@ -325,6 +326,47 @@ def test_certify_draws_one_pool_and_one_importance_draw(tmp_path, monkeypatch):
     assert {r["alpha"] for r in records_of(text, "certified_bound")} == {0.25, 0.9}
     # the importance draw from the proposal and the dominated law's count draw
     assert calls == {"rollout_returns": 1, "_sampled_gaps": 1, "_draw_counts": 2}
+
+
+@pytest.mark.parametrize("scenario", builtin_names())
+def test_certify_reads_the_original_model_only_for_the_proposal_gaps(
+        tmp_path, monkeypatch, scenario):
+    # the original model is read offline, once per TV gap of the proposal
+    # build; the online pass (the rollout pool and the levels) reads the
+    # simplified model and q0 alone. Under ROADMAP item 1's fix B, a step-k
+    # transition from the original model, it would read one step at b_k per pool.
+    phase = ["setup"]
+    reads = dict.fromkeys(("setup", "proposal", "online"), 0)
+    tv_calls = dict.fromkeys(reads, 0)
+    enumerations = []
+
+    def tensors(self, model, _fn=pomdp.SimplifiedPair.tensors):
+        reads[phase[0]] += model == "original"
+        return _fn(self, model)
+
+    def tv_distance(*args, _fn=pomdp.tv_distance):
+        tv_calls[phase[0]] += 1
+        return _fn(*args)
+
+    def proposal(*args, _fn=build_default_proposal, **kwargs):
+        phase[0] = "proposal"
+        q0 = _fn(*args, **kwargs)
+        phase[0] = "online"
+        return q0
+
+    monkeypatch.setattr(pomdp.SimplifiedPair, "tensors", tensors)
+    monkeypatch.setattr(pomdp, "tv_distance", tv_distance)
+    monkeypatch.setattr("riskgap.cli.build_default_proposal", proposal)
+    for module in ("pomdp", "value_bounds", "cli"):
+        monkeypatch.setattr(f"riskgap.{module}.enumerate_return_distribution",
+                            lambda *args, **kwargs: enumerations.append(args))
+    rc, _ = run_cli(["certify", "--scenario", scenario, "--alpha", "0.25,0.9",
+                     "--rollouts", "60", "--particles", "50", "--seed", "5"],
+                    tmp_path / "r.json")
+    assert rc == 0 and phase == ["online"]
+    assert tv_calls["proposal"] > 0
+    assert reads == {"setup": 0, "proposal": tv_calls["proposal"], "online": 0}
+    assert enumerations == []
 
 
 @pytest.mark.parametrize("scenario", builtin_names())
@@ -547,11 +589,11 @@ def test_concentration_deterministic_across_workers(tmp_path):
 # the fields that changed.
 PINNED_REPORTS = {
     "certify-corridor4":
-        "290aa665ba8c5c4b4869d7a2619a87f0a1057e8b64862144cfe4b8038121a8d1",
+        "85de91e6ae61e7023666a9355bab8135262e22a4add9eaee5e6294a49b22f4b9",
     "certify-degrade_heavy":
-        "1f32e9e1ae8fb23a93857322ed5a323759db9319f2b3c917f8b71b73dd29c49f",
+        "b89dd428323b3ed924763c8f096e6edf07ba835a69e94aff921c557f5e64d7d1",
     "certify-two_state_sensor":
-        "e19c9dc08e7e22056ddd81935a7dfd7ebd50815699c3400053fccb315defe212",
+        "6ec92ed7698a695685b9d0438bc38f779317ee4384b38a969dea142f9fa24fde",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
     "enumerate-corridor4":

@@ -109,7 +109,9 @@ def test_particle_belief_rejects_fractional_states_naming_the_field():
     for bad in ([0.5, 1.7], [0.0, np.inf]):
         with pytest.raises(ValueError, match="^states must be integral"):
             ParticleBelief(np.array(bad), np.ones(2))
-    for bad in ([2**64], np.array([2**63], dtype=np.uint64)):
+    with pytest.raises(ValueError, match="^states must be a rectangular array"):
+        ParticleBelief([[0], 1], [1.0, 1.0])
+    for bad in ([2**64], [2**70, 1.0], np.array([2**63], dtype=np.uint64)):
         with pytest.raises(ValueError, match="^states must lie in the int64 range"):
             ParticleBelief(bad, [1.0])
     assert ParticleBelief(np.array([0.0, 1.0]), np.ones(2)).states.tolist() == [0, 1]

@@ -102,10 +102,17 @@ def test_policy_rejects_fractional_actions_naming_the_field():
     for bad in ([[0.5, 1.7]], [[0.0, np.nan]], [["1"]], [[True]], [[None]]):
         with pytest.raises(ValueError, match="^actions must be integral"):
             Policy(np.array(bad), start_k=0)
-    # past the int64 range: no OverflowError, and a uint64 entry does not wrap
-    for bad in ([[2**64]], np.array([[2**63]], dtype=np.uint64)):
+    # ragged rows name the field, where NumPy's own message would not
+    for bad in ([[1, 2], [3]], [[0.5], 1]):
+        with pytest.raises(ValueError, match="^actions must be a rectangular array"):
+            Policy(bad, start_k=0)
+    # past the int64 range, also beside a float: no OverflowError, and a uint64
+    # entry does not wrap
+    for bad in ([[2**64]], [[2**70, 1.0]], np.array([[2**63]], dtype=np.uint64)):
         with pytest.raises(ValueError, match="^actions must lie in the int64 range"):
             Policy(bad, start_k=0)
+    with pytest.raises(ValueError, match="^actions must be integral, got 1.5"):
+        Policy([[2**70, 1.5]], start_k=0)
     # integral floats are accepted as the integers they hold, int64 max as itself
     assert Policy(np.array([[0.0, 3.0]]), start_k=0).actions.tolist() == [[0, 3]]
     assert Policy(np.array([[2**63 - 1]]), start_k=0).actions.tolist() == [[2**63 - 1]]
