@@ -12,7 +12,6 @@ problems, and ``cli`` the report driver.
 
 from .envelopes import (
     PointwiseEnvelope,
-    UniformEnvelope,
     cdf_gap_envelope,
     dominated_cdf,
     tight_lower,
@@ -57,7 +56,6 @@ from .pomdp import (
     tv_distance,
 )
 from .risk import (
-    ConfidenceLevel,
     DiscreteDistribution,
     cvar_estimate_inf,
     cvar_estimate_sorted,

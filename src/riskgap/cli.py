@@ -56,6 +56,7 @@ from .pomdp import (
 )
 from .risk import (
     _COMPARE_TOL,
+    _level,
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
@@ -185,10 +186,7 @@ def binomial_pass_threshold(n: int, p: float, level: float = 0.99) -> int:
     """
     if n <= 0:
         return 0
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    p, level = _level(p, "p"), _level(level, "level")
     log_n_fact = math.lgamma(n + 1)
     tail = 0.0
     for k in range(n, -1, -1):

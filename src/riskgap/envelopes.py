@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _alpha_of, _read_only, _step_at,
-                   cvar_exact)
+from .risk import _COMPARE_TOL, DiscreteDistribution, _level, _read_only, _step_at, cvar_exact
 
 
 class InvalidEnvelopeError(ValueError):
@@ -38,17 +37,6 @@ class SupportBounds:
             raise ValueError("support bounds must be finite")
         if self.inf_img > self.sup_img:
             raise ValueError(f"inf_img {self.inf_img} exceeds sup_img {self.sup_img}")
-
-
-@dataclass(frozen=True)
-class UniformEnvelope:
-    """Uniform CDF gap: sup_y |F_X(y) - F_Y(y)| <= eps."""
-
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.eps) and self.eps >= 0.0):
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +80,12 @@ class PointwiseEnvelope:
 # ---------------------------------------------------------------- uniform gap
 
 
-def _eps_of(env) -> float:
-    if isinstance(env, UniformEnvelope):
-        return env.eps
-    return UniformEnvelope(float(env)).eps
+def _eps_of(eps) -> float:
+    """The one uniform-gap rule: ``eps`` as a finite float >= 0 (above 1 is vacuous)."""
+    e = float(eps)
+    if not (np.isfinite(e) and e >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {e}")
+    return e
 
 
 def _check_support(dist: DiscreteDistribution, support: SupportBounds) -> None:
@@ -119,33 +109,33 @@ def _scaled_tail_term(dist: DiscreteDistribution, eps: float, inf_img: float) ->
     return (eps - 1.0) * inf_img + dist.mean()
 
 
-def upper_case_tag(alpha, env) -> str:
-    return "shifted_tail" if _eps_of(env) < _alpha_of(alpha) else "support_cap"
+def upper_case_tag(alpha, eps) -> str:
+    return "shifted_tail" if _eps_of(eps) < _level(alpha, "alpha") else "support_cap"
 
 
-def lower_case_tag(alpha, env) -> str:
-    return "shifted_tail" if _eps_of(env) + _alpha_of(alpha) < 1.0 else "mean_anchor"
+def lower_case_tag(alpha, eps) -> str:
+    return "shifted_tail" if _eps_of(eps) + _level(alpha, "alpha") < 1.0 else "mean_anchor"
 
 
-def uniform_upper(dist: DiscreteDistribution, alpha, env, support: SupportBounds) -> float:
+def uniform_upper(dist: DiscreteDistribution, alpha, eps, support: SupportBounds) -> float:
     """Upper bound on CVaR_alpha(X) from CVaR levels of Y and a uniform gap.
 
     ``eps < alpha`` shifts the tail level down to ``alpha - eps`` and pays
     for the displaced mass at the supremum; otherwise only the support cap
     remains.
     """
-    a = _alpha_of(alpha)
-    eps = _eps_of(env)
+    a = _level(alpha, "alpha")
+    eps = _eps_of(eps)
     _check_support(dist, support)
     if eps < a:
         return ((a - eps) / a) * cvar_exact(dist, a - eps) + (eps / a) * support.sup_img
     return support.sup_img
 
 
-def uniform_lower(dist: DiscreteDistribution, alpha, env, support: SupportBounds) -> float:
+def uniform_lower(dist: DiscreteDistribution, alpha, eps, support: SupportBounds) -> float:
     """Lower bound on CVaR_alpha(X), the mirror of :func:`uniform_upper`."""
-    a = _alpha_of(alpha)
-    eps = _eps_of(env)
+    a = _level(alpha, "alpha")
+    eps = _eps_of(eps)
     _check_support(dist, support)
     if eps + a < 1.0:
         head = ((a + eps) / a) * cvar_exact(dist, a + eps)
@@ -182,7 +172,7 @@ def dominated_cdf(dist: DiscreteDistribution, env: PointwiseEnvelope) -> Discret
 
 def tight_lower(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha) -> float:
     """Lower bound on CVaR_alpha(X) when |F_X - F_Y| <= g pointwise."""
-    return cvar_exact(dominated_cdf(dist, env), _alpha_of(alpha))
+    return cvar_exact(dominated_cdf(dist, env), _level(alpha, "alpha"))
 
 
 # ---------------------------------------------------------------- helpers

@@ -32,8 +32,8 @@ from .pomdp import (
     _return_span,
     _walk_simplified,
 )
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _read_only, cvar_estimate_sorted,
-                   cvar_exact)
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _level, _read_only,
+                   cvar_estimate_sorted, cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -368,8 +368,7 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
 def _check_rate_args(v: float, delta: float, B: float, gap: int) -> None:
     if not 0.0 < v < math.inf:  # also false for NaN
         raise ValueError(f"accuracy parameter must be finite and > 0, got {v}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _level(delta, "delta")
     if B < 1.0:
         raise ValueError("importance bound B must be >= 1")
     if gap < 1:
@@ -409,7 +408,7 @@ def n_delta_for_uniform_bounds(v: float, delta: float, B: float, T: int, k: int)
 def n_delta_for_tight_lower(eta: float, delta: float, B: float, n_bins: int,
                             T: int, k: int) -> int:
     """Precondition draw count for certify_tight_lower (envelope rate at delta/4)."""
-    return n_delta_for_h(eta, delta / 4.0, B, n_bins, T, k)
+    return n_delta_for_h(eta, _level(delta, "delta") / 4.0, B, n_bins, T, k)
 
 
 # ------------------------------------------------------------- binned envelopes
@@ -487,11 +486,10 @@ def _uniform_bounds(returns: np.ndarray, eps_hat: float, alpha: float, v: float,
     if eps_hat + alpha < 1.0:
         second = 0.0
         if eps_hat > 0.0:
-            shifted = eps_hat - 4.0 * v
-            if not 0.0 < shifted < 1.0:
-                return InapplicableCaseError(
-                    f"shifted tail level epsilon_hat - 4v = {shifted:.6g} "
-                    "falls outside (0, 1); no certified lower bound applies")
+            try:
+                shifted = _level(eps_hat - 4.0 * v, "shifted tail level epsilon_hat - 4v")
+            except ValueError as exc:
+                return InapplicableCaseError(f"{exc}; no certified lower bound applies")
             second = (eps_hat / alpha) * q_hat(shifted)
         kind = "L1"
         value = ((alpha + eps_hat - 4.0 * v) / alpha) * q_hat(alpha + eps_hat) - second
@@ -592,7 +590,7 @@ def certify_uniform(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     level: ``_certify_levels`` at that one level, on the config's pool and seed."""
     returns = _simplified_return_pool(pair, policy, query, config)
     [(bounds, _)] = _certify_levels(pair, policy, query, returns, config.rng_seed, q0,
-                                    n_delta, delta, [query.alpha.alpha], v=v)
+                                    n_delta, delta, [query.alpha], v=v)
     if isinstance(bounds, InapplicableCaseError):
         raise bounds
     return bounds
@@ -606,6 +604,6 @@ def certify_tight_lower(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     query's level, on the config's pool and seed."""
     returns = _simplified_return_pool(pair, policy, query, config)
     [(_, tight)] = _certify_levels(pair, policy, query, returns, config.rng_seed, q0,
-                                   n_delta, delta, [query.alpha.alpha], eta=eta,
+                                   n_delta, delta, [query.alpha], eta=eta,
                                    grid=grid)
     return tight

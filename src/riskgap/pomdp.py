@@ -160,10 +160,15 @@ def _check_integral(values, name: str) -> np.ndarray:
         a = np.asarray(values)
     except ValueError:  # NumPy's inhomogeneous-shape message names no field
         raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
-    # an object array holds Python ints past the uint64 range, maybe with floats
-    if a.dtype.kind not in "iuf" and not all(type(x) in (int, float) for x in a.flat):
+    if a.dtype.kind == "f" and not isinstance(values, (np.ndarray, np.generic)):
+        a = np.array(values, dtype=object)  # so an int beside a float stays exact
+    # an object array holds its entries as given: ints past uint64, ints beside floats
+    if a.dtype.kind not in "iuf" and not all(
+            type(x) is not bool and isinstance(x, (int, float, np.integer, np.floating))
+            for x in a.flat):
         raise ValueError(f"{name} must be integral, got {a.dtype} entries")
-    floats = np.array([x for x in a.flat if type(x) is float]) if a.dtype.kind == "O" else a
+    floats = (np.array([x for x in a.flat if isinstance(x, (float, np.floating))])
+              if a.dtype.kind == "O" else a)
     bad = floats[~(np.isfinite(floats) & (floats == np.trunc(floats)))]
     if bad.size:
         raise ValueError(f"{name} must be integral, got {bad[0]}")
@@ -276,9 +281,18 @@ def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
 
 def _first_action(pair: SimplifiedPair, policy: Policy, b_k: Belief,
                   first_action) -> int:
+    """The one resolver of a walk's or pool's step-k action, the policy's at ``b_k``
+    when ``first_action`` is None; a belief of the wrong length or an action that
+    is no integer in [0, n_actions) raises a ValueError naming it."""
+    m = pair.original
+    if b_k.probs.shape != (m.n_states,):
+        raise ValueError(f"belief must have {m.n_states} entries, got {b_k.probs.size}")
     if first_action is None:
-        return policy.action(pair.original.start_k, b_k)
-    return int(first_action)
+        return policy.action(m.start_k, b_k)
+    a = _integral_int(first_action, "action")
+    if not 0 <= a < m.n_actions:
+        raise ValueError(f"action must lie in [0, {m.n_actions}), got {a}")
+    return a
 
 
 def _return_span(pair: SimplifiedPair) -> float:
@@ -502,9 +516,10 @@ def to_problem_dict(pair: SimplifiedPair, policy: Policy) -> dict:
     }
 
 
-def _problem_field(doc: dict, name: str, scalar: bool = False) -> np.ndarray:
-    """doc[name] as an array of finite JSON numbers, ints kept exact; a string,
-    boolean, null, ragged or non-finite entry raises a ValueError naming it."""
+def _problem_field(doc: dict, name: str, scalar: bool = False):
+    """doc[name] as given, once checked to be a finite JSON number or a
+    rectangular array of them, so ints stay exact; a string, boolean, null,
+    ragged or non-finite entry raises a ValueError naming it."""
     if name not in doc:
         raise ValueError(f"problem file is missing field {name!r}")
     try:  # object dtype keeps each entry's own type; a ragged row stays a list
@@ -517,7 +532,7 @@ def _problem_field(doc: dict, name: str, scalar: bool = False) -> np.ndarray:
     what = "number" + ("" if scalar else " array")
     if not finite or (scalar and value.ndim):
         raise ValueError(f"problem field {name!r} must be a finite {what}")
-    return value
+    return doc[name]
 
 
 def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:

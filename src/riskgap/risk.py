@@ -80,24 +80,13 @@ def _finite_1d(x, name: str = "sample") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ConfidenceLevel:
-    """Tail mass level in the open interval (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
-        object.__setattr__(self, "alpha", a)
-
-
-def _alpha_of(level) -> float:
-    """Accept a ConfidenceLevel or a bare float, returning a validated float."""
-    if isinstance(level, ConfidenceLevel):
-        return level.alpha
-    return ConfidenceLevel(float(level)).alpha
+def _level(value, name: str) -> float:
+    """The one open-(0, 1) rule, for a tail level alpha, a confidence delta and
+    the like: ``value`` as a float, else a ValueError naming ``name``."""
+    x = float(value)
+    if not 0.0 < x < 1.0:  # also false for NaN
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
+    return x
 
 
 def _sort_and_merge(values: np.ndarray, weights: np.ndarray):
@@ -188,7 +177,7 @@ def cvar_exact(dist: DiscreteDistribution, alpha) -> float:
     infimum is attained at an atom, which the test-suite exploits as an
     independent oracle.
     """
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     # Capped cumulative mass from the top; increments are the portion of
     # each atom's probability that falls inside the alpha tail.
     tail = np.minimum(np.cumsum(dist.probs[::-1]), a)
@@ -198,7 +187,7 @@ def cvar_exact(dist: DiscreteDistribution, alpha) -> float:
 
 def cvar_estimate_inf(sample, alpha) -> float:
     """Empirical CVaR via the variational form, minimised over sample points."""
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     x = np.sort(_finite_1d(sample))
     n = x.size
     # For w = x[j]: sum_i (x_i - w)^+ = suffix_sum[j] - (n - 1 - j) * w
@@ -219,7 +208,7 @@ def cvar_estimate_sorted(sample, alpha) -> float:
     for every ``alpha < 1``, so the estimator is translation equivariant
     and agrees exactly with ``cvar_estimate_inf``.
     """
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     z = np.sort(_finite_1d(sample))
     n = z.size
     if n == 1:
@@ -245,9 +234,8 @@ class DeviationRadii:
 
 
 def deviation_radii(n: int, alpha, delta: float, value_range: float) -> DeviationRadii:
-    a = _alpha_of(alpha)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    a = _level(alpha, "alpha")
+    delta = _level(delta, "delta")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not (np.isfinite(value_range) and value_range >= 0.0):

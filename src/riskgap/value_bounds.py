@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .envelopes import (
     SupportBounds,
-    UniformEnvelope,
     lower_case_tag,
     tight_lower,
     uniform_lower,
@@ -25,11 +24,12 @@ from .pomdp import (
     Belief,
     Policy,
     SimplifiedPair,
+    _integral_int,
     _return_span,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
 )
-from .risk import ConfidenceLevel, cvar_exact
+from .risk import _level, cvar_exact
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,13 @@ class ValueQuery:
     """A point value to evaluate: V when action is None, else Q."""
 
     belief: Belief
-    alpha: ConfidenceLevel
+    alpha: float
     action: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, ConfidenceLevel):
-            object.__setattr__(self, "alpha", ConfidenceLevel(float(self.alpha)))
+        object.__setattr__(self, "alpha", _level(self.alpha, "alpha"))
+        if self.action is not None:
+            object.__setattr__(self, "action", _integral_int(self.action, "action"))
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     alpha = query.alpha
     span = _return_span(pair)
     bounds = SupportBounds(-span, span)
-    env = UniformEnvelope(traj.epsilon)
-    lo = uniform_lower(dist_s, alpha, env, bounds)
-    hi = uniform_upper(dist_s, alpha, env, bounds)
+    lo = uniform_lower(dist_s, alpha, traj.epsilon, bounds)
+    hi = uniform_upper(dist_s, alpha, traj.epsilon, bounds)
     tight = tight_lower(dist_s, traj.envelope(), alpha)
     return BoundReport(
         q_true=cvar_exact(dist, alpha),
@@ -89,6 +89,6 @@ def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
         upper_uniform=hi,
         lower_tight=tight,
         epsilon=traj.epsilon,
-        case_tags={"upper": upper_case_tag(alpha, env),
-                   "lower": lower_case_tag(alpha, env)},
+        case_tags={"upper": upper_case_tag(alpha, traj.epsilon),
+                   "lower": lower_case_tag(alpha, traj.epsilon)},
     )

@@ -12,7 +12,7 @@ values on a coarse grid, for tests that the tight bound survives coarseness.
 import numpy as np
 
 from riskgap.envelopes import InvalidEnvelopeError, PointwiseEnvelope
-from riskgap.risk import DiscreteDistribution, _alpha_of, _finite_1d
+from riskgap.risk import DiscreteDistribution, _finite_1d, _level
 
 
 class UndefinedBoundError(ValueError):
@@ -56,7 +56,7 @@ def raw_quantile_lower(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha
     Always defined (``F_Y + g`` reaches 1); equals
     ``cvar_exact(dominated_cdf(Y, g), alpha)`` for a conforming envelope.
     """
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     grid = np.union1d(dist.values, env.breakpoints)
     return _quantile_tail_integral(grid, dist.cdf_at(grid) + env.at(grid), a)
 
@@ -67,7 +67,7 @@ def raw_quantile_upper(dist: DiscreteDistribution, env: PointwiseEnvelope, alpha
     Raises :class:`UndefinedBoundError` when ``F_Y - g`` never reaches 1,
     because levels ``tau`` near 1 then have an empty quantile set.
     """
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     grid = np.union1d(dist.values, env.breakpoints)
     h = dist.cdf_at(grid) - env.at(grid)
     top = float(np.max(h)) if h.size else 0.0

@@ -173,6 +173,18 @@ def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit, 
     assert err.startswith("error:") and repr(field) in err and says in err
 
 
+def test_problem_policy_int_beside_a_float_is_read_exactly(tmp_path, capsys):
+    # 2**63 - 1 fits int64 but is no action; through float64 it would be 2**63
+    spec = builtin("two_state_sensor")
+    doc = pomdp.to_problem_dict(spec.pair, spec.policy)
+    doc["policy"][0] = [2**63 - 1, 1.0]
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(doc))
+    rc, _ = run_cli(["enumerate", "--problem", str(problem)], tmp_path / "r.json")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: policy references an action out of range\n"
+
+
 @pytest.mark.parametrize("command", ["certify", "concentration"])
 @pytest.mark.parametrize("horizon_T, start_k", [(4, 3), (4, 4), (1, 0)])
 def test_no_interior_step_exits_2_naming_the_horizon(tmp_path, capsys, command,

@@ -7,7 +7,6 @@ from riskgap.envelopes import (
     InvalidEnvelopeError,
     PointwiseEnvelope,
     SupportBounds,
-    UniformEnvelope,
     _sorted_union,
     cdf_gap_envelope,
     dominated_cdf,
@@ -46,13 +45,6 @@ def test_support_bounds_validation():
     with pytest.raises(ValueError):
         SupportBounds(np.inf, 0.0)
     assert SupportBounds(1.0, 1.0).sup_img == 1.0
-
-
-def test_uniform_envelope_validation():
-    with pytest.raises(ValueError):
-        UniformEnvelope(-0.1)
-    assert UniformEnvelope(0.0).eps == 0.0
-    assert UniformEnvelope(1.5).eps == 1.5  # gaps above 1 are vacuous but legal
 
 
 def test_pointwise_envelope_validation():

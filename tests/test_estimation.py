@@ -561,6 +561,12 @@ def test_default_proposal_structure():
     ratio = q0.target_probs / q0.proposal_probs[:, None]
     assert q0.importance_bound == pytest.approx(ratio.max())
     assert q0.importance_bound >= 1.0
+    # the walk's first action and belief pass the one resolver's checks
+    b0 = Belief(pair.original.initial_belief)
+    with pytest.raises(ValueError, match=r"^action must lie in \[0, 2\), got -1$"):
+        build_default_proposal(pair, policy, b0, first_action=-1)
+    with pytest.raises(ValueError, match="^belief must have 2 entries, got 3$"):
+        build_default_proposal(pair, policy, Belief([0.2, 0.3, 0.5]))
 
 
 def test_default_proposal_stores_exact_gap_matrix():
@@ -1024,7 +1030,7 @@ def test_counted_cvar_equals_sorted_estimate_on_the_same_draws():
     counts = _draw_counts(dist.probs, nd, _stream(cfg.rng_seed, _GINV))
     draws = np.repeat(dist.values, counts)
     assert bound.value == pytest.approx(
-        cvar_estimate_sorted(draws, query.alpha.alpha), abs=1e-12)
+        cvar_estimate_sorted(draws, query.alpha), abs=1e-12)
 
 
 def test_certify_tight_lower_validation():

@@ -108,14 +108,20 @@ def test_policy_rejects_fractional_actions_naming_the_field():
             Policy(bad, start_k=0)
     # past the int64 range, also beside a float: no OverflowError, and a uint64
     # entry does not wrap
-    for bad in ([[2**64]], [[2**70, 1.0]], np.array([[2**63]], dtype=np.uint64)):
+    for bad in ([[2**64]], [[2**70, 1.0]], [[2**63, 1.0]],
+                np.array([[2**63]], dtype=np.uint64)):
         with pytest.raises(ValueError, match="^actions must lie in the int64 range"):
             Policy(bad, start_k=0)
     with pytest.raises(ValueError, match="^actions must be integral, got 1.5"):
         Policy([[2**70, 1.5]], start_k=0)
+    with pytest.raises(ValueError, match="^actions must be integral"):
+        Policy([[True, 1.0]], start_k=0)
     # integral floats are accepted as the integers they hold, int64 max as itself
     assert Policy(np.array([[0.0, 3.0]]), start_k=0).actions.tolist() == [[0, 3]]
     assert Policy(np.array([[2**63 - 1]]), start_k=0).actions.tolist() == [[2**63 - 1]]
+    # a list's ints beside a float are read as given, not rounded through float64
+    for big in (2**53 + 1, 2**63 - 1):
+        assert Policy([[big, 1.0]], start_k=0).actions.tolist() == [[big, 1]]
 
 
 def test_model_rejects_fractional_horizon_naming_the_field():

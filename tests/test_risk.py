@@ -3,17 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskgap.cli import binomial_pass_threshold
+from riskgap.envelopes import (PointwiseEnvelope, SupportBounds, lower_case_tag, tight_lower,
+                               uniform_lower, uniform_upper, upper_case_tag)
+from riskgap.estimation import (n_delta_for_epsilon, n_delta_for_g, n_delta_for_h,
+                                n_delta_for_tight_lower, n_delta_for_uniform_bounds)
+from riskgap.pomdp import Belief
 from riskgap.risk import (
-    ConfidenceLevel,
     DeviationRadii,
     DiscreteDistribution,
     DistributionError,
-    _alpha_of,
+    _level,
     cvar_estimate_inf,
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
 )
+from riskgap.value_bounds import ValueQuery
 
 
 def var_exact(dist, alpha):
@@ -22,7 +28,7 @@ def var_exact(dist, alpha):
     When even the smallest atom overshoots (e.g. a point mass), that
     smallest atom is returned.
     """
-    a = _alpha_of(alpha)
+    a = _level(alpha, "alpha")
     ok = np.nonzero(dist.cdf() <= 1.0 - a)[0]
     if ok.size == 0:
         return float(dist.values[0])
@@ -47,14 +53,55 @@ def _cvar_scan(dist, alpha):
     return best
 
 
+# ---------------------------------------------------------------- level and gap rules
+
+_DIST = DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+_SUPPORT = SupportBounds(0.0, 1.0)
+# (parameter, entry point): a call passing its one argument there, the rest valid
+_RULE_ENTRIES = {
+    ("alpha", "cvar_exact"): lambda a: cvar_exact(_DIST, a),
+    ("alpha", "cvar_estimate_sorted"): lambda a: cvar_estimate_sorted([0.0, 1.0], a),
+    ("alpha", "cvar_estimate_inf"): lambda a: cvar_estimate_inf([0.0, 1.0], a),
+    ("alpha", "deviation_radii"): lambda a: deviation_radii(10, a, 0.1, 1.0),
+    ("alpha", "uniform_lower"): lambda a: uniform_lower(_DIST, a, 0.1, _SUPPORT),
+    ("alpha", "uniform_upper"): lambda a: uniform_upper(_DIST, a, 0.1, _SUPPORT),
+    ("alpha", "tight_lower"): lambda a: tight_lower(_DIST, PointwiseEnvelope.zero(), a),
+    ("alpha", "upper_case_tag"): lambda a: upper_case_tag(a, 0.1),
+    ("alpha", "lower_case_tag"): lambda a: lower_case_tag(a, 0.1),
+    ("alpha", "ValueQuery"): lambda a: ValueQuery(Belief([1.0]), a).alpha,
+    ("eps", "uniform_lower"): lambda e: uniform_lower(_DIST, 0.25, e, _SUPPORT),
+    ("eps", "uniform_upper"): lambda e: uniform_upper(_DIST, 0.25, e, _SUPPORT),
+    ("eps", "upper_case_tag"): lambda e: upper_case_tag(0.25, e),
+    ("eps", "lower_case_tag"): lambda e: lower_case_tag(0.25, e),
+    ("delta", "deviation_radii"): lambda d: deviation_radii(10, 0.25, d, 1.0),
+    ("delta", "n_delta_for_epsilon"): lambda d: n_delta_for_epsilon(0.1, d, 1.0, 3, 0),
+    ("delta", "n_delta_for_g"): lambda d: n_delta_for_g(0.1, d, 1.0, 3, 0),
+    ("delta", "n_delta_for_h"): lambda d: n_delta_for_h(0.1, d, 1.0, 4, 3, 0),
+    ("delta", "n_delta_for_uniform_bounds"):
+        lambda d: n_delta_for_uniform_bounds(0.1, d, 1.0, 3, 0),
+    ("delta", "n_delta_for_tight_lower"):
+        lambda d: n_delta_for_tight_lower(0.1, d, 1.0, 4, 3, 0),
+    ("p", "binomial_pass_threshold"): lambda p: binomial_pass_threshold(10, p),
+    ("level", "binomial_pass_threshold"): lambda lv: binomial_pass_threshold(10, 0.1, lv),
+}
+_LEVEL_REJECTED = (0.0, 1.0, -0.1, 1.5, np.nan)
+_REJECTED = {"eps": (-0.1, np.nan, np.inf)}
+# a NumPy float goes the way of the float it holds; a gap above 1 is vacuous but legal
+_ACCEPTED = {"eps": (0.0, 0.25, 1.5)}
+
+
+@pytest.mark.parametrize("param, entry", list(_RULE_ENTRIES),
+                         ids=[f"{p}-{e}" for p, e in _RULE_ENTRIES])
+def test_level_and_gap_rules(param, entry):
+    call = _RULE_ENTRIES[param, entry]
+    for bad in _REJECTED.get(param, _LEVEL_REJECTED):
+        with pytest.raises(ValueError, match=rf"^{param} must .*, got {float(bad)}$"):
+            call(bad)
+    for good in _ACCEPTED.get(param, (0.25,)):
+        assert call(np.float64(good)) == call(good)
+
+
 # ---------------------------------------------------------------- types
-
-
-def test_confidence_level_rejects_boundaries():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            ConfidenceLevel(bad)
-    assert ConfidenceLevel(0.5).alpha == 0.5
 
 
 def test_distribution_canonical_form():

@@ -3,7 +3,6 @@ import pytest
 
 from riskgap.envelopes import (
     SupportBounds,
-    UniformEnvelope,
     tight_lower,
     uniform_lower,
     uniform_upper,
@@ -16,6 +15,7 @@ from riskgap.pomdp import (
     enumerate_trajectory_expectations,
 )
 from riskgap.risk import cvar_estimate_sorted, cvar_exact, deviation_radii
+from riskgap.scenarios import builtin
 from riskgap.value_bounds import (
     BoundReport,
     ValueQuery,
@@ -74,6 +74,17 @@ def test_v_equals_q_at_policy_action():
         v = q_exact(pair, policy, ValueQuery(b, 0.3))
         q = q_exact(pair, policy, ValueQuery(b, 0.3, action=chosen))
         assert v == q
+    # an action is an integer in range and a belief has one entry per state; NumPy
+    # would wrap -1 to the last action and truncate 1.7 to 1
+    spec = builtin("two_state_sensor")
+    b0 = Belief(spec.pair.original.initial_belief)
+    for action, says in ((-1, r"must lie in \[0, 2\), got -1"), (2, r"must lie in \[0, 2\), got 2"),
+                         (1.7, "must be integral, got 1.7")):
+        with pytest.raises(ValueError, match=f"^action {says}$"):
+            q_exact(spec.pair, spec.policy, ValueQuery(b0, 0.25, action=action))
+    with pytest.raises(ValueError, match="^belief must have 2 entries, got 3$"):
+        q_exact(spec.pair, spec.policy, ValueQuery(Belief([0.2, 0.3, 0.5]), 0.25))
+    assert type(ValueQuery(b0, 0.25, action=np.int64(1)).action) is int
 
 
 def test_identical_models_collapse_all_bounds():
@@ -147,9 +158,8 @@ def test_inflating_epsilon_never_tightens():
     support = SupportBounds(-span, span)
     prev_lo, prev_hi = rep.lower_uniform, rep.upper_uniform
     for slack in (0.05, 0.2, 0.6):
-        env = UniformEnvelope(rep.epsilon + slack)
-        lo = uniform_lower(dist_s, q.alpha, env, support)
-        hi = uniform_upper(dist_s, q.alpha, env, support)
+        lo = uniform_lower(dist_s, q.alpha, rep.epsilon + slack, support)
+        hi = uniform_upper(dist_s, q.alpha, rep.epsilon + slack, support)
         assert lo <= prev_lo + 1e-12
         assert hi >= prev_hi - 1e-12
         prev_lo, prev_hi = lo, hi
@@ -189,9 +199,8 @@ def test_enumerated_support_tightens_but_stays_valid():
         # the union of the two enumerated supports instead of +-r_max*(T-k+1)
         support = SupportBounds(min(dist.inf_support, dist_s.inf_support),
                                 max(dist.sup_support, dist_s.sup_support))
-        env = UniformEnvelope(rep.epsilon)
-        lo_e = uniform_lower(dist_s, q.alpha, env, support)
-        hi_e = uniform_upper(dist_s, q.alpha, env, support)
+        lo_e = uniform_lower(dist_s, q.alpha, rep.epsilon, support)
+        hi_e = uniform_upper(dist_s, q.alpha, rep.epsilon, support)
         assert lo_e <= rep.q_true + 1e-9 <= hi_e + 2e-9
         assert hi_e <= rep.upper_uniform + 1e-12
         assert lo_e >= rep.lower_uniform - 1e-12
