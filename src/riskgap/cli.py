@@ -56,6 +56,7 @@ from .pomdp import (
 )
 from .risk import (
     _COMPARE_TOL,
+    _integral_int,
     _level,
     cvar_estimate_sorted,
     cvar_exact,
@@ -184,7 +185,7 @@ def binomial_pass_threshold(n: int, p: float, level: float = 0.99) -> int:
     A violation count at or below this threshold is consistent with a true
     violation rate of p at the one-sided ``level`` significance.
     """
-    if n <= 0:
+    if (n := _integral_int(n, "n")) <= 0:
         return 0
     p, level = _level(p, "p"), _level(level, "level")
     log_n_fact = math.lgamma(n + 1)

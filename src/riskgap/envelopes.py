@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _COMPARE_TOL, DiscreteDistribution, _level, _read_only, _step_at, cvar_exact
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _is_number, _level, _read_only,
+                   _step_at, cvar_exact)
 
 
 class InvalidEnvelopeError(ValueError):
@@ -82,6 +83,8 @@ class PointwiseEnvelope:
 
 def _eps_of(eps) -> float:
     """The one uniform-gap rule: ``eps`` as a finite float >= 0 (above 1 is vacuous)."""
+    if not _is_number(eps):
+        raise ValueError(f"eps must be a number, got {eps!r}")
     e = float(eps)
     if not (np.isfinite(e) and e >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {e}")

@@ -27,13 +27,11 @@ from .pomdp import (
     Policy,
     SimplifiedPair,
     _first_action,
-    _integer_array,
-    _integral_int,
     _return_span,
     _walk_simplified,
 )
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _level, _read_only,
-                   cvar_estimate_sorted, cvar_exact)
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _integer_array, _integral_int, _level,
+                   _read_only, cvar_estimate_sorted, cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -154,7 +152,7 @@ class BinGrid:
     @classmethod
     def uniform(cls, pair: SimplifiedPair, n_bins: int) -> "BinGrid":
         span = _return_span(pair)
-        return cls(np.linspace(-span, span, int(n_bins) + 1))
+        return cls(np.linspace(-span, span, _integral_int(n_bins, "n_bins") + 1))
 
     def covers_return_range(self, pair: SimplifiedPair) -> bool:
         span = _return_span(pair)
@@ -272,10 +270,6 @@ class _RolloutKernel:
         ``rng``'s PCG64 stream, row i for rollout i; ``block_rows`` rollouts at
         a time step through every transition in place, each block filling its
         rows of each fill and advancing the stream past the others."""
-        table_rows = range(t + 1 - policy.start_k, t + depth - policy.start_k)
-        if table_rows and not (0 <= table_rows[0]
-                               and table_rows[-1] < policy.actions.shape[0]):
-            raise ValueError(f"policy has no row for time steps {t + 1}..{t + depth - 1}")
         block, width = min(n_rows, self.block_rows), 3 + states.size
         returns = np.empty(n_rows)
         for r0 in range(0, n_rows, block):
@@ -283,7 +277,7 @@ class _RolloutKernel:
             block_states = np.arange(rows)[:, None] * self.n_states + states
             block_weights = np.tile(weights, (rows, 1))
             masses = self.masses(block_states, block_weights)
-            actions = np.full(rows, int(a), dtype=np.intp)
+            actions = np.full(rows, a, dtype=np.intp)
             u = np.empty((rows, width))
             returns[r0:r0 + rows] = self.mean_cost(masses, actions)
             for step in range(t + 1, t + depth):
@@ -306,6 +300,13 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
     The C rollouts read one stream, one (C, 3 + N_x) fill per transition, so
     the returns depend on the seed and C.
     """
+    m = pair.original
+    a = _first_action(pair, policy, None, a)
+    t, depth = _integral_int(t, "t"), _integral_int(depth, "depth")
+    if b_bar.states.max() >= m.n_states:
+        raise ValueError(f"states must lie in [0, {m.n_states}), got {b_bar.states.max()}")
+    if not (m.start_k <= t and t + depth - 1 <= m.horizon_T):
+        raise ValueError(f"policy has no row for time steps {t}..{t + depth - 1}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
@@ -365,7 +366,9 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
 # --------------------------------------------------------- sample-size formulas
 
 
-def _check_rate_args(v: float, delta: float, B: float, gap: int) -> None:
+def _rate_gap(v: float, delta: float, B: float, T: int, k: int, last: int) -> int:
+    """The horizon gap T - last - k of a sample-size formula, its inputs checked."""
+    gap = _integral_int(T, "T") - last - _integral_int(k, "k")
     if not 0.0 < v < math.inf:  # also false for NaN
         raise ValueError(f"accuracy parameter must be finite and > 0, got {v}")
     _level(delta, "delta")
@@ -373,12 +376,12 @@ def _check_rate_args(v: float, delta: float, B: float, gap: int) -> None:
         raise ValueError("importance bound B must be >= 1")
     if gap < 1:
         raise ValueError("horizon gap must be >= 1")
+    return gap
 
 
 def n_delta_for_epsilon(v: float, delta: float, B: float, T: int, k: int) -> int:
     """Draws sufficient for |epsilon_hat - epsilon| <= 2v w.p. >= 1 - delta."""
-    gap = T - 1 - k
-    _check_rate_args(v, delta, B, gap)
+    gap = _rate_gap(v, delta, B, T, k, 1)
     return math.ceil(-8.0 * B * B * math.log(delta / (4.0 * gap)) / (v / gap) ** 2)
 
 
@@ -389,9 +392,8 @@ def n_delta_for_g(v: float, delta: float, B: float, T: int, k: int) -> int:
 
 def n_delta_for_h(v: float, delta: float, B: float, n_bins: int, T: int, k: int) -> int:
     """Draws sufficient for the binned envelopes to trap g uniformly within v."""
-    gap = T - 1 - k
-    _check_rate_args(v, delta, B, gap)
-    if n_bins < 1:
+    gap = _rate_gap(v, delta, B, T, k, 1)
+    if _integral_int(n_bins, "n_bins") < 1:
         raise ValueError("need at least one bin")
     return math.ceil(
         -math.log(((delta / n_bins) / gap) / 2.0) * 2.0 * B * B / (v / gap) ** 2)
@@ -399,8 +401,7 @@ def n_delta_for_h(v: float, delta: float, B: float, n_bins: int, T: int, k: int)
 
 def n_delta_for_uniform_bounds(v: float, delta: float, B: float, T: int, k: int) -> int:
     """Precondition draw count for certify_uniform (note the T - k horizon term)."""
-    gap = T - k
-    _check_rate_args(v, delta, B, gap)
+    gap = _rate_gap(v, delta, B, T, k, 0)
     return math.ceil(
         -8.0 * B * B * math.log((delta / 2.0) / (4.0 * gap)) / (v / gap) ** 2)
 

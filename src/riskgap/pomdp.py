@@ -37,6 +37,8 @@ from .risk import (
     PROB_FLOOR,
     DiscreteDistribution,
     _check_rows,
+    _integer_array,
+    _integral_int,
     _read_only,
     _sort_and_merge,
 )
@@ -151,46 +153,6 @@ class SimplifiedPair:
         raise ValueError(f"model must be 'original' or 'simplified', got {model!r}")
 
 
-def _check_integral(values, name: str) -> np.ndarray:
-    """The one type and integrality rule for outside integers: values as an
-    array, where ragged rows, a non-numeric entry, or a fractional or
-    non-finite float entry (3.0 passes, 2.5 does not), raise a ValueError
-    naming the field."""
-    try:
-        a = np.asarray(values)
-    except ValueError:  # NumPy's inhomogeneous-shape message names no field
-        raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
-    if a.dtype.kind == "f" and not isinstance(values, (np.ndarray, np.generic)):
-        a = np.array(values, dtype=object)  # so an int beside a float stays exact
-    # an object array holds its entries as given: ints past uint64, ints beside floats
-    if a.dtype.kind not in "iuf" and not all(
-            type(x) is not bool and isinstance(x, (int, float, np.integer, np.floating))
-            for x in a.flat):
-        raise ValueError(f"{name} must be integral, got {a.dtype} entries")
-    floats = (np.array([x for x in a.flat if isinstance(x, (float, np.floating))])
-              if a.dtype.kind == "O" else a)
-    bad = floats[~(np.isfinite(floats) & (floats == np.trunc(floats)))]
-    if bad.size:
-        raise ValueError(f"{name} must be integral, got {bad[0]}")
-    return a
-
-
-def _integral_int(value, name: str) -> int:
-    """A scalar outside integer as a Python int, integral by ``_check_integral``."""
-    return int(_check_integral(value, name))
-
-
-def _integer_array(values, name: str) -> np.ndarray:
-    """The one int64 cast of an outside integer: values as a read-only int
-    array, by ``_check_integral`` and in the int64 range before the cast."""
-    a = _check_integral(values, name)
-    if a.dtype.kind != "i":  # a signed int array fits; the rest compare exactly
-        bad = a[(a < -2**63) | (a >= 2**63)]
-        if bad.size:
-            raise ValueError(f"{name} must lie in the int64 range, got {bad[0]}")
-    return _read_only(a, int)
-
-
 @dataclass(frozen=True)
 class Policy:
     """Action table indexed by (time step, most-likely state).
@@ -206,9 +168,8 @@ class Policy:
         a = _integer_array(self.actions, "actions")
         if a.ndim != 2 or a.size == 0:
             raise ValueError("policy table must be 2-D (steps x states)")
-        if np.any(a < 0):
-            raise ValueError("action indices must be >= 0")
         object.__setattr__(self, "actions", a)
+        object.__setattr__(self, "start_k", _integral_int(self.start_k, "start_k"))
 
     def action(self, t: int, belief: Belief) -> int:
         row = t - self.start_k
@@ -218,21 +179,31 @@ class Policy:
 
 
 def validate_policy(pair: SimplifiedPair, policy: Policy) -> None:
-    """Totality check: one row per step in [start_k, horizon_T], one entry
-    per state, all actions in range."""
+    """The one policy-fit rule, of every walk, proposal, pool and problem file: one
+    row per step in [start_k, horizon_T], one entry per state, actions in [0, A)."""
     m = pair.original
     steps = m.horizon_T - m.start_k + 1
     if policy.start_k != m.start_k:
         raise ValueError("policy start_k does not match the model")
     if policy.actions.shape != (steps, m.n_states):
-        raise ValueError(
-            f"policy table must be {steps} x {m.n_states}, got {policy.actions.shape}"
-        )
-    if np.any(policy.actions >= m.n_actions):
+        raise ValueError(f"policy table must be {steps} x {m.n_states}, got {policy.actions.shape}")
+    if np.any((policy.actions < 0) | (policy.actions >= m.n_actions)):
         raise ValueError("policy references an action out of range")
 
 
 # ---------------------------------------------------------------- kernels
+
+
+def _action_index(pair: SimplifiedPair, a, b: Belief | None = None) -> int:
+    """The one action and belief rule of the public kernels: ``a`` as an int in
+    [0, n_actions) and ``b`` with one entry per state, else a ValueError naming it."""
+    n_states, n_actions = pair.original.state_cost.shape
+    if b is not None and b.probs.size != n_states:
+        raise ValueError(f"belief must have {n_states} entries, got {b.probs.size}")
+    a = a if type(a) is int else _integral_int(a, "action")  # ints skip the slower rule
+    if not 0 <= a < n_actions:
+        raise ValueError(f"action must lie in [0, {n_actions}), got {a}")
+    return a
 
 
 def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
@@ -243,7 +214,7 @@ def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
     t, o = pair.tensors(model)
     # C order sums each row as one vector, as one observation's update does: from
     # 8 entries on NumPy sums pairwise, so a column sum would move the last bits
-    unnorm = np.multiply(o.T, t[a].T @ b.probs, order="C")
+    unnorm = np.multiply(o.T, t[_action_index(pair, a, b)].T @ b.probs, order="C")
     probs = unnorm.sum(axis=1)
     keep = probs > PROB_FLOOR
     successors, probs = unnorm[keep] / probs[keep, None], probs[keep]
@@ -252,8 +223,7 @@ def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
 
 
 def belief_cost(pair: SimplifiedPair, b: Belief, a: int) -> float:
-    cost = pair.original.state_cost
-    return float(np.dot(b.probs, cost[:, a]))
+    return float(np.dot(b.probs, pair.original.state_cost[:, _action_index(pair, a, b)]))
 
 
 def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
@@ -279,20 +249,14 @@ def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
 # ---------------------------------------------------------------- enumeration
 
 
-def _first_action(pair: SimplifiedPair, policy: Policy, b_k: Belief,
+def _first_action(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
                   first_action) -> int:
-    """The one resolver of a walk's or pool's step-k action, the policy's at ``b_k``
-    when ``first_action`` is None; a belief of the wrong length or an action that
-    is no integer in [0, n_actions) raises a ValueError naming it."""
-    m = pair.original
-    if b_k.probs.shape != (m.n_states,):
-        raise ValueError(f"belief must have {m.n_states} entries, got {b_k.probs.size}")
-    if first_action is None:
-        return policy.action(m.start_k, b_k)
-    a = _integral_int(first_action, "action")
-    if not 0 <= a < m.n_actions:
-        raise ValueError(f"action must lie in [0, {m.n_actions}), got {a}")
-    return a
+    """The one resolver of a walk's, proposal's or pool's step-k action, the policy's
+    at ``b_k`` when ``first_action`` is None, once ``validate_policy`` and (before the
+    policy reads ``b_k``, which a particle pool leaves None) ``_action_index`` pass."""
+    validate_policy(pair, policy)
+    a = _action_index(pair, 0 if first_action is None else first_action, b_k)
+    return policy.action(pair.original.start_k, b_k) if first_action is None else a
 
 
 def _return_span(pair: SimplifiedPair) -> float:

@@ -80,9 +80,54 @@ def _finite_1d(x, name: str = "sample") -> np.ndarray:
     return arr
 
 
+def _is_number(x) -> bool:
+    """The one number-type test: an int, a float, a NumPy integer or floating; no bool."""
+    return type(x) is not bool and isinstance(x, (int, float, np.integer, np.floating))
+
+
+def _check_integral(values, name: str) -> np.ndarray:
+    """The one type and integrality rule for outside integers: values as an
+    array, where ragged rows, a non-numeric entry, or a fractional or
+    non-finite float entry (3.0 passes, 2.5 does not), raise a ValueError
+    naming the field."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # NumPy's inhomogeneous-shape message names no field
+        raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
+    if a.dtype.kind == "f" and not isinstance(values, (np.ndarray, np.generic)):
+        a = np.array(values, dtype=object)  # so an int beside a float stays exact
+    # an object array holds its entries as given: ints past uint64, ints beside floats
+    if a.dtype.kind not in "iuf" and not all(_is_number(x) for x in a.flat):
+        raise ValueError(f"{name} must be integral, got {a.dtype} entries")
+    floats = (np.array([x for x in a.flat if isinstance(x, (float, np.floating))])
+              if a.dtype.kind == "O" else a)
+    bad = floats[~(np.isfinite(floats) & (floats == np.trunc(floats)))]
+    if bad.size:
+        raise ValueError(f"{name} must be integral, got {bad[0]}")
+    return a
+
+
+def _integral_int(value, name: str) -> int:
+    """A scalar outside integer as a Python int, integral by ``_check_integral``."""
+    return int(_check_integral(value, name))
+
+
+def _integer_array(values, name: str) -> np.ndarray:
+    """The one int64 cast of an outside integer: values as a read-only int
+    array, by ``_check_integral`` and in the int64 range before the cast."""
+    a = _check_integral(values, name)
+    if a.dtype.kind != "i":  # a signed int array fits; the rest compare exactly
+        bad = a[(a < -2**63) | (a >= 2**63)]
+        if bad.size:
+            raise ValueError(f"{name} must lie in the int64 range, got {bad[0]}")
+    return _read_only(a, int)
+
+
 def _level(value, name: str) -> float:
     """The one open-(0, 1) rule, for a tail level alpha, a confidence delta and
     the like: ``value`` as a float, else a ValueError naming ``name``."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not 0.0 < x < 1.0:  # also false for NaN
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
@@ -236,7 +281,7 @@ class DeviationRadii:
 def deviation_radii(n: int, alpha, delta: float, value_range: float) -> DeviationRadii:
     a = _level(alpha, "alpha")
     delta = _level(delta, "delta")
-    if n < 1:
+    if _integral_int(n, "n") < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if not (np.isfinite(value_range) and value_range >= 0.0):
         raise ValueError(f"value_range must be finite and >= 0, got {value_range}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import Belief, FinitePomdp, Policy, SimplifiedPair, validate_policy
+from .pomdp import Belief, FinitePomdp, Policy, SimplifiedPair
 from .value_bounds import ValueQuery
 
 
@@ -29,9 +29,6 @@ class ScenarioSpec:
     policy: Policy
     default_query: ValueQuery
     notes: str
-
-    def __post_init__(self) -> None:
-        validate_policy(self.pair, self.policy)
 
 
 def _spec(name, pair, policy, notes, alpha=0.25) -> ScenarioSpec:

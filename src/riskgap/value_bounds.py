@@ -24,12 +24,11 @@ from .pomdp import (
     Belief,
     Policy,
     SimplifiedPair,
-    _integral_int,
     _return_span,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
 )
-from .risk import _level, cvar_exact
+from .risk import _integral_int, _level, cvar_exact
 
 
 @dataclass(frozen=True)

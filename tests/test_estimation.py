@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskgap import scenarios
+from riskgap.cli import binomial_pass_threshold
 from riskgap.envelopes import PointwiseEnvelope
 from riskgap.estimation import (
     BinGrid,
@@ -45,6 +47,7 @@ from riskgap.pomdp import (
     Policy,
     SimplifiedPair,
     belief_cost,
+    belief_mdp_step,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     tv_distance,
@@ -55,7 +58,7 @@ from riskgap.risk import (
     cvar_exact,
     deviation_radii,
 )
-from riskgap.value_bounds import ValueQuery, q_exact
+from riskgap.value_bounds import ValueQuery, bound_report, q_exact
 
 from importance_oracle import oracle_epsilon, oracle_g
 from rollout_oracle import as_belief, loop_rollout_returns
@@ -248,7 +251,7 @@ def test_reference_draw_samples_the_particle_belief():
 def test_sample_return_depth_zero():
     pair = deterministic_pair()
     pb = ParticleBelief(np.zeros(4, dtype=int), np.ones(4))
-    policy = scenarios.builtin("two_state_sensor").policy  # unused at depth 0
+    policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)  # fits; unread at depth 0
     returns = rollout_returns(pair, policy, pb, 0, 0, 0, RolloutConfig(3, 4, 0),
                               "original")
     assert np.array_equal(returns, np.zeros(3))
@@ -1121,3 +1124,92 @@ def test_certify_tight_lower_violation_rate():
 def test_certified_bound_kind_checked():
     with pytest.raises(ValueError, match="kind"):
         CertifiedBound(0.0, "L3", 0.1, 0.1, 0.0, 10, 10, {})
+
+
+# ---------------------------------------------------------------- index rules
+
+_SENSOR = scenarios.builtin("two_state_sensor")
+_B0 = Belief(_SENSOR.pair.original.initial_belief)
+
+
+def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1)):
+    """``entry`` on two_state_sensor with the given inputs; a walk, proposal or
+    exact value takes ``action`` as its first action, a pool as its step-k action."""
+    pair = _SENSOR.pair
+    walk = dict(b_k=belief, first_action=action)
+    return {
+        "belief_mdp_step": lambda: belief_mdp_step(pair, belief, action),
+        "belief_cost": lambda: belief_cost(pair, belief, action),
+        "tv_distance": lambda: tv_distance(pair, belief, action),
+        "rollout_returns": lambda: rollout_returns(
+            pair, policy, ParticleBelief(list(states), np.ones(len(states))), action, 0, 3,
+            RolloutConfig(4, 2, 0)),
+        "enumerate_return_distribution": lambda: enumerate_return_distribution(
+            pair, policy, **walk),
+        "enumerate_trajectory_expectations": lambda: enumerate_trajectory_expectations(
+            pair, policy, **walk),
+        "build_default_proposal": lambda: build_default_proposal(pair, policy, **walk),
+        "q_exact": lambda: q_exact(pair, policy, ValueQuery(belief, 0.25, action=action)),
+        "bound_report": lambda: bound_report(pair, policy, ValueQuery(belief, 0.25, action=action)),
+    }[entry]()
+
+
+_TAKES_POLICY = ("rollout_returns", "enumerate_return_distribution",
+                 "enumerate_trajectory_expectations", "build_default_proposal", "q_exact",
+                 "bound_report")
+_INDEX_ENTRIES = ("belief_mdp_step", "belief_cost", "tv_distance") + _TAKES_POLICY
+_TABLE = _SENSOR.policy.actions
+# (case, field the ValueError names, bad input, entry points that take that input)
+_BAD_INDICES = (
+    [(f"action={bad!r}", "action", dict(action=bad), _INDEX_ENTRIES)
+     for bad in (-1, 2, 1.7, "1", True)]
+    + [("belief-of-3", "belief", dict(belief=Belief([0.2, 0.3, 0.5])),
+        tuple(e for e in _INDEX_ENTRIES if e != "rollout_returns")),
+       ("state-5", "states", dict(states=(0, 5)), ("rollout_returns",))]
+    + [(f"policy-{case}", "policy", dict(policy=bad), _TAKES_POLICY) for case, bad in (
+        ("start_k=-1", Policy(_TABLE, start_k=-1)),
+        ("one-column", Policy(_TABLE[:, :1], start_k=0)),
+        ("action-7", Policy(np.where(_TABLE == 1, 7, _TABLE), start_k=0)),
+        ("9x3", Policy(np.zeros((9, 3), dtype=int), start_k=0)))])
+
+
+@pytest.mark.parametrize("entry, field, bad", [
+    pytest.param(entry, field, bad, id=f"{entry}-{case}")
+    for case, field, bad, entries in _BAD_INDICES for entry in entries])
+def test_index_rules(entry, field, bad):
+    # each would otherwise return a value (NumPy wraps -1, truncates 1.7, reads
+    # any table) or raise NumPy's IndexError or broadcast error, naming nothing
+    with pytest.raises(ValueError, match=f"^{field} "):
+        _index_call(entry, **bad)
+
+
+@pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+def test_index_rules_take_numpy_integers(entry):
+    assert (pickle.dumps(_index_call(entry, action=np.int64(1)))
+            == pickle.dumps(_index_call(entry, action=1)))
+
+
+def test_counts_take_the_integer_rule():
+    pair = _SENSOR.pair
+    pb = ParticleBelief([0, 1], np.ones(2))
+    for field, call in (
+            ("n", lambda: deviation_radii(10.5, 0.25, 0.1, 1.0)),
+            ("n_bins", lambda: BinGrid.uniform(pair, 2.7)),
+            ("n_bins", lambda: n_delta_for_h(0.1, 0.1, 2.0, 2.5, 4, 0)),
+            ("T", lambda: n_delta_for_epsilon(0.1, 0.1, 2.0, 4.5, 0)),
+            ("k", lambda: n_delta_for_uniform_bounds(0.1, 0.1, 2.0, 4, "0")),
+            ("depth", lambda: rollout_returns(pair, _SENSOR.policy, pb, 1, 0, 2.5,
+                                              RolloutConfig(4, 2, 0))),
+            ("t", lambda: rollout_returns(pair, _SENSOR.policy, pb, 1, 0.5, 2,
+                                          RolloutConfig(4, 2, 0))),
+            ("n", lambda: binomial_pass_threshold(10.5, 0.1)),
+            ("start_k", lambda: Policy(_TABLE, start_k=0.5)),
+            ("start_k", lambda: Policy(_TABLE, start_k="0"))):
+        with pytest.raises(ValueError, match=f"^{field} must be integral"):
+            call()
+    # integral values of any number type count as the ints they hold
+    assert BinGrid.uniform(pair, 3.0).n_bins == BinGrid.uniform(pair, np.int64(3)).n_bins == 3
+    assert (n_delta_for_h(0.1, 0.1, 2.0, np.int64(4), 4.0, 0)
+            == n_delta_for_h(0.1, 0.1, 2.0, 4, 4, 0))
+    assert binomial_pass_threshold(10.0, 0.1) == binomial_pass_threshold(10, 0.1)
+    assert type(Policy(_TABLE, start_k=np.int64(0)).start_k) is int

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,9 @@ _LEVEL_REJECTED = (0.0, 1.0, -0.1, 1.5, np.nan)
 _REJECTED = {"eps": (-0.1, np.nan, np.inf)}
 # a NumPy float goes the way of the float it holds; a gap above 1 is vacuous but legal
 _ACCEPTED = {"eps": (0.0, 0.25, 1.5)}
+# the type column: numbers only, as the integer rule takes them, so numeric text and
+# booleans (True would run as a gap of 1) are refused at every level and gap
+_TYPE_REJECTED = ("0.25", b"0.25", True, np.True_)
 
 
 @pytest.mark.parametrize("param, entry", list(_RULE_ENTRIES),
@@ -96,6 +101,10 @@ def test_level_and_gap_rules(param, entry):
     call = _RULE_ENTRIES[param, entry]
     for bad in _REJECTED.get(param, _LEVEL_REJECTED):
         with pytest.raises(ValueError, match=rf"^{param} must .*, got {float(bad)}$"):
+            call(bad)
+    for bad in _TYPE_REJECTED:
+        says = rf"^{param} must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=says):
             call(bad)
     for good in _ACCEPTED.get(param, (0.25,)):
         assert call(np.float64(good)) == call(good)
