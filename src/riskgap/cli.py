@@ -56,8 +56,9 @@ from .pomdp import (
 )
 from .risk import (
     _COMPARE_TOL,
-    _integral_int,
+    _count,
     _level,
+    _real,
     cvar_estimate_sorted,
     cvar_exact,
     deviation_radii,
@@ -120,6 +121,20 @@ class RunManifest:
     trials: int = 100
     out: str | None = None
     fmt: str = "json"
+
+    def __post_init__(self) -> None:
+        # each field passes the library's rule for its kind, naming its flag
+        alpha = tuple(_level(a, "--alpha") for a in self.alpha)
+        if not alpha or len(set(alpha)) < len(alpha):
+            raise ValueError(f"--alpha must list one level or more, each once, got {alpha}")
+        checked = dict(
+            alpha=alpha, delta=_level(self.delta, "--delta"),
+            v=_real(self.v, "--v", 0, strict=True), eta=_real(self.eta, "--eta", 0, strict=True),
+            **{f: _count(getattr(self, f), f"--{f}", 1) for f in ("rollouts", "particles", "bins")},
+            **{f: _count(getattr(self, f), f"--{f}", 0) for f in ("seed", "trials")},
+            ndelta=None if self.ndelta is None else _count(self.ndelta, "--ndelta", 1))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         # trials and fmt are execution plumbing, not run identity: leaving
@@ -185,8 +200,7 @@ def binomial_pass_threshold(n: int, p: float, level: float = 0.99) -> int:
     A violation count at or below this threshold is consistent with a true
     violation rate of p at the one-sided ``level`` significance.
     """
-    if (n := _integral_int(n, "n")) <= 0:
-        return 0
+    n = _count(n, "n", 0)
     p, level = _level(p, "p"), _level(level, "level")
     log_n_fact = math.lgamma(n + 1)
     tail = 0.0
@@ -465,18 +479,6 @@ def count_or_auto(text: str) -> int | None:
     return None if text == "auto" else int(text)
 
 
-# the range of each flag that has one, as (statement, test); NaN fails every test
-_RANGES = {
-    "alpha": ("levels in (0, 1)", lambda a: a and all(0.0 < x < 1.0 for x in a)),
-    "delta": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
-    "v": ("finite and > 0", lambda x: 0.0 < x < math.inf),
-    "eta": ("finite and > 0", lambda x: 0.0 < x < math.inf),
-    "ndelta": (">= 1 or 'auto'", lambda n: n is None or n >= 1),
-    **dict.fromkeys(("rollouts", "particles", "bins", "workers"), (">= 1", lambda n: n >= 1)),
-    **dict.fromkeys(("seed", "trials"), (">= 0", lambda n: n >= 0)),
-}
-
-
 class _DefaultsHelp(argparse.HelpFormatter):
     def _get_help_string(self, action):
         # a flag's help ends with its RunManifest default; the source has none
@@ -516,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
     sampling.add_argument("--delta", type=float, metavar="F",
                           help="per-guarantee failure probability")
-    sampling.add_argument("--v", type=float, metavar="F", help="gap-accuracy parameter")
+    sampling.add_argument("--v", type=float, metavar="F", help="gap accuracy v")
     sampling.add_argument("--eta", type=float, metavar="F",
                           help="envelope slack for the tight lower bound")
     sampling.add_argument("--rollouts", type=int, metavar="C", help="rollouts per pool")
@@ -545,14 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     params = vars(args).copy()
-    for flag, (stated, ok) in _RANGES.items():
-        if flag in params and not ok(params[flag]):
-            raise ValueError(f"--{flag} must be {stated}, got {params[flag]}")
-    alphas = params.get("alpha", ())
-    for i, alpha in enumerate(alphas):
-        if alpha in alphas[:i]:
-            raise ValueError(f"--alpha lists level {alpha} twice")
-    params.pop("workers", None)  # checked, but runs are single-threaded
+    _count(params.pop("workers", 1), "--workers", 1)  # checked, but runs are single-threaded
     return RunManifest(**params)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _is_number, _level, _read_only,
-                   _step_at, cvar_exact)
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _level, _read_only, _real, _step_at,
+                   cvar_exact)
 
 
 class InvalidEnvelopeError(ValueError):
@@ -34,10 +34,8 @@ class SupportBounds:
     sup_img: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.inf_img) and np.isfinite(self.sup_img)):
-            raise ValueError("support bounds must be finite")
-        if self.inf_img > self.sup_img:
-            raise ValueError(f"inf_img {self.inf_img} exceeds sup_img {self.sup_img}")
+        object.__setattr__(self, "inf_img", _real(self.inf_img, "inf_img", -np.inf))
+        object.__setattr__(self, "sup_img", _real(self.sup_img, "sup_img", self.inf_img))
 
 
 @dataclass(frozen=True)
@@ -81,16 +79,6 @@ class PointwiseEnvelope:
 # ---------------------------------------------------------------- uniform gap
 
 
-def _eps_of(eps) -> float:
-    """The one uniform-gap rule: ``eps`` as a finite float >= 0 (above 1 is vacuous)."""
-    if not _is_number(eps):
-        raise ValueError(f"eps must be a number, got {eps!r}")
-    e = float(eps)
-    if not (np.isfinite(e) and e >= 0.0):
-        raise ValueError(f"eps must be finite and >= 0, got {e}")
-    return e
-
-
 def _check_support(dist: DiscreteDistribution, support: SupportBounds) -> None:
     if (dist.inf_support < support.inf_img - _COMPARE_TOL
             or dist.sup_support > support.sup_img + _COMPARE_TOL):
@@ -113,11 +101,12 @@ def _scaled_tail_term(dist: DiscreteDistribution, eps: float, inf_img: float) ->
 
 
 def upper_case_tag(alpha, eps) -> str:
-    return "shifted_tail" if _eps_of(eps) < _level(alpha, "alpha") else "support_cap"
+    return "shifted_tail" if _real(eps, "eps", 0) < _level(alpha, "alpha") else "support_cap"
 
 
 def lower_case_tag(alpha, eps) -> str:
-    return "shifted_tail" if _eps_of(eps) + _level(alpha, "alpha") < 1.0 else "mean_anchor"
+    eps = _real(eps, "eps", 0)
+    return "shifted_tail" if eps + _level(alpha, "alpha") < 1.0 else "mean_anchor"
 
 
 def uniform_upper(dist: DiscreteDistribution, alpha, eps, support: SupportBounds) -> float:
@@ -128,7 +117,7 @@ def uniform_upper(dist: DiscreteDistribution, alpha, eps, support: SupportBounds
     remains.
     """
     a = _level(alpha, "alpha")
-    eps = _eps_of(eps)
+    eps = _real(eps, "eps", 0)
     _check_support(dist, support)
     if eps < a:
         return ((a - eps) / a) * cvar_exact(dist, a - eps) + (eps / a) * support.sup_img
@@ -138,7 +127,7 @@ def uniform_upper(dist: DiscreteDistribution, alpha, eps, support: SupportBounds
 def uniform_lower(dist: DiscreteDistribution, alpha, eps, support: SupportBounds) -> float:
     """Lower bound on CVaR_alpha(X), the mirror of :func:`uniform_upper`."""
     a = _level(alpha, "alpha")
-    eps = _eps_of(eps)
+    eps = _real(eps, "eps", 0)
     _check_support(dist, support)
     if eps + a < 1.0:
         head = ((a + eps) / a) * cvar_exact(dist, a + eps)

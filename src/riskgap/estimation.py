@@ -30,8 +30,8 @@ from .pomdp import (
     _return_span,
     _walk_simplified,
 )
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _integer_array, _integral_int, _level,
-                   _read_only, cvar_estimate_sorted, cvar_exact)
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _count, _integer_array, _integral_int,
+                   _level, _read_only, _real, cvar_estimate_sorted, cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -65,13 +65,9 @@ class RolloutConfig:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        for name in ("num_rollouts_C", "num_particles_Nx", "rng_seed"):
+        for name, least in (("num_rollouts_C", 1), ("num_particles_Nx", 1), ("rng_seed", 0)):
             # Python ints, not int64: a derived seed can reach 2**64 - 1
-            object.__setattr__(self, name, _integral_int(getattr(self, name), name))
-        if self.num_rollouts_C < 1 or self.num_particles_Nx < 1:
-            raise ValueError("rollout and particle counts must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a non-negative integer")
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class ParticleBelief:
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and >= 0")
         if w.max() <= 0.0:
-            raise ValueError("at least one particle weight must be positive")
+            raise ValueError("at least one particle weight must be > 0")
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "weights", w)
 
@@ -99,10 +95,11 @@ class ParticleBelief:
     def from_belief(cls, belief: Belief, n_particles: int,
                     rng: np.random.Generator) -> "ParticleBelief":
         """n_particles states sampled iid from the belief, unit weights."""
+        n_particles = _count(n_particles, "n_particles", 1)
         cum = np.cumsum(belief.probs)
-        states = np.searchsorted(cum, rng.random(int(n_particles)), side="left")
+        states = np.searchsorted(cum, rng.random(n_particles), side="left")
         states = np.minimum(states, belief.probs.size - 1)
-        return cls(states, np.ones(int(n_particles)))
+        return cls(states, np.ones(n_particles))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -152,7 +149,7 @@ class BinGrid:
     @classmethod
     def uniform(cls, pair: SimplifiedPair, n_bins: int) -> "BinGrid":
         span = _return_span(pair)
-        return cls(np.linspace(-span, span, _integral_int(n_bins, "n_bins") + 1))
+        return cls(np.linspace(-span, span, _count(n_bins, "n_bins", 1) + 1))
 
     def covers_return_range(self, pair: SimplifiedPair) -> bool:
         span = _return_span(pair)
@@ -164,7 +161,7 @@ class BinGrid:
 class CertifiedBound:
     """One certified bound value with the deviation radii that back it.
 
-    ``v`` is the gap-accuracy parameter for the uniform kinds and the derived
+    ``v`` is the gap accuracy for the uniform kinds and the derived
     deviation radius for TightLower; ``radii`` holds the named radius terms.
     ``_certify_levels`` checks that n_delta_used meets the matching
     sample-size requirement before it builds a bound.
@@ -302,13 +299,11 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
     """
     m = pair.original
     a = _first_action(pair, policy, None, a)
-    t, depth = _integral_int(t, "t"), _integral_int(depth, "depth")
+    t, depth = _integral_int(t, "t"), _count(depth, "depth", 0)
     if b_bar.states.max() >= m.n_states:
         raise ValueError(f"states must lie in [0, {m.n_states}), got {b_bar.states.max()}")
     if not (m.start_k <= t and t + depth - 1 <= m.horizon_T):
         raise ValueError(f"policy has no row for time steps {t}..{t + depth - 1}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if depth == 0:
         return np.zeros(config.num_rollouts_C)
     return _RolloutKernel(pair, model).rollouts(
@@ -332,13 +327,17 @@ def build_default_proposal(pair: SimplifiedPair, policy: Policy,
     return ProposalQ0(**vars(atoms), proposal_probs=proposal)
 
 
+_DRAW_LIMIT = "n_delta {} is outside [1, 2**63 - 1], the limit of one draw"
+
+
 def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     # n iid draws from a finite law realized as multinomial counts over its
     # atoms; every estimator here depends on the draw multiset only, so
     # this is distribution-identical to drawing one atom at a time.
-    if not 1 <= n <= 2**63 - 1:  # numpy's multinomial takes n as a C long
-        raise ValueError(f"n_delta {n} is outside [1, 2**63 - 1], the limit of one draw")
-    return rng.multinomial(int(n), probs / probs.sum())
+    n = _count(n, "n_delta", 1)
+    if n > 2**63 - 1:  # numpy's multinomial takes n as a C long
+        raise ValueError(_DRAW_LIMIT.format(n))
+    return rng.multinomial(n, probs / probs.sum())
 
 
 def _sampled_gaps(q0: ProposalQ0, n_delta: int, rng: np.random.Generator):
@@ -366,23 +365,27 @@ def estimate_g(q0: ProposalQ0, pair: SimplifiedPair, policy: Policy,
 # --------------------------------------------------------- sample-size formulas
 
 
-def _rate_gap(v: float, delta: float, B: float, T: int, k: int, last: int) -> int:
-    """The horizon gap T - last - k of a sample-size formula, its inputs checked."""
+def _rate_args(v, delta, B, T: int, k: int, last: int) -> tuple:
+    """A formula's v, delta, B and horizon gap T - last - k, each by its rule."""
     gap = _integral_int(T, "T") - last - _integral_int(k, "k")
-    if not 0.0 < v < math.inf:  # also false for NaN
-        raise ValueError(f"accuracy parameter must be finite and > 0, got {v}")
-    _level(delta, "delta")
-    if B < 1.0:
-        raise ValueError("importance bound B must be >= 1")
-    if gap < 1:
-        raise ValueError("horizon gap must be >= 1")
-    return gap
+    return (_real(v, "v", 0, strict=True), _level(delta, "delta"), _real(B, "B", 1),
+            _count(gap, "horizon gap", 1))
+
+
+def _draws(top: float, v: float, gap: int) -> int:
+    """A formula's draw count ceil(top / (v / gap) ** 2), refused where it is past
+    the float range, as when the square underflows to 0 at a tiny v."""
+    width = (v / gap) ** 2
+    n = top / width if width else math.inf
+    if n == math.inf:
+        raise ValueError(_DRAW_LIMIT.format(n))
+    return math.ceil(n)
 
 
 def n_delta_for_epsilon(v: float, delta: float, B: float, T: int, k: int) -> int:
     """Draws sufficient for |epsilon_hat - epsilon| <= 2v w.p. >= 1 - delta."""
-    gap = _rate_gap(v, delta, B, T, k, 1)
-    return math.ceil(-8.0 * B * B * math.log(delta / (4.0 * gap)) / (v / gap) ** 2)
+    v, delta, B, gap = _rate_args(v, delta, B, T, k, 1)
+    return _draws(-8.0 * B * B * math.log(delta / (4.0 * gap)), v, gap)
 
 
 def n_delta_for_g(v: float, delta: float, B: float, T: int, k: int) -> int:
@@ -392,24 +395,22 @@ def n_delta_for_g(v: float, delta: float, B: float, T: int, k: int) -> int:
 
 def n_delta_for_h(v: float, delta: float, B: float, n_bins: int, T: int, k: int) -> int:
     """Draws sufficient for the binned envelopes to trap g uniformly within v."""
-    gap = _rate_gap(v, delta, B, T, k, 1)
-    if _integral_int(n_bins, "n_bins") < 1:
-        raise ValueError("need at least one bin")
-    return math.ceil(
-        -math.log(((delta / n_bins) / gap) / 2.0) * 2.0 * B * B / (v / gap) ** 2)
+    v, delta, B, gap = _rate_args(v, delta, B, T, k, 1)
+    n_bins = _count(n_bins, "n_bins", 1)
+    return _draws(-math.log(((delta / n_bins) / gap) / 2.0) * 2.0 * B * B, v, gap)
 
 
 def n_delta_for_uniform_bounds(v: float, delta: float, B: float, T: int, k: int) -> int:
     """Precondition draw count for certify_uniform (note the T - k horizon term)."""
-    gap = _rate_gap(v, delta, B, T, k, 0)
-    return math.ceil(
-        -8.0 * B * B * math.log((delta / 2.0) / (4.0 * gap)) / (v / gap) ** 2)
+    v, delta, B, gap = _rate_args(v, delta, B, T, k, 0)
+    return _draws(-8.0 * B * B * math.log((delta / 2.0) / (4.0 * gap)), v, gap)
 
 
 def n_delta_for_tight_lower(eta: float, delta: float, B: float, n_bins: int,
                             T: int, k: int) -> int:
     """Precondition draw count for certify_tight_lower (envelope rate at delta/4)."""
-    return n_delta_for_h(eta, _level(delta, "delta") / 4.0, B, n_bins, T, k)
+    return n_delta_for_h(_real(eta, "eta", 0, strict=True), _level(delta, "delta") / 4.0,
+                         B, n_bins, T, k)
 
 
 # ------------------------------------------------------------- binned envelopes
@@ -458,14 +459,12 @@ def _certified_n_delta(pair: SimplifiedPair, q0: ProposalQ0, n_delta: int | None
     if v is not None:
         required.append(n_delta_for_uniform_bounds(v, delta, b, m.horizon_T, m.start_k))
     if grid is not None:
-        if eta <= 0.0:
-            raise ValueError("eta must be > 0")
         if not grid.covers_return_range(pair):
             raise ValueError("bin grid must span the full return range")
         required.append(n_delta_for_tight_lower(eta, delta, b, grid.n_bins,
                                                 m.horizon_T, m.start_k))
     need = max(required)
-    if n_delta is not None and n_delta < need:
+    if n_delta is not None and _count(n_delta, "n_delta", 1) < need:
         raise ValueError(
             f"n_delta {n_delta} is below the certified-rate requirement {need}")
     return need

@@ -37,9 +37,11 @@ from .risk import (
     PROB_FLOOR,
     DiscreteDistribution,
     _check_rows,
+    _count,
     _integer_array,
     _integral_int,
     _read_only,
+    _real,
     _sort_and_merge,
 )
 
@@ -81,8 +83,11 @@ class FinitePomdp:
     def __post_init__(self) -> None:
         for name in ("transition", "observation", "state_cost", "initial_belief"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        for name in ("horizon_T", "start_k"):
-            object.__setattr__(self, name, _integral_int(getattr(self, name), name))
+        # start_k == horizon_T is the degenerate single-decision episode;
+        # ops that require k < T check it themselves
+        object.__setattr__(self, "start_k", _count(self.start_k, "start_k", 0))
+        object.__setattr__(self, "horizon_T", _count(self.horizon_T, "horizon_T", self.start_k))
+        object.__setattr__(self, "r_max", _real(self.r_max, "r_max", 0, strict=True))
         t, o, c = self.transition, self.observation, self.state_cost
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise ValueError(f"transition must have shape (A, X, X), got {t.shape}")
@@ -93,20 +98,11 @@ class FinitePomdp:
             raise ValueError(f"state_cost must have shape (X, A), got {c.shape}")
         _check_rows(t, "transition")
         _check_rows(o, "observation")
-        if not (np.isfinite(self.r_max) and self.r_max > 0.0):
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
         if not np.all(np.isfinite(c)) or np.any(np.abs(c) > self.r_max):
             raise ValueError("state costs must satisfy |c| <= r_max")
         if self.initial_belief.shape != (n_states,):
             raise ValueError("initial_belief length must equal the state count")
         _check_rows(self.initial_belief, "initial_belief")
-        # start_k == horizon_T is the degenerate single-decision episode;
-        # ops that require k < T check it themselves
-        if not (0 <= self.start_k <= self.horizon_T):
-            raise ValueError(
-                f"need 0 <= start_k <= horizon_T, got k={self.start_k}, T={self.horizon_T}"
-            )
-        object.__setattr__(self, "r_max", float(self.r_max))
 
     @property
     def n_states(self) -> int:
@@ -450,12 +446,13 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       first_action=None,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
-    """Exact m_i, epsilon and g(l): the simplified walk's gap atoms reduced
-    under their exact weights; all zero when there is no interior step."""
+    """Exact m_i, epsilon and g(l): the simplified walk's gap atoms reduced under
+    their exact weights; with no interior step, all zero once ``_first_action`` passes."""
     m = pair.original
-    if m.horizon_T - 1 - m.start_k <= 0:
-        return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce()
+    if m.horizon_T - 1 - m.start_k > 0:
+        return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce()
+    _first_action(pair, policy, Belief(m.initial_belief) if b_k is None else b_k, first_action)
+    return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
 
 
 # ---------------------------------------------------------------- problem files
@@ -506,7 +503,7 @@ def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:
         transition=_problem_field(doc, "transition"),
         observation=_problem_field(doc, "observation"),
         state_cost=_problem_field(doc, "cost"),
-        r_max=float(_problem_field(doc, "r_max", scalar=True)),
+        r_max=_problem_field(doc, "r_max", scalar=True),
         initial_belief=_problem_field(doc, "b0"),
         horizon_T=integer("horizon_T", scalar=True),
         start_k=integer("start_k", scalar=True),

@@ -112,6 +112,15 @@ def _integral_int(value, name: str) -> int:
     return int(_check_integral(value, name))
 
 
+def _count(value, name: str, least: int) -> int:
+    """The one count rule, for sizes, bins, seeds and the like: ``value`` as an int
+    by ``_integral_int`` and >= ``least``, else a ValueError naming ``name``."""
+    n = _integral_int(value, name)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def _integer_array(values, name: str) -> np.ndarray:
     """The one int64 cast of an outside integer: values as a read-only int
     array, by ``_check_integral`` and in the int64 range before the cast."""
@@ -131,6 +140,17 @@ def _level(value, name: str) -> float:
     x = float(value)
     if not 0.0 < x < 1.0:  # also false for NaN
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
+    return x
+
+
+def _real(value, name: str, least: float, strict: bool = False) -> float:
+    """The one finite-real rule, for a gap eps, an accuracy v, a bound B and the like:
+    ``value`` as a finite float >= ``least`` (> if ``strict``), else a ValueError naming it."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not (np.isfinite(x) and (x > least if strict else x >= least)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {least}, got {x}")
     return x
 
 
@@ -281,10 +301,8 @@ class DeviationRadii:
 def deviation_radii(n: int, alpha, delta: float, value_range: float) -> DeviationRadii:
     a = _level(alpha, "alpha")
     delta = _level(delta, "delta")
-    if _integral_int(n, "n") < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if not (np.isfinite(value_range) and value_range >= 0.0):
-        raise ValueError(f"value_range must be finite and >= 0, got {value_range}")
+    n = _count(n, "n", 1)
+    value_range = _real(value_range, "value_range", 0)
     upper = value_range * np.sqrt(5.0 * np.log(3.0 / delta) / (a * n))
     lower = (value_range / a) * np.sqrt(np.log(1.0 / delta) / (2.0 * n))
     return DeviationRadii(upper=float(upper), lower=float(lower))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pomdp import Belief, FinitePomdp, Policy, SimplifiedPair
+from .risk import _count, _real
 from .value_bounds import ValueQuery
 
 
@@ -164,10 +165,10 @@ def random_instance(seed: int, n_states: int = 3, n_actions: int = 2,
     uniform row mixed into the simplified transition) instead of
     saturating at 2 the moment the models differ.
     """
-    if not 0.0 <= perturbation <= 1.0:
+    if not _real(perturbation, "perturbation", 0) <= 1.0:
         raise ValueError(f"perturbation must be in [0, 1], got {perturbation}")
-    if min(n_states, n_actions, n_obs) < 1 or horizon_gap < 1:
-        raise ValueError("sizes must be positive")
+    sizes = dict(n_states=n_states, n_actions=n_actions, n_obs=n_obs, horizon_gap=horizon_gap)
+    n_states, n_actions, n_obs, horizon_gap = (_count(n, name, 1) for name, n in sizes.items())
     rng = np.random.default_rng(seed)
     trans = rng.dirichlet(np.ones(n_states), size=(n_actions, n_states))
     obs = np.zeros((n_states, n_obs))

@@ -27,6 +27,7 @@ from riskgap.cli import (
     _manifest_from_args,
     binomial_pass_threshold,
     build_parser,
+    levels,
     main,
     validate_report,
 )
@@ -714,7 +715,8 @@ def test_repeated_alpha_level_exits_2_naming_it(tmp_path, capsys):
         rc = main([command, "--scenario", "two_state_sensor",
                    "--alpha", "0.25,0.9,0.250", "--out", str(tmp_path / "r.json")])
         assert rc == 2
-        assert "--alpha lists level 0.25 twice" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --alpha must list one level or more, each once, got (0.25, 0.9, 0.25)\n")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -819,22 +821,68 @@ def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
     rc = main([command, "--scenario", "two_state_sensor", flag, value,
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
-    assert f"error: {flag} must be >= " in capsys.readouterr().err
+    message = f"{flag} must be >= {0 if flag in ('--seed', '--trials') else 1}, got {value}"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
+    if flag != "--workers":  # runs are single-threaded, so no manifest field holds it
+        # a manifest built in code passes the same rule, which names the flag
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunManifest(command=command, **{flag[2:]: int(value)})
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    ("certify", "--v", "nan"), ("certify", "--v", "inf"), ("certify", "--eta", "inf"),
-    ("concentration", "--eta", "inf"), ("concentration", "--v", "0"),
-    ("certify", "--delta", "nan"), ("concentration", "--delta", "1"),
-    ("enumerate", "--alpha", "0.5,nan")])
+_FLOAT_FLAG_CASES = [
+    ("certify", "--v", "nan", "--v must be finite and > 0, got nan"),
+    ("certify", "--v", "inf", "--v must be finite and > 0, got inf"),
+    ("certify", "--eta", "inf", "--eta must be finite and > 0, got inf"),
+    ("concentration", "--eta", "inf", "--eta must be finite and > 0, got inf"),
+    ("concentration", "--v", "0", "--v must be finite and > 0, got 0.0"),
+    ("certify", "--delta", "nan", "--delta must lie strictly inside (0, 1), got nan"),
+    ("concentration", "--delta", "1", "--delta must lie strictly inside (0, 1), got 1.0"),
+    ("enumerate", "--alpha", "0.5,nan", "--alpha must lie strictly inside (0, 1), got nan")]
+
+
+@pytest.mark.parametrize("command, flag, value, message", _FLOAT_FLAG_CASES,
+                         ids=[f"{c}-{f}-{v}" for c, f, v, _ in _FLOAT_FLAG_CASES])
 def test_out_of_range_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag,
-                                                   value):
+                                                   value, message):
     rc = main([command, "--scenario", "two_state_sensor", flag, value,
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
+    parsed = levels(value) if flag == "--alpha" else float(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunManifest(command=command, **{flag[2:]: parsed})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("v", True, "--v must be a number, got True"),
+    ("eta", "0.25", "--eta must be a number, got '0.25'"),
+    ("delta", None, "--delta must be a number, got None"),
+    ("alpha", (0.25, "0.5"), "--alpha must be a number, got '0.5'"),
+    ("alpha", (), "--alpha must list one level or more, each once, got ()"),
+    ("alpha", [0.25, np.float64(0.25)],
+     "--alpha must list one level or more, each once, got (0.25, 0.25)"),
+    ("rollouts", True, "--rollouts must be integral, got bool entries"),
+    ("particles", 2.5, "--particles must be integral, got 2.5"),
+    ("bins", "8", "--bins must be integral, got <U1 entries"),
+    ("seed", -1, "--seed must be >= 0, got -1"),
+    ("trials", np.nan, "--trials must be integral, got nan"),
+    ("ndelta", 0, "--ndelta must be >= 1, got 0")])
+def test_manifest_built_in_code_is_checked_as_argv_is(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunManifest(command="certify", **{field: value})
+
+
+def test_manifest_stores_what_its_rules_return():
+    # the first field in declaration order that fails is the one named
+    with pytest.raises(ValueError, match=r"^--alpha must list .*, got \(0.25, 0.25\)$"):
+        RunManifest(command="certify", rollouts=0, v=True, alpha=(0.25, 0.25))
+    # fields are stored as the rules return them: floats, ints and a tuple of floats
+    m = RunManifest(command="certify", alpha=[np.float64(0.5)], v=1, rollouts=np.int64(3),
+                    ndelta=10.0)
+    assert (m.alpha, m.v, m.rollouts, m.ndelta) == ((0.5,), 1.0, 3, 10)
+    assert [type(x) for x in (m.alpha[0], m.v, m.rollouts, m.ndelta)] == [float, float, int, int]
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -849,6 +897,11 @@ def test_unparsable_flag_value_exits_2_naming_it(capsys, command, flag, value):
     ["certify", "--v", "1e-9"],
     ["concentration", "--v", "1e-9", "--trials", "1"],
     ["certify", "--ndelta", "99999999999999999999999"],
+    # a formula's count past the float range: (v / gap) ** 2 underflows to 0 at 1e-300,
+    # and the quotient overflows to inf at 1e-155 and 1e-160
+    *([command, flag, tiny] + (["--trials", "1"] if command == "concentration" else [])
+      for command in ("certify", "concentration") for flag in ("--v", "--eta")
+      for tiny in ("1e-300", "1e-155", "1e-160")),
 ])
 def test_draw_count_past_the_multinomial_limit_exits_2(tmp_path, capsys, args):
     # numpy's multinomial takes its count as a C long

@@ -1132,10 +1132,10 @@ _SENSOR = scenarios.builtin("two_state_sensor")
 _B0 = Belief(_SENSOR.pair.original.initial_belief)
 
 
-def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1)):
-    """``entry`` on two_state_sensor with the given inputs; a walk, proposal or
-    exact value takes ``action`` as its first action, a pool as its step-k action."""
-    pair = _SENSOR.pair
+def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1),
+                pair=_SENSOR.pair):
+    """``entry`` on two_state_sensor (or ``pair``) with the given inputs; a walk, proposal
+    or exact value takes ``action`` as its first action, a pool as its step-k action."""
     walk = dict(b_k=belief, first_action=action)
     return {
         "belief_mdp_step": lambda: belief_mdp_step(pair, belief, action),
@@ -1159,6 +1159,8 @@ _TAKES_POLICY = ("rollout_returns", "enumerate_return_distribution",
                  "bound_report")
 _INDEX_ENTRIES = ("belief_mdp_step", "belief_cost", "tv_distance") + _TAKES_POLICY
 _TABLE = _SENSOR.policy.actions
+_HORIZON_1 = scenarios.random_instance(0, horizon_gap=1)
+_HORIZON_1_B0 = Belief(_HORIZON_1.pair.original.initial_belief)
 # (case, field the ValueError names, bad input, entry points that take that input)
 _BAD_INDICES = (
     [(f"action={bad!r}", "action", dict(action=bad), _INDEX_ENTRIES)
@@ -1170,7 +1172,15 @@ _BAD_INDICES = (
         ("start_k=-1", Policy(_TABLE, start_k=-1)),
         ("one-column", Policy(_TABLE[:, :1], start_k=0)),
         ("action-7", Policy(np.where(_TABLE == 1, 7, _TABLE), start_k=0)),
-        ("9x3", Policy(np.zeros((9, 3), dtype=int), start_k=0)))])
+        ("9x3", Policy(np.zeros((9, 3), dtype=int), start_k=0)))]
+    # with no interior step the gaps are all zero, but only once the rules pass
+    + [(f"horizon-1-{case}", field, dict(pair=_HORIZON_1.pair, **bad),
+        ("enumerate_trajectory_expectations",)) for case, field, bad in (
+        ("9x3-policy", "policy", dict(policy=Policy(np.zeros((9, 3), dtype=int), start_k=0),
+                                      belief=Belief(np.full(3, 1 / 3)), action=-5)),
+        ("action=-5", "action", dict(policy=_HORIZON_1.policy, belief=_HORIZON_1_B0,
+                                     action=-5)),
+        ("belief-of-2", "belief", dict(policy=_HORIZON_1.policy, belief=_B0, action=0)))])
 
 
 @pytest.mark.parametrize("entry, field, bad", [

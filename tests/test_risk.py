@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from riskgap.cli import binomial_pass_threshold
 from riskgap.envelopes import (PointwiseEnvelope, SupportBounds, lower_case_tag, tight_lower,
                                uniform_lower, uniform_upper, upper_case_tag)
-from riskgap.estimation import (n_delta_for_epsilon, n_delta_for_g, n_delta_for_h,
-                                n_delta_for_tight_lower, n_delta_for_uniform_bounds)
-from riskgap.pomdp import Belief
+from riskgap.estimation import (BinGrid, ParticleBelief, RolloutConfig, _certified_n_delta,
+                                build_default_proposal, estimate_epsilon, n_delta_for_epsilon,
+                                n_delta_for_g, n_delta_for_h, n_delta_for_tight_lower,
+                                n_delta_for_uniform_bounds)
+from riskgap.pomdp import Belief, FinitePomdp
 from riskgap.risk import (
     DeviationRadii,
     DiscreteDistribution,
@@ -21,6 +23,7 @@ from riskgap.risk import (
     cvar_exact,
     deviation_radii,
 )
+from riskgap.scenarios import builtin, random_instance
 from riskgap.value_bounds import ValueQuery
 
 
@@ -55,10 +58,20 @@ def _cvar_scan(dist, alpha):
     return best
 
 
-# ---------------------------------------------------------------- level and gap rules
+# ---------------------------------------------------------------- scalar rules
 
 _DIST = DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 _SUPPORT = SupportBounds(0.0, 1.0)
+_SENSOR = builtin("two_state_sensor")
+_Q0 = build_default_proposal(_SENSOR.pair, _SENSOR.policy)
+_GRID = BinGrid.uniform(_SENSOR.pair, 4)
+
+
+def _model(r_max=1.0, horizon_T=3, start_k=0):
+    return FinitePomdp(np.ones((1, 1, 1)), np.ones((1, 1)), np.zeros((1, 1)), r_max,
+                       np.ones(1), horizon_T, start_k)
+
+
 # (parameter, entry point): a call passing its one argument there, the rest valid
 _RULE_ENTRIES = {
     ("alpha", "cvar_exact"): lambda a: cvar_exact(_DIST, a),
@@ -85,29 +98,107 @@ _RULE_ENTRIES = {
         lambda d: n_delta_for_tight_lower(0.1, d, 1.0, 4, 3, 0),
     ("p", "binomial_pass_threshold"): lambda p: binomial_pass_threshold(10, p),
     ("level", "binomial_pass_threshold"): lambda lv: binomial_pass_threshold(10, 0.1, lv),
+    ("v", "n_delta_for_epsilon"): lambda v: n_delta_for_epsilon(v, 0.1, 1.0, 3, 0),
+    ("v", "n_delta_for_g"): lambda v: n_delta_for_g(v, 0.1, 1.0, 3, 0),
+    ("v", "n_delta_for_h"): lambda v: n_delta_for_h(v, 0.1, 1.0, 4, 3, 0),
+    ("v", "n_delta_for_uniform_bounds"): lambda v: n_delta_for_uniform_bounds(v, 0.1, 1.0, 3, 0),
+    ("eta", "n_delta_for_tight_lower"): lambda e: n_delta_for_tight_lower(e, 0.1, 1.0, 4, 3, 0),
+    ("eta", "_certified_n_delta"):
+        lambda e: _certified_n_delta(_SENSOR.pair, _Q0, None, 0.1, eta=e, grid=_GRID),
+    ("B", "n_delta_for_epsilon"): lambda b: n_delta_for_epsilon(0.1, 0.1, b, 3, 0),
+    ("B", "n_delta_for_g"): lambda b: n_delta_for_g(0.1, 0.1, b, 3, 0),
+    ("B", "n_delta_for_h"): lambda b: n_delta_for_h(0.1, 0.1, b, 4, 3, 0),
+    ("B", "n_delta_for_uniform_bounds"): lambda b: n_delta_for_uniform_bounds(0.1, 0.1, b, 3, 0),
+    ("B", "n_delta_for_tight_lower"): lambda b: n_delta_for_tight_lower(0.1, 0.1, b, 4, 3, 0),
+    ("r_max", "FinitePomdp"): lambda r: _model(r_max=r).r_max,
+    ("value_range", "deviation_radii"): lambda w: deviation_radii(10, 0.25, 0.1, w),
+    ("inf_img", "SupportBounds"): lambda x: SupportBounds(x, 10.0),
+    ("sup_img", "SupportBounds"): lambda x: SupportBounds(0.0, x),
+    ("perturbation", "random_instance"):
+        lambda p: random_instance(0, perturbation=p).pair.simplified_transition.tolist(),
+    # counts, each with its least value in _COUNT_LEAST
+    ("n", "deviation_radii"): lambda n: deviation_radii(n, 0.25, 0.1, 1.0),
+    ("n", "binomial_pass_threshold"): lambda n: binomial_pass_threshold(n, 0.1),
+    ("num_rollouts_C", "RolloutConfig"): lambda n: RolloutConfig(n, 2, 0),
+    ("num_particles_Nx", "RolloutConfig"): lambda n: RolloutConfig(2, n, 0),
+    ("rng_seed", "RolloutConfig"): lambda n: RolloutConfig(2, 2, n),
+    ("n_particles", "ParticleBelief.from_belief"): lambda n: ParticleBelief.from_belief(
+        Belief([0.5, 0.5]), n, np.random.default_rng(0)).states.tolist(),
+    ("n_bins", "BinGrid.uniform"): lambda n: BinGrid.uniform(_SENSOR.pair, n).edges.tolist(),
+    ("n_bins", "n_delta_for_h"): lambda n: n_delta_for_h(0.1, 0.1, 1.0, n, 3, 0),
+    ("n_bins", "n_delta_for_tight_lower"):
+        lambda n: n_delta_for_tight_lower(0.1, 0.1, 1.0, n, 3, 0),
+    ("n_delta", "estimate_epsilon"): lambda n: estimate_epsilon(
+        _Q0, _SENSOR.pair, _SENSOR.policy, n, np.random.default_rng(0)),
+    ("start_k", "FinitePomdp"): lambda k: _model(horizon_T=5, start_k=k).start_k,
+    ("horizon_T", "FinitePomdp"): lambda t: _model(horizon_T=t, start_k=2).horizon_T,
 }
+_COUNT_LEAST = {("n", "deviation_radii"): 1, ("n", "binomial_pass_threshold"): 0,
+                ("num_rollouts_C", "RolloutConfig"): 1, ("num_particles_Nx", "RolloutConfig"): 1,
+                ("rng_seed", "RolloutConfig"): 0, ("n_particles", "ParticleBelief.from_belief"): 1,
+                ("n_bins", "BinGrid.uniform"): 1, ("n_bins", "n_delta_for_h"): 1,
+                ("n_bins", "n_delta_for_tight_lower"): 1, ("n_delta", "estimate_epsilon"): 1,
+                ("start_k", "FinitePomdp"): 0, ("horizon_T", "FinitePomdp"): 2}
 _LEVEL_REJECTED = (0.0, 1.0, -0.1, 1.5, np.nan)
-_REJECTED = {"eps": (-0.1, np.nan, np.inf)}
-# a NumPy float goes the way of the float it holds; a gap above 1 is vacuous but legal
-_ACCEPTED = {"eps": (0.0, 0.25, 1.5)}
-# the type column: numbers only, as the integer rule takes them, so numeric text and
-# booleans (True would run as a gap of 1) are refused at every level and gap
-_TYPE_REJECTED = ("0.25", b"0.25", True, np.True_)
+_POSITIVE = ((0.0, -0.1, np.nan, np.inf), (0.25, 3, 1e150))
+# per finite real: (values out of its range, values it takes)
+_REAL_RANGES = {
+    "eps": ((-0.1, np.nan, np.inf), (0.0, 0.25, 1.5)),  # a gap above 1 is vacuous but legal
+    "v": _POSITIVE,
+    "eta": _POSITIVE,
+    "r_max": ((0.0, -1.0, np.nan, np.inf), (0.25, 2)),
+    "B": ((0.5, -1.0, np.nan, np.inf), (1.0, 2.5)),
+    "value_range": ((-0.1, np.nan, np.inf), (0.0, 1.5)),
+    "inf_img": ((np.nan, np.inf, -np.inf), (-3.0, 0.0, 10.0)),
+    "sup_img": ((-1.0, np.nan, np.inf), (0.0, 2.5)),
+    "perturbation": ((-0.1, 1.5, np.nan, np.inf), (0.0, 0.2, 1.0)),
+}
+# the type column: numbers only, as the integer rule takes them, so numeric text,
+# booleans (True would run as a gap of 1) and None are refused at every level and real
+_TYPE_REJECTED = ("0.25", b"0.25", True, np.True_, None)
+# a count is refused, naming it, by the integer rule before its least value is read
+_COUNT_REJECTED = ((True, "bool entries"), ("0.1", "<U3 entries"), (np.nan, "nan"),
+                   (np.inf, "inf"), (None, "object entries"))
 
 
 @pytest.mark.parametrize("param, entry", list(_RULE_ENTRIES),
                          ids=[f"{p}-{e}" for p, e in _RULE_ENTRIES])
 def test_level_and_gap_rules(param, entry):
     call = _RULE_ENTRIES[param, entry]
-    for bad in _REJECTED.get(param, _LEVEL_REJECTED):
+    if (param, entry) in _COUNT_LEAST:
+        least = _COUNT_LEAST[param, entry]
+        for bad, got in _COUNT_REJECTED:
+            with pytest.raises(ValueError, match=rf"^{param} must be integral, got {got}$"):
+                call(bad)
+        with pytest.raises(ValueError, match=rf"^{param} must be >= {least}, got {least - 1}$"):
+            call(least - 1)
+        n = least + 3  # a NumPy or float integer counts as the int it holds
+        assert call(np.int64(n)) == call(float(n)) == call(n)
+        return
+    rejected, accepted = _REAL_RANGES.get(param, (_LEVEL_REJECTED, (0.25,)))
+    for bad in rejected:
         with pytest.raises(ValueError, match=rf"^{param} must .*, got {float(bad)}$"):
             call(bad)
     for bad in _TYPE_REJECTED:
         says = rf"^{param} must be a number, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=says):
             call(bad)
-    for good in _ACCEPTED.get(param, (0.25,)):
+    for good in accepted:  # a NumPy float goes the way of the float it holds
         assert call(np.float64(good)) == call(good)
+
+
+@pytest.mark.parametrize("formula", [
+    lambda t: n_delta_for_epsilon(0.1, 0.1, 1.0, t, 0),
+    lambda t: n_delta_for_g(0.1, 0.1, 1.0, t, 0),
+    lambda t: n_delta_for_h(0.1, 0.1, 1.0, 4, t, 0),
+    lambda t: n_delta_for_uniform_bounds(0.1, 0.1, 1.0, t - 1, 0),
+    lambda t: n_delta_for_tight_lower(0.25, 0.1, 1.0, 4, t, 0)])
+def test_horizon_gap_rule(formula):
+    # the horizon gap is T - 1 - k (T - k for the uniform bounds), a count >= 1
+    for t, gap in ((1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^horizon gap must be >= 1, got {gap}$"):
+            formula(t)
+    assert formula(2) >= 1
 
 
 # ---------------------------------------------------------------- types

@@ -138,8 +138,10 @@ def test_gap_grows_with_perturbation():
 def test_random_instance_validates_arguments():
     with pytest.raises(ValueError, match="perturbation"):
         random_instance(1, perturbation=1.5)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"^n_states must be >= 1, got 0$"):
         random_instance(1, n_states=0)
+    with pytest.raises(ValueError, match=r"^horizon_gap must be integral, got 2.5$"):
+        random_instance(1, horizon_gap=2.5)
 
 
 def test_random_instance_enumerates_under_budget():
