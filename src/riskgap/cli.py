@@ -124,9 +124,10 @@ class RunManifest:
 
     def __post_init__(self) -> None:
         # each field passes the library's rule for its kind, naming its flag
-        alpha = tuple(_level(a, "--alpha") for a in self.alpha)
-        if not alpha or len(set(alpha)) < len(alpha):
-            raise ValueError(f"--alpha must list one level or more, each once, got {alpha}")
+        listed = isinstance(self.alpha, (tuple, list, np.ndarray))
+        alpha = tuple(_level(a, "--alpha") for a in self.alpha) if listed else self.alpha
+        if not listed or not alpha or len(set(alpha)) < len(alpha):
+            raise ValueError(f"--alpha must list one level or more, each once, got {alpha!r}")
         checked = dict(
             alpha=alpha, delta=_level(self.delta, "--delta"),
             v=_real(self.v, "--v", 0, strict=True), eta=_real(self.eta, "--eta", 0, strict=True),

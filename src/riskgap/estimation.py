@@ -30,8 +30,8 @@ from .pomdp import (
     _return_span,
     _walk_simplified,
 )
-from .risk import (_COMPARE_TOL, DiscreteDistribution, _count, _integer_array, _integral_int,
-                   _level, _read_only, _real, cvar_estimate_sorted, cvar_exact)
+from .risk import (_COMPARE_TOL, DiscreteDistribution, _count, _fold, _integer_array,
+                   _integral_int, _level, _read_only, _real, cvar_estimate_sorted, cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -222,7 +222,7 @@ class _RolloutKernel:
 
     def mean_cost(self, masses, actions):
         """Each row's mean cost of its action under its belief."""
-        return (masses * self.cost_rows[actions]).sum(axis=1) / masses.sum(axis=1)
+        return _fold((masses * self.cost_rows[actions]).T) / _fold(masses.T)
 
     def step(self, states, weights, masses, actions, u, first_row: int = 0,
              t: int | None = None) -> None:
@@ -247,7 +247,7 @@ class _RolloutKernel:
         states[...] = succ
         weights *= np.take(self.obs_rows[z], states)
         masses[...] = self.masses(states, weights)
-        sums = masses.sum(axis=1)
+        sums = _fold(masses.T)
         if not np.all(sums > 0.0):
             i = first_row + int(np.argmin(sums > 0.0))
             where = "" if t is None else f" at step {t}"
@@ -281,7 +281,7 @@ class _RolloutKernel:
                 self.step(block_states, block_weights, masses, actions,
                           rng.random(out=u), r0, step - 1)
                 rng.bit_generator.advance((n_rows - rows) * width)
-                probs = masses / masses.sum(axis=1, keepdims=True)
+                probs = masses / _fold(masses.T)[:, None]
                 actions = policy.actions[step - policy.start_k, probs.argmax(axis=1)]
                 returns[r0:r0 + rows] += self.mean_cost(masses, actions)
             # back to the next block's rows of the first fill, modulo the period
@@ -373,9 +373,13 @@ def _rate_args(v, delta, B, T: int, k: int, last: int) -> tuple:
 
 
 def _draws(top: float, v: float, gap: int) -> int:
-    """A formula's draw count ceil(top / (v / gap) ** 2), refused where it is past
-    the float range, as when the square underflows to 0 at a tiny v."""
-    width = (v / gap) ** 2
+    """A formula's draw count ceil(top / (v / gap) ** 2): 1 where the square is past
+    the float range, as top > 0, and refused where the count is, as when the square
+    underflows to 0 at a tiny v."""
+    try:
+        width = (v / gap) ** 2
+    except OverflowError:
+        return 1
     n = top / width if width else math.inf
     if n == math.inf:
         raise ValueError(_DRAW_LIMIT.format(n))

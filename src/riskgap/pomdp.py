@@ -38,6 +38,7 @@ from .risk import (
     DiscreteDistribution,
     _check_rows,
     _count,
+    _fold,
     _integer_array,
     _integral_int,
     _read_only,
@@ -208,10 +209,8 @@ def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
     normalised (S,) row per observation whose mass exceeds ``PROB_FLOOR``, in
     observation order, and the (n,) masses of those observations."""
     t, o = pair.tensors(model)
-    # C order sums each row as one vector, as one observation's update does: from
-    # 8 entries on NumPy sums pairwise, so a column sum would move the last bits
-    unnorm = np.multiply(o.T, t[_action_index(pair, a, b)].T @ b.probs, order="C")
-    probs = unnorm.sum(axis=1)
+    unnorm = o.T * _fold(t[_action_index(pair, a, b)] * b.probs[:, None])
+    probs = _fold(unnorm.T)
     keep = probs > PROB_FLOOR
     successors, probs = unnorm[keep] / probs[keep, None], probs[keep]
     successors.flags.writeable = probs.flags.writeable = False
@@ -219,7 +218,7 @@ def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
 
 
 def belief_cost(pair: SimplifiedPair, b: Belief, a: int) -> float:
-    return float(np.dot(b.probs, pair.original.state_cost[:, _action_index(pair, a, b)]))
+    return float(_fold(b.probs * pair.original.state_cost[:, _action_index(pair, a, b)]))
 
 
 def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
@@ -275,7 +274,7 @@ def _walk(pair: SimplifiedPair, policy: Policy, model: str, b_k: Belief, a0: int
     ``PROB_FLOOR`` are dropped. Expanding more than ``leaf_budget`` frontier
     nodes in total raises BudgetExceededError.
     """
-    k = pair.original.start_k
+    k, leaf_budget = pair.original.start_k, _count(leaf_budget, "leaf_budget", 1)
     frontiers: list[dict] = []
     nodes = [(b_k, a0, r0, 1.0)]
     expanded = 0

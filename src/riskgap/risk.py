@@ -56,6 +56,14 @@ def _read_only(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _fold(terms) -> np.ndarray:
+    """The one summation rule of every reported contraction: ``terms`` added along
+    their first axis in index order, ((t[0] + t[1]) + t[2]) + ..., as an accumulate
+    must, so the bits depend on neither the CPU (a BLAS kernel's do) nor the memory
+    layout (NumPy's ``sum`` goes pairwise from 8 contiguous entries)."""
+    return np.add.accumulate(terms)[-1]
+
+
 def _check_rows(mat: np.ndarray, what: str) -> None:
     """The one probability-row check: entries finite and >= 0, and each row
     (along the last axis) summing to 1 within ``PROB_TOL``."""
@@ -132,12 +140,21 @@ def _integer_array(values, name: str) -> np.ndarray:
     return _read_only(a, int)
 
 
+def _number(value, name: str) -> float:
+    """A number by ``_is_number`` as a float, an int past the float range as the
+    infinity of its sign, so that each rule refuses it under its own bounds."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 def _level(value, name: str) -> float:
     """The one open-(0, 1) rule, for a tail level alpha, a confidence delta and
     the like: ``value`` as a float, else a ValueError naming ``name``."""
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    x = _number(value, name)
     if not 0.0 < x < 1.0:  # also false for NaN
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
     return x
@@ -146,9 +163,7 @@ def _level(value, name: str) -> float:
 def _real(value, name: str, least: float, strict: bool = False) -> float:
     """The one finite-real rule, for a gap eps, an accuracy v, a bound B and the like:
     ``value`` as a finite float >= ``least`` (> if ``strict``), else a ValueError naming it."""
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    x = _number(value, name)
     if not (np.isfinite(x) and (x > least if strict else x >= least)):
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {least}, got {x}")
     return x
@@ -214,7 +229,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "probs", _read_only(probs[keep] / probs[keep].sum()))
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
+        return float(_fold(self.values * self.probs))
 
     def cdf(self) -> np.ndarray:
         """Cumulative probabilities aligned with ``values`` (right-continuous)."""
@@ -247,7 +262,7 @@ def cvar_exact(dist: DiscreteDistribution, alpha) -> float:
     # each atom's probability that falls inside the alpha tail.
     tail = np.minimum(np.cumsum(dist.probs[::-1]), a)
     taken = np.diff(np.concatenate(([0.0], tail)))
-    return float(np.dot(taken, dist.values[::-1]) / a)
+    return float(_fold(taken * dist.values[::-1]) / a)
 
 
 def cvar_estimate_inf(sample, alpha) -> float:
@@ -279,7 +294,7 @@ def cvar_estimate_sorted(sample, alpha) -> float:
     if n == 1:
         return float(z[0])
     coeff = np.maximum(np.arange(1, n) / n - (1.0 - a), 0.0)
-    return float(z[-1] - np.dot(np.diff(z), coeff) / a)
+    return float(z[-1] - _fold(np.diff(z) * coeff) / a)
 
 
 @dataclass(frozen=True)

@@ -604,15 +604,15 @@ PINNED_REPORTS = {
     "certify-corridor4":
         "85de91e6ae61e7023666a9355bab8135262e22a4add9eaee5e6294a49b22f4b9",
     "certify-degrade_heavy":
-        "b89dd428323b3ed924763c8f096e6edf07ba835a69e94aff921c557f5e64d7d1",
+        "6bcb85df1674501949bf97d9e79a83dab6cfdb2ba685ad5900476281ab61156c",
     "certify-two_state_sensor":
-        "6ec92ed7698a695685b9d0438bc38f779317ee4384b38a969dea142f9fa24fde",
+        "cd66f5e15af920b5f3cd6218ef0e5ffc0f11ac6bd292df9e9714875559aa3fae",
     "concentration-two_state_sensor":
         "e73a348249bbb75b7e42bb2f3e493d1f6bd4c353b3bae485a55369ecf644c1b5",
     "enumerate-corridor4":
-        "493d93f6ebdcfa1ecfc9f08e928e5f654a0c2ad48be94045b7d240f5af2d9912",
+        "367e9532d73e46a6a6bf95daeaef417c4cddd11dd904bc4212e59bf77a358da0",
     "enumerate-degrade_heavy":
-        "1ca14b0df345b2a12a08b03f4733bf303460406a086951210ca09606e4a739c4",
+        "c5a9d3abc32ee622e3618f494bceca2277395c105da087a1a2ca8b8fff7cc010",
     "enumerate-two_state_sensor":
         "45513ad206d8abfd577f6c6b904c3f9c603906654356dc1a53d9edb78839fb21",
 }
@@ -630,27 +630,69 @@ def test_reports_match_pinned_digests(name, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
 
 
-# sha256 of `enumerate` reports on noisy 9-state random pairs, keyed by seed.
-# From 8 entries on NumPy sums a vector pairwise, so a successor law whose
-# normalisers are summed in another order moves these bytes, while the
-# built-ins above (at most 4 states) are summed in sequence either way.
+# sha256 of `enumerate` reports on noisy 9-state random pairs, keyed by seed:
+# 9 states is past the 8 entries from which NumPy's own sum would go pairwise.
 PINNED_NINE_STATE_REPORTS = {
-    1: "f75d4fff91c557207327a78fddf7e3c57696338befe5c7462ca49d153ad1b8c9",
-    2: "ddf568bbc93cc20d0f87d9cbfd3bd00b44e7b7cbcfd86f5f59056ceb4dd3f74a",
-    3: "3ed6d583ccdbbfaedd3aafd7a31b575bd79b4b673858489293a4c26c7e85ff9d",
+    1: "749882267b576f49e381908bbda4cc2a09e987a0ed2defb2b8f239a172a26e55",
+    2: "7f74f129040d5236616ee4b501200cd0084a341926a8913a51d2efbf2958d02c",
+    3: "8bedf58067fcd31226278b90d4068d5a533d1151f87a2d81714f29aa61bb4a5b",
 }
+
+
+def _save_nine_state_problem(seed: int, directory: Path) -> None:
+    rng = np.random.default_rng(seed)
+    pair = random_pair(rng, n_states=9, horizon_T=4)
+    save_problem(directory / "p.json", pair, random_policy(rng, pair))
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_NINE_STATE_REPORTS))
 def test_nine_state_reports_match_pinned_digests(seed, tmp_path, monkeypatch, capsys):
-    rng = np.random.default_rng(seed)
-    pair = random_pair(rng, n_states=9, horizon_T=4)
-    save_problem(tmp_path / "p.json", pair, random_policy(rng, pair))
+    _save_nine_state_problem(seed, tmp_path)
     monkeypatch.chdir(tmp_path)  # the manifest echoes the relative path
     capsys.readouterr()
     assert main(["enumerate", "--problem", "p.json", "--alpha", "0.25,0.9"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NINE_STATE_REPORTS[seed]
+
+
+# prints the sha256 of each (directory, argv) report in a fresh interpreter
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys
+from riskgap.cli import main
+for cwd, argv in json.loads(sys.argv[1]):
+    os.chdir(cwd)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512F AVX512CD AVX512_SKX"}],
+    ids=lambda setting: "-".join(setting.values()).replace(" ", "-"))
+def test_pinned_reports_match_under_other_cpu_kernels(setting, tmp_path):
+    # OpenBLAS picks its kernel from the CPU, and NumPy its SIMD loops; each
+    # setting makes this process's choice another CPU's, which moved six pins
+    # while a BLAS call computed reported numbers
+    runs = [(str(tmp_path), [name.split("-")[0], "--scenario", name.split("-")[1],
+                             "--alpha", "0.25,0.9", *PINNED_ARGS[name.split("-")[0]]])
+            for name in sorted(PINNED_REPORTS)]
+    for seed in sorted(PINNED_NINE_STATE_REPORTS):
+        (tmp_path / str(seed)).mkdir()
+        _save_nine_state_problem(seed, tmp_path / str(seed))
+        runs.append((str(tmp_path / str(seed)),
+                     ["enumerate", "--problem", "p.json", "--alpha", "0.25,0.9"]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, json.dumps(runs)],
+                          env={**os.environ, **setting, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    want = [PINNED_REPORTS[name] for name in sorted(PINNED_REPORTS)]
+    want += [PINNED_NINE_STATE_REPORTS[seed] for seed in sorted(PINNED_NINE_STATE_REPORTS)]
+    assert done.stdout.split() == want
 
 
 def test_csv_rows_match_json_records(tmp_path):
@@ -868,7 +910,9 @@ def test_out_of_range_float_flag_exits_2_naming_it(tmp_path, capsys, command, fl
     ("bins", "8", "--bins must be integral, got <U1 entries"),
     ("seed", -1, "--seed must be >= 0, got -1"),
     ("trials", np.nan, "--trials must be integral, got nan"),
-    ("ndelta", 0, "--ndelta must be >= 1, got 0")])
+    ("ndelta", 0, "--ndelta must be >= 1, got 0"),
+    pytest.param("v", 10**400, "--v must be finite and > 0, got inf", id="v-10**400"),
+    ("alpha", 0.25, "--alpha must list one level or more, each once, got 0.25")])
 def test_manifest_built_in_code_is_checked_as_argv_is(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RunManifest(command="certify", **{field: value})
@@ -893,6 +937,11 @@ def test_unparsable_flag_value_exits_2_naming_it(capsys, command, flag, value):
     assert f"error: argument {flag}: invalid " in capsys.readouterr().err
 
 
+# a huge accuracy, whose (v / gap) ** 2 is past the float range, needs one draw: with
+# --v 1e200 no certified lower bound applies (exit 4), and --eta 1e200 certifies
+_ONE_DRAW = {("certify", "--v", "1e200"): 4, ("certify", "--eta", "1e200"): 0}
+
+
 @pytest.mark.parametrize("args", [
     ["certify", "--v", "1e-9"],
     ["concentration", "--v", "1e-9", "--trials", "1"],
@@ -902,13 +951,17 @@ def test_unparsable_flag_value_exits_2_naming_it(capsys, command, flag, value):
     *([command, flag, tiny] + (["--trials", "1"] if command == "concentration" else [])
       for command in ("certify", "concentration") for flag in ("--v", "--eta")
       for tiny in ("1e-300", "1e-155", "1e-160")),
+    *map(list, _ONE_DRAW),
 ])
 def test_draw_count_past_the_multinomial_limit_exits_2(tmp_path, capsys, args):
     # numpy's multinomial takes its count as a C long
     rc = main([*args, "--scenario", "two_state_sensor", "--rollouts", "20",
                "--particles", "20", "--out", str(tmp_path / "r.json")])
-    assert rc == 2
     err = capsys.readouterr().err
+    if tuple(args) in _ONE_DRAW:
+        assert (rc, err.count("n_delta")) == (_ONE_DRAW[tuple(args)], 0)
+        return
+    assert rc == 2
     assert err.startswith("error: n_delta ") and "outside [1, 2**63 - 1]" in err
     assert not (tmp_path / "r.json").exists()
 

@@ -796,6 +796,17 @@ def test_n_delta_scaling_and_monotonicity():
         n_delta_for_uniform_bounds(0.1, 0.05, 2.0, 4, 0)
 
 
+def test_n_delta_past_the_float_range_is_one_draw():
+    # (v / gap) ** 2 overflows above v / gap ~ 1.34e154; ceil(top / width) is then 1
+    for v in (1e155, 1e200, 1e308):
+        assert n_delta_for_epsilon(v, 0.05, 2.0, 4, 0) == 1
+        assert n_delta_for_g(v, 0.05, 2.0, 4, 0) == 1
+        assert n_delta_for_h(v, 0.05, 2.0, 8, 4, 0) == 1
+        assert n_delta_for_uniform_bounds(v, 0.05, 2.0, 4, 0) == 1
+        assert n_delta_for_tight_lower(v, 0.05, 2.0, 8, 4, 0) == 1
+    assert n_delta_for_epsilon(1e150, 0.05, 2.0, 4, 0) == 1  # finite width, same count
+
+
 def test_n_delta_validation():
     with pytest.raises(ValueError):
         n_delta_for_epsilon(0.0, 0.05, 1.0, 2, 0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from riskgap import scenarios
 from riskgap.estimation import build_default_proposal
-from riskgap.risk import PROB_FLOOR, cvar_exact
+from riskgap.risk import PROB_FLOOR, _fold, cvar_exact
 from riskgap.pomdp import (
     Belief,
     BudgetExceededError,
@@ -213,8 +213,8 @@ def test_symmetric_model_splits_half_half():
 
 
 def test_step_probabilities_sum_to_one_and_match_update():
-    # bit for bit: from 8 entries on NumPy sums a vector pairwise, so a law
-    # whose normalisers are summed in another order differs in the last bits
+    # bit for bit, with 8 states and more too, where NumPy's own sum would go
+    # pairwise: the oracle adds over states one at a time, as risk._fold does
     rng = np.random.default_rng(11)
     for n_states in [3] * 200 + [8, 9, 12] * 100:
         pair = random_pair(rng, n_states=n_states)
@@ -230,6 +230,28 @@ def test_step_probabilities_sum_to_one_and_match_update():
             for row, p, z in zip(successors, probs, seen):
                 assert p == observation_mass(pair, b, a, z, model)
                 assert np.array_equal(row, belief_update(pair, b, a, z, model).probs)
+
+
+def test_batched_folds_give_the_one_belief_bits():
+    # a batch of (n, S) beliefs contracted by risk._fold, whatever its layout and
+    # n, gives each belief's bits, as a batched kernel of the walk or pool would
+    rng = np.random.default_rng(29)
+    for n_states in (3, 9, 12):
+        pair = random_pair(rng, n_states=n_states)
+        beliefs = rng.dirichlet(np.ones(n_states), size=40)
+        for batch in (np.ascontiguousarray(beliefs), np.asfortranarray(beliefs), beliefs[:1]):
+            for a, model in ((0, "original"), (1, "simplified")):
+                t, o = pair.tensors(model)
+                predicted = _fold(t[a][:, None, :] * batch.T[:, :, None])  # (n, S)
+                unnorm = o.T * predicted[:, None, :]  # (n, O, S)
+                masses = _fold(np.moveaxis(unnorm, 2, 0))  # (n, O)
+                costs = _fold(batch.T * pair.original.state_cost[:, a, None])  # (n,)
+                for i, b in enumerate(batch):
+                    successors, probs = belief_mdp_step(pair, Belief(b), a, model)
+                    keep = masses[i] > PROB_FLOOR
+                    assert np.array_equal(probs, masses[i, keep])
+                    assert np.array_equal(successors, unnorm[i, keep] / masses[i, keep, None])
+                    assert belief_cost(pair, Belief(b), a) == costs[i]
 
 
 # ---------------------------------------------------------------- TV distance
@@ -276,20 +298,21 @@ def test_tv_merges_atoms_within_each_model_first():
 def test_tv_identifies_one_successor_reached_through_two_normalisers():
     # The simplified sensor's z=0 column is c times the original's, so both
     # models reach one z=0 successor belief through different Bayes
-    # normalisers; the two rows differ by 1.1e-16 and straddle a 12-decimal
-    # rounding boundary (0.5166213316785 vs 0.5166213316785001). Clustering
+    # normalisers; the two rows differ by 5.6e-17 and straddle a 12-decimal
+    # rounding boundary (0.4322926964314999 vs 0.4322926964315). Clustering
     # within ATOM_MATCH_TOL gives the analytic TV; matching on the walk's
     # rounded key would split the belief and give 2. Over the random
     # families, the built-ins and the deep pairs no TV evaluation told the two
     # rules apart, so only a pinned case like this one shows the difference.
-    # Literals: default_rng(1), the 2468th draw of (Dirichlet transition,
-    # sensor column, c, ten Dirichlet beliefs), its 6th belief.
-    trans = [[[0.04816911123632589, 0.3538639582243704, 0.5979669305393037],
-              [0.02051589932565606, 0.14269436998909274, 0.8367897306852511],
-              [0.18633018367761014, 0.6499892659735903, 0.1636805503487996]]]
-    o0 = np.array([0.25034578967244897, 0.36408722019837025, 0.24642035237630994])
-    c = 1.6251373532502433
-    b0 = [0.16979805670929288, 0.3533871937940798, 0.47681474949662733]
+    # Literals: default_rng(1), the first draw of (Dirichlet transition,
+    # sensor column uniform on [0.05, 0.45), c uniform on [1.2, 2), ten
+    # Dirichlet beliefs) with such a belief: the 3023rd draw, its 10th belief.
+    trans = [[[0.2802691481375981, 0.32142348286104505, 0.3983073690013567],
+              [0.29016855877868764, 0.6485685266667597, 0.06126291455455273],
+              [0.0064211300740697665, 0.6417838795214743, 0.35179499040445594]]]
+    o0 = np.array([0.16067898602290742, 0.08821991222452691, 0.35703979378575984])
+    c = 1.9380607210017058
+    b0 = [0.1067748552730881, 0.5917706495135147, 0.3014544952133974]
     model = make_model(trans, np.stack([o0, 1 - o0], axis=1), [[0.0]] * 3, b0,
                        horizon_T=1)
     pair = SimplifiedPair(model, model.transition, np.stack([c * o0, 1 - c * o0], axis=1))
@@ -300,7 +323,7 @@ def test_tv_identifies_one_successor_reached_through_two_normalisers():
     assert not np.array_equal(np.round(s_o, 12), np.round(s_s, 12))
     analytic = abs(p_o[0] - p_s[0]) + p_o[1] + p_s[1]
     assert tv_distance(pair, b, 0) == pytest.approx(analytic, abs=1e-15)
-    assert analytic == pytest.approx(1.407397820690976, abs=1e-15)
+    assert analytic == pytest.approx(1.6946849560665203, abs=1e-15)
 
 
 def _tv_by_dict(pair, b, a):

@@ -12,11 +12,12 @@ from riskgap.estimation import (BinGrid, ParticleBelief, RolloutConfig, _certifi
                                 build_default_proposal, estimate_epsilon, n_delta_for_epsilon,
                                 n_delta_for_g, n_delta_for_h, n_delta_for_tight_lower,
                                 n_delta_for_uniform_bounds)
-from riskgap.pomdp import Belief, FinitePomdp
+from riskgap.pomdp import Belief, FinitePomdp, Policy, SimplifiedPair, enumerate_return_distribution
 from riskgap.risk import (
     DeviationRadii,
     DiscreteDistribution,
     DistributionError,
+    _fold,
     _level,
     cvar_estimate_inf,
     cvar_estimate_sorted,
@@ -25,6 +26,8 @@ from riskgap.risk import (
 )
 from riskgap.scenarios import builtin, random_instance
 from riskgap.value_bounds import ValueQuery
+
+from trajectory_oracle import sum_left_to_right
 
 
 def var_exact(dist, alpha):
@@ -70,6 +73,10 @@ _GRID = BinGrid.uniform(_SENSOR.pair, 4)
 def _model(r_max=1.0, horizon_T=3, start_k=0):
     return FinitePomdp(np.ones((1, 1, 1)), np.ones((1, 1)), np.zeros((1, 1)), r_max,
                        np.ones(1), horizon_T, start_k)
+
+
+_ONE_STATE = SimplifiedPair.identical(_model())  # a walk of one node per step
+_ONE_STATE_POLICY = Policy(np.zeros((4, 1)), 0)
 
 
 # (parameter, entry point): a call passing its one argument there, the rest valid
@@ -132,13 +139,19 @@ _RULE_ENTRIES = {
         _Q0, _SENSOR.pair, _SENSOR.policy, n, np.random.default_rng(0)),
     ("start_k", "FinitePomdp"): lambda k: _model(horizon_T=5, start_k=k).start_k,
     ("horizon_T", "FinitePomdp"): lambda t: _model(horizon_T=t, start_k=2).horizon_T,
+    ("leaf_budget", "enumerate_return_distribution"): lambda n: enumerate_return_distribution(
+        _ONE_STATE, _ONE_STATE_POLICY, leaf_budget=n).values.tolist(),
+    ("leaf_budget", "build_default_proposal"): lambda n: build_default_proposal(
+        _ONE_STATE, _ONE_STATE_POLICY, leaf_budget=n).proposal_probs.tolist(),
 }
 _COUNT_LEAST = {("n", "deviation_radii"): 1, ("n", "binomial_pass_threshold"): 0,
                 ("num_rollouts_C", "RolloutConfig"): 1, ("num_particles_Nx", "RolloutConfig"): 1,
                 ("rng_seed", "RolloutConfig"): 0, ("n_particles", "ParticleBelief.from_belief"): 1,
                 ("n_bins", "BinGrid.uniform"): 1, ("n_bins", "n_delta_for_h"): 1,
                 ("n_bins", "n_delta_for_tight_lower"): 1, ("n_delta", "estimate_epsilon"): 1,
-                ("start_k", "FinitePomdp"): 0, ("horizon_T", "FinitePomdp"): 2}
+                ("start_k", "FinitePomdp"): 0, ("horizon_T", "FinitePomdp"): 2,
+                ("leaf_budget", "enumerate_return_distribution"): 1,
+                ("leaf_budget", "build_default_proposal"): 1}
 _LEVEL_REJECTED = (0.0, 1.0, -0.1, 1.5, np.nan)
 _POSITIVE = ((0.0, -0.1, np.nan, np.inf), (0.25, 3, 1e150))
 # per finite real: (values out of its range, values it takes)
@@ -159,6 +172,8 @@ _TYPE_REJECTED = ("0.25", b"0.25", True, np.True_, None)
 # a count is refused, naming it, by the integer rule before its least value is read
 _COUNT_REJECTED = ((True, "bool entries"), ("0.1", "<U3 entries"), (np.nan, "nan"),
                    (np.inf, "inf"), (None, "object entries"))
+# an int past the float range reads as the infinity of its sign, which no level or real takes
+_PAST_FLOAT = ((10**400, "inf"), (-10**400, "-inf"))
 
 
 @pytest.mark.parametrize("param, entry", list(_RULE_ENTRIES),
@@ -176,8 +191,8 @@ def test_level_and_gap_rules(param, entry):
         assert call(np.int64(n)) == call(float(n)) == call(n)
         return
     rejected, accepted = _REAL_RANGES.get(param, (_LEVEL_REJECTED, (0.25,)))
-    for bad in rejected:
-        with pytest.raises(ValueError, match=rf"^{param} must .*, got {float(bad)}$"):
+    for bad, got in (*((bad, float(bad)) for bad in rejected), *_PAST_FLOAT):
+        with pytest.raises(ValueError, match=rf"^{param} must .*, got {got}$"):
             call(bad)
     for bad in _TYPE_REJECTED:
         says = rf"^{param} must be a number, got {re.escape(repr(bad))}$"
@@ -199,6 +214,25 @@ def test_horizon_gap_rule(formula):
         with pytest.raises(ValueError, match=rf"^horizon gap must be >= 1, got {gap}$"):
             formula(t)
     assert formula(2) >= 1
+
+
+# ---------------------------------------------------------------- summation rule
+
+
+@pytest.mark.parametrize("length", [3, 8, 9, 12, 600])
+def test_fold_adds_in_index_order_in_every_layout(length):
+    rng = np.random.default_rng(length)
+    # magnitudes over 16 decades, so that another order of the adds moves the bits
+    base = rng.standard_normal((length, 40)) * 10.0 ** rng.uniform(-8, 8, (length, 40))
+    layouts = {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
+               "reversed": np.ascontiguousarray(base[::-1, ::-1])[::-1, ::-1]}
+    first = sum_left_to_right(base[:, 0])
+    for name, terms in layouts.items():
+        assert np.array_equal(_fold(terms), sum_left_to_right(base)), name
+        # a strided or contiguous column, and an (n, 1) block, where NumPy's sum goes pairwise
+        assert _fold(terms[:, 0]) == first and _fold(terms[:, :1]).tolist() == [first], name
+    if length > 8:  # the check has power: NumPy's own sum of a contiguous column differs
+        assert any(base[:, j].copy().sum() != sum_left_to_right(base[:, j]) for j in range(40))
 
 
 # ---------------------------------------------------------------- types

@@ -13,7 +13,8 @@ against these on random instances.
 ``belief_update`` is the one-observation Bayes update that
 ``riskgap.pomdp.belief_mdp_step`` computes for every observation at once,
 and ``observation_mass`` its normaliser; tests check each successor row and
-mass against them.
+mass against them.  Both add over states one at a time from the left, as
+every contraction of the package does.
 """
 
 import numpy as np
@@ -38,23 +39,31 @@ class ImpossibleObservationError(ValueError):
     """Conditioning on an observation of probability (numerically) zero."""
 
 
+def sum_left_to_right(terms) -> float | np.ndarray:
+    """terms[0] + terms[1] + ..., added one term at a time from the left."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def _unnormalised(pair: SimplifiedPair, b: Belief, a: int, z: int,
                   model: str) -> np.ndarray:
     t, o = pair.tensors(model)
-    return o[:, z] * (t[a].T @ b.probs)
+    return o[:, z] * sum_left_to_right([t[a][x] * b.probs[x] for x in range(b.probs.size)])
 
 
 def observation_mass(pair: SimplifiedPair, b: Belief, a: int, z: int,
                      model: str = "original") -> float:
     """P(z | b, a): the normaliser of ``belief_update``."""
-    return float(_unnormalised(pair, b, a, z, model).sum())
+    return float(sum_left_to_right(_unnormalised(pair, b, a, z, model)))
 
 
 def belief_update(pair: SimplifiedPair, b: Belief, a: int, z: int,
                   model: str = "original") -> Belief:
     """Posterior over states after acting and observing: b' ∝ O[:, z] * (T' b)."""
     unnorm = _unnormalised(pair, b, a, z, model)
-    norm = float(unnorm.sum())
+    norm = float(sum_left_to_right(unnorm))
     if norm <= PROB_FLOOR:
         raise ImpossibleObservationError(
             f"observation {z} has probability {norm} under action {a}"
