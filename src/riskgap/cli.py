@@ -195,23 +195,36 @@ def _csv_cell(value):
     return str(value)
 
 
-def binomial_pass_threshold(n: int, p: float, level: float = 0.99) -> int:
-    """Largest k with P(Binomial(n, p) >= k) >= 1 - level.
+def binomial_pass_threshold(n: int, p: float) -> int:
+    """Largest k with P(Binomial(n, p) >= k) >= 0.01.
 
     A violation count at or below this threshold is consistent with a true
-    violation rate of p at the one-sided ``level`` significance.
+    violation rate of p at the one-sided 99% level.
     """
-    n = _count(n, "n", 0)
-    p, level = _level(p, "p"), _level(level, "level")
+    n, p = _count(n, "n", 0), _level(p, "p")
     log_n_fact = math.lgamma(n + 1)
     tail = 0.0
     for k in range(n, -1, -1):
         log_pmf = (log_n_fact - math.lgamma(k + 1) - math.lgamma(n - k + 1)
                    + k * math.log(p) + (n - k) * math.log1p(-p))
         tail += math.exp(log_pmf)
-        if tail >= 1.0 - level:
+        if tail >= 1.0 - 0.99:  # the one-sided 99% level
             return k
     return 0
+
+
+def _guarantee_record(name: str, alpha, delta: float, n_delta, outcomes: list) -> dict:
+    """One guarantee's record from its per-trial outcomes: each a (deviation,
+    radius) pair, or None where the trial does not evaluate the guarantee. The
+    one violation rule of every delta-guarantee is deviation > radius, and the
+    record passes when its count is within ``binomial_pass_threshold``."""
+    evaluated = [o for o in outcomes if o is not None]
+    violations = sum(1 for deviation, radius in evaluated if deviation > radius)
+    threshold = binomial_pass_threshold(len(evaluated), delta)
+    return dict(kind="guarantee", name=name, alpha=alpha, delta=delta, n_delta=n_delta,
+                trials=len(outcomes), evaluated=len(evaluated), violations=violations,
+                frequency=violations / len(evaluated) if evaluated else 0.0,
+                threshold=threshold, passed=violations <= threshold)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -388,84 +401,59 @@ def cmd_concentration(manifest: RunManifest) -> dict:
 
     # each trial's pool starts from the initial belief; the query's level plays no part
     query = _initial_query(pair, alphas[0])
+    # the CVaR estimate's radii depend on C, alpha, delta and the range alone
+    cvar_radii = {a: deviation_radii(manifest.rollouts, a, delta, value_range) for a in alphas}
 
     def one_trial(t: int) -> dict:
-        events = {}
+        # each outcome is a (deviation, radius) pair, or None where the trial
+        # does not evaluate that guarantee; _guarantee_record counts violations
+        outcomes = {}
         # one pool per trial, read by the CVaR estimates and both certificate kinds
         config = RolloutConfig(manifest.rollouts, manifest.particles,
                                _derived_seed(manifest.seed, _SLOT_POOL, t))
         pool = _simplified_return_pool(pair, policy, query, config)
         for alpha in alphas:
-            radii = deviation_radii(pool.size, alpha, delta, value_range)
-            q_hat = cvar_estimate_sorted(pool, alpha)
-            events[("cvar_estimate_upper", alpha)] = \
-                exact_s[alpha] - q_hat > radii.upper
-            events[("cvar_estimate_lower", alpha)] = \
-                q_hat - exact_s[alpha] > radii.lower
+            q_hat, radii = cvar_estimate_sorted(pool, alpha), cvar_radii[alpha]
+            outcomes["cvar_estimate_upper", alpha] = (exact_s[alpha] - q_hat, radii.upper)
+            outcomes["cvar_estimate_lower", alpha] = (q_hat - exact_s[alpha], radii.lower)
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_EPS, t))
         eps_hat = estimate_epsilon(q0, pair, policy, n_delta["epsilon_within_2v"], rng)
-        events[("epsilon_within_2v", None)] = abs(eps_hat - traj.epsilon) > 2.0 * v
+        outcomes["epsilon_within_2v", None] = (abs(eps_hat - traj.epsilon), 2.0 * v)
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_G, t))
         g_hat = estimate_g(q0, pair, policy, n_delta["g_pointwise"], [level], rng)
-        events[("g_pointwise", None)] = abs(float(g_hat[0]) - g_exact_level) > v
+        outcomes["g_pointwise", None] = (abs(float(g_hat[0]) - g_exact_level), v)
 
         rng = np.random.default_rng(_derived_seed(manifest.seed, _SLOT_H, t))
         g_edges = estimate_g(q0, pair, policy, n_delta["h_envelope_uniform"],
                              grid.edges, rng)
         h_plus, _ = binned_h(g_edges, grid)
-        events[("h_envelope_uniform", None)] = \
-            bool(np.any(g_exact_probe - h_plus.at(probe) > v))
+        outcomes["h_envelope_uniform", None] = (
+            float(np.max(g_exact_probe - h_plus.at(probe))), v)
 
-        # one importance draw per certificate kind, each at its own formula N_delta
+        # one importance draw per certificate kind, each at its own formula N_delta;
+        # a lower bound deviates by bound - truth, an upper bound by truth - bound
         uniform_levels = _certify_levels(pair, policy, query, pool,
                                          _derived_seed(manifest.seed, _SLOT_UNIF, t), q0,
                                          n_delta["uniform_lower"], delta, alphas, v=v)
-        for alpha, (uniform, _) in zip(alphas, uniform_levels):
-            if isinstance(uniform, InapplicableCaseError):
-                events[("uniform_lower", alpha)] = events[("uniform_upper", alpha)] = None
-                continue
-            lower, *upper = uniform
-            slack = (lower.radii["lambda_1"] + lower.radii["lambda_2"]
-                     if lower.kind == "L1"
-                     else lower.radii["eta_1"] + lower.radii["eta_2"])
-            events[("uniform_lower", alpha)] = lower.value - exact_p[alpha] > slack
-            events[("uniform_upper", alpha)] = (
-                exact_p[alpha] - upper[0].value > upper[0].radii["lambda"]
-                if upper else None)
         tight_levels = _certify_levels(pair, policy, query, pool,
                                        _derived_seed(manifest.seed, _SLOT_TIGHT, t), q0,
                                        n_delta["tight_lower"], delta, alphas,
                                        eta=eta, grid=grid)
-        for alpha, (_, tight) in zip(alphas, tight_levels):
-            events[("tight_lower", alpha)] = tight.value - exact_p[alpha] > tight.v
-        return events
+        for alpha, (uniform, _), (_, tight) in zip(alphas, uniform_levels, tight_levels):
+            lower, upper = ((None, None) if isinstance(uniform, InapplicableCaseError)
+                            else (*uniform, None)[:2])
+            truth = exact_p[alpha]
+            outcomes["uniform_lower", alpha] = lower and (lower.value - truth, lower.radius)
+            outcomes["uniform_upper", alpha] = upper and (truth - upper.value, upper.radius)
+            outcomes["tight_lower", alpha] = (tight.value - truth, tight.radius)
+        return outcomes
 
     results = [one_trial(t) for t in range(trials)]
-
-    records = []
-    for name, per_level, nd in guarantees:
-        for alpha in alphas if per_level else [None]:
-            outcomes = [res[(name, alpha)] for res in results]
-            evaluated = sum(o is not None for o in outcomes)
-            violations = sum(bool(o) for o in outcomes if o is not None)
-            threshold = binomial_pass_threshold(evaluated, delta)
-            records.append({
-                "kind": "guarantee",
-                "name": name,
-                "alpha": alpha,
-                "delta": delta,
-                "n_delta": nd,
-                "trials": trials,
-                "evaluated": evaluated,
-                "violations": violations,
-                "frequency": (violations / evaluated) if evaluated else 0.0,
-                "threshold": threshold,
-                "passed": violations <= threshold,
-            })
-
-    return _report(manifest, records)
+    return _report(manifest, [
+        _guarantee_record(name, alpha, delta, nd, [res[name, alpha] for res in results])
+        for name, per_level, nd in guarantees for alpha in (alphas if per_level else [None])])
 
 
 # ----------------------------------------------------------------- interface
@@ -577,6 +565,10 @@ def main(argv=None) -> int:
         print(f"error: rollout pool: {exc} (every particle is inconsistent "
               "with the sampled observation; increase --particles or smooth "
               "the observation model)", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # NumPy refuses such an array at once, allocating nothing
+        print(f"error: {exc} (a size flag asked for more memory than this machine has)",
+              file=sys.stderr)
         return 2
     except (InapplicableCaseError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

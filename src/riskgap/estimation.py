@@ -157,6 +157,11 @@ class BinGrid:
                 and self.edges[-1] >= span - _COMPARE_TOL)
 
 
+# the radius terms of each bound kind; TightLower's one term is its v
+_RADIUS_TERMS = {"L1": ("lambda_1", "lambda_2"), "L2": ("eta_1", "eta_2"), "U": ("lambda",),
+                 "TightLower": ("v",)}
+
+
 @dataclass(frozen=True)
 class CertifiedBound:
     """One certified bound value with the deviation radii that back it.
@@ -177,10 +182,16 @@ class CertifiedBound:
     radii: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in ("L1", "L2", "U", "TightLower"):
+        if self.kind not in _RADIUS_TERMS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise ValueError("bound value must be finite")
+
+    @property
+    def radius(self) -> float:
+        """How far past the truth the bound may sit before its delta-guarantee is
+        violated: its kind's radius terms, added in ``_RADIUS_TERMS`` order."""
+        return sum(self.radii[name] for name in _RADIUS_TERMS[self.kind])
 
 
 # ------------------------------------------------------------------- rollouts

@@ -122,10 +122,13 @@ def _integral_int(value, name: str) -> int:
 
 def _count(value, name: str, least: int) -> int:
     """The one count rule, for sizes, bins, seeds and the like: ``value`` as an int
-    by ``_integral_int`` and >= ``least``, else a ValueError naming ``name``."""
+    by ``_integral_int``, >= ``least`` and in the float range (the radii and the
+    binomial gate compute with it in floats), else a ValueError naming ``name``."""
     n = _integral_int(value, name)
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
+    if _number(n, name) == np.inf:
+        raise ValueError(f"{name} must lie in the float range, got a {n.bit_length()}-bit int")
     return n
 
 

@@ -847,6 +847,10 @@ def test_help_states_each_flags_manifest_default(command):
         assert_manifest_default(command, flag, text)
 
 
+_PAST_FLOAT = "1" + "0" * 400  # 10**400, a count no float holds
+_PAST_MEMORY = str(10**18)  # 10**18 rollouts, particles or bins: 6.94 EiB of float64
+
+
 @pytest.mark.parametrize("flag, value, command", [
     (flag, value, command)
     for flag, value, commands in (
@@ -856,16 +860,28 @@ def test_help_states_each_flags_manifest_default(command):
         ("--rollouts", "0", ("certify", "concentration")),
         ("--particles", "0", ("certify", "concentration")),
         ("--workers", "0", ("certify", "concentration")),
-        ("--trials", "-1", ("concentration",)))
-    for command in commands])
+        ("--trials", "-1", ("concentration",)),
+        ("--seed", _PAST_FLOAT, ("certify", "concentration")),
+        ("--trials", _PAST_FLOAT, ("concentration",)),
+        ("--rollouts", _PAST_MEMORY, ("certify",)),
+        ("--particles", _PAST_MEMORY, ("certify",)),
+        ("--bins", _PAST_MEMORY, ("enumerate",)))
+    for command in commands], ids=lambda x: {_PAST_FLOAT: "10**400", _PAST_MEMORY: "10**18"}.get(x))
 def test_out_of_range_count_flag_exits_2_naming_it(tmp_path, capsys, command,
                                                    flag, value):
     rc = main([command, "--scenario", "two_state_sensor", flag, value,
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
-    message = f"{flag} must be >= {0 if flag in ('--seed', '--trials') else 1}, got {value}"
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+    if value == _PAST_MEMORY:  # a valid count whose one array NumPy refuses at once
+        assert err.startswith("error: Unable to allocate ")
+        assert err.endswith("(a size flag asked for more memory than this machine has)\n")
+        return
+    message = (f"{flag} must lie in the float range, got a 1329-bit int"
+               if value == _PAST_FLOAT else
+               f"{flag} must be >= {0 if flag in ('--seed', '--trials') else 1}, got {value}")
+    assert err == f"error: {message}\n"
     if flag != "--workers":  # runs are single-threaded, so no manifest field holds it
         # a manifest built in code passes the same rule, which names the flag
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -912,6 +928,8 @@ def test_out_of_range_float_flag_exits_2_naming_it(tmp_path, capsys, command, fl
     ("trials", np.nan, "--trials must be integral, got nan"),
     ("ndelta", 0, "--ndelta must be >= 1, got 0"),
     pytest.param("v", 10**400, "--v must be finite and > 0, got inf", id="v-10**400"),
+    pytest.param("seed", 10**400, "--seed must lie in the float range, got a 1329-bit int",
+                 id="seed-10**400"),
     ("alpha", 0.25, "--alpha must list one level or more, each once, got 0.25")])
 def test_manifest_built_in_code_is_checked_as_argv_is(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1137,6 +1137,25 @@ def test_certified_bound_kind_checked():
         CertifiedBound(0.0, "L3", 0.1, 0.1, 0.0, 10, 10, {})
 
 
+def test_certified_bound_radius_adds_its_kinds_terms():
+    # the slack a delta-guarantee allows is the sum of the kind's own radius
+    # terms; epsilon_hat and the u_omitted tag are no radius
+    terms = {"epsilon_hat": 0.5, "u_omitted": 1.0, "lambda_1": -0.25, "lambda_2": 0.75,
+             "eta_1": 0.125, "eta_2": 2.0, "lambda": 3.0, "v": 8.0}
+    radius = {kind: CertifiedBound(0.0, kind, 0.1, 0.1, 0.0, 10, 10, terms).radius
+              for kind in ("L1", "L2", "U", "TightLower")}
+    assert radius == {"L1": 0.5, "L2": 2.125, "U": 3.0, "TightLower": 8.0}
+    # a TightLower certificate states its radius twice, as v and as its one term
+    pair, policy, query = sensor_setup()
+    m, grid = pair.original, BinGrid.uniform(pair, 5)
+    q0 = build_default_proposal(pair, policy)
+    nd = n_delta_for_tight_lower(0.3, 0.1, q0.importance_bound, grid.n_bins,
+                                 m.horizon_T, m.start_k)
+    tight = certify_tight_lower(pair, policy, query, RolloutConfig(50, 20, 1), q0, nd,
+                                0.3, 0.1, grid)
+    assert tight.radius == tight.v == tight.radii["v"]
+
+
 # ---------------------------------------------------------------- index rules
 
 _SENSOR = scenarios.builtin("two_state_sensor")

@@ -104,7 +104,6 @@ _RULE_ENTRIES = {
     ("delta", "n_delta_for_tight_lower"):
         lambda d: n_delta_for_tight_lower(0.1, d, 1.0, 4, 3, 0),
     ("p", "binomial_pass_threshold"): lambda p: binomial_pass_threshold(10, p),
-    ("level", "binomial_pass_threshold"): lambda lv: binomial_pass_threshold(10, 0.1, lv),
     ("v", "n_delta_for_epsilon"): lambda v: n_delta_for_epsilon(v, 0.1, 1.0, 3, 0),
     ("v", "n_delta_for_g"): lambda v: n_delta_for_g(v, 0.1, 1.0, 3, 0),
     ("v", "n_delta_for_h"): lambda v: n_delta_for_h(v, 0.1, 1.0, 4, 3, 0),
@@ -187,6 +186,10 @@ def test_level_and_gap_rules(param, entry):
                 call(bad)
         with pytest.raises(ValueError, match=rf"^{param} must be >= {least}, got {least - 1}$"):
             call(least - 1)
+        # past the float range, where the radii and the binomial gate would overflow
+        with pytest.raises(ValueError, match=rf"^{param} must lie in the float range, "
+                                             rf"got a 1329-bit int$"):
+            call(10**400)
         n = least + 3  # a NumPy or float integer counts as the int it holds
         assert call(np.int64(n)) == call(float(n)) == call(n)
         return
