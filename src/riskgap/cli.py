@@ -75,7 +75,7 @@ SCHEMA = {
     "envelope": {
         "schema_version": "int, must equal the library's SCHEMA_VERSION",
         "manifest": "echo of the resolved run parameters (RunManifest.to_dict)",
-        "records": "list of flat records; every field value is a scalar",
+        "records": "list of flat records; every field value is a scalar, every float finite",
     },
     "record_kinds": {
         "return_atom": "one atom of an exact return law (model, value, prob)",
@@ -114,8 +114,6 @@ class RunManifest:
     rollouts: int = 500
     particles: int = 200
     ndelta: int | None = None
-    ndelta_derived: bool = False
-    ndelta_formula: str = ""
     bins: int = 8
     seed: int = 0
     trials: int = 100
@@ -137,12 +135,14 @@ class RunManifest:
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, ndelta_formula: str = "") -> dict:
         # trials and fmt are execution plumbing, not run identity: leaving
-        # them out keeps reports byte-identical across their values
+        # them out keeps reports byte-identical across their values; a command
+        # that derives ndelta names the formula that gave it
         fields = asdict(self)
         del fields["trials"], fields["fmt"]
-        return {**fields, "alpha": list(self.alpha)}
+        return {**fields, "alpha": list(self.alpha), "ndelta_derived": bool(ndelta_formula),
+                "ndelta_formula": ndelta_formula}
 
 
 def validate_report(report: dict) -> None:
@@ -165,6 +165,9 @@ def validate_report(report: dict) -> None:
             if not isinstance(val, _SCALAR_TYPES):
                 raise ValueError(
                     f"record field {key!r} must be a scalar, got {type(val).__name__}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{rec['kind']} record field {key!r} is {val} at alpha "
+                                 f"{rec.get('alpha')}; no report holds a non-finite number")
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -264,8 +267,8 @@ def _bound_record(alpha: float, bound) -> dict:
     return rec
 
 
-def _report(manifest: RunManifest, records: list) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(),
+def _report(manifest: RunManifest, records: list, ndelta_formula: str = "") -> dict:
+    return {"schema_version": SCHEMA_VERSION, "manifest": manifest.to_dict(ndelta_formula),
             "records": records}
 
 
@@ -318,12 +321,11 @@ def cmd_certify(manifest: RunManifest) -> dict:
     pair, policy = _resolve_problem(manifest)
     grid = BinGrid.uniform(pair, manifest.bins)
     q0 = build_default_proposal(pair, policy)
+    formula = ""
     if manifest.ndelta is None:
-        manifest = replace(
-            manifest, ndelta_derived=True,
-            ndelta=_certified_n_delta(pair, q0, None, manifest.delta, manifest.v,
-                                      manifest.eta, grid),
-            ndelta_formula="max(n_delta_for_uniform_bounds, n_delta_for_tight_lower)")
+        formula = "max(n_delta_for_uniform_bounds, n_delta_for_tight_lower)"
+        manifest = replace(manifest, ndelta=_certified_n_delta(
+            pair, q0, None, manifest.delta, manifest.v, manifest.eta, grid))
 
     records = [{"kind": "proposal", "importance_bound": float(q0.importance_bound),
                 "n_atoms": int(q0.proposal_probs.size),
@@ -342,7 +344,7 @@ def cmd_certify(manifest: RunManifest) -> dict:
             raise uniform
         records.extend(_bound_record(alpha, b) for b in uniform + [tight])
 
-    return _report(manifest, records)
+    return _report(manifest, records, formula)
 
 
 def cmd_concentration(manifest: RunManifest) -> dict:
@@ -355,13 +357,13 @@ def cmd_concentration(manifest: RunManifest) -> dict:
     """
     trials = manifest.trials
     pair, policy = _resolve_problem(manifest)
-    if trials == 0:
-        return _report(manifest, [])
     m = pair.original
     alphas = manifest.alpha
     delta, v, eta = manifest.delta, manifest.v, manifest.eta
     grid = BinGrid.uniform(pair, manifest.bins)
-    q0 = build_default_proposal(pair, policy)
+    q0 = build_default_proposal(pair, policy)  # the last check of the problem
+    if trials == 0:
+        return _report(manifest, [])
 
     # exact ground truth (the precondition: enumeration must be feasible)
     dist_s = enumerate_return_distribution(pair, policy, model="simplified")

@@ -1,5 +1,5 @@
-"""Monte-Carlo estimation: particle-filter rollouts, importance-sampled
-gap estimators, sample-size formulas, and certified value bounds.
+"""Monte-Carlo estimation: particle-filter rollouts of the simplified model only,
+importance-sampled gap estimators, sample-size formulas, and certified value bounds.
 
 Randomness contract: every operation takes either an explicit generator or
 a RolloutConfig seed. Seeded entry points derive one independent PCG64
@@ -26,9 +26,11 @@ from .pomdp import (
     GapAtoms,
     Policy,
     SimplifiedPair,
-    _first_action,
+    _action_index,
     _return_span,
+    _start,
     _walk_simplified,
+    validate_policy,
 )
 from .risk import (_COMPARE_TOL, DiscreteDistribution, _count, _fold, _integer_array,
                    _integral_int, _level, _read_only, _real, cvar_estimate_sorted, cvar_exact)
@@ -198,7 +200,7 @@ class CertifiedBound:
 
 
 class _RolloutKernel:
-    """Particle-filter steps for a batch of rollouts over one (pair, model) tensor set.
+    """Particle-filter steps for a batch of rollouts over the pair's simplified tensors.
 
     A step advances a block of rollouts: row j of its (rows, N_x) state and
     weight arrays and (rows, S) masses (m_x = summed weight of the particles in
@@ -212,8 +214,8 @@ class _RolloutKernel:
 
     block_rows = 64  # rollouts run this many at a time; the returns do not depend on it
 
-    def __init__(self, pair: SimplifiedPair, model: str):
-        trans, obs = pair.tensors(model)
+    def __init__(self, pair: SimplifiedPair):
+        trans, obs = pair.simplified_transition, pair.simplified_observation
         self.n_states = trans.shape[1]
         # a last entry of 1 is never below a draw in [0, 1), which caps counts
         self.cum_trans = np.cumsum(trans, axis=2)
@@ -301,15 +303,15 @@ class _RolloutKernel:
 
 
 def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
-                    a: int, t: int, depth: int, config: RolloutConfig,
-                    model: str = "simplified") -> np.ndarray:
-    """C iid rollout returns from one derived rng stream per pool.
+                    a: int, t: int, depth: int, config: RolloutConfig) -> np.ndarray:
+    """C iid returns of the simplified model from one derived rng stream per pool.
 
     The C rollouts read one stream, one (C, 3 + N_x) fill per transition, so
-    the returns depend on the seed and C.
+    the returns depend on the seed and C. ``a`` is the step-t action, resolved.
     """
     m = pair.original
-    a = _first_action(pair, policy, None, a)
+    validate_policy(pair, policy)
+    a = _action_index(pair, a)
     t, depth = _integral_int(t, "t"), _count(depth, "depth", 0)
     if b_bar.states.max() >= m.n_states:
         raise ValueError(f"states must lie in [0, {m.n_states}), got {b_bar.states.max()}")
@@ -317,7 +319,7 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
         raise ValueError(f"policy has no row for time steps {t}..{t + depth - 1}")
     if depth == 0:
         return np.zeros(config.num_rollouts_C)
-    return _RolloutKernel(pair, model).rollouts(
+    return _RolloutKernel(pair).rollouts(
         policy, b_bar.states, b_bar.weights, a, t, depth, config.num_rollouts_C,
         _stream(config.rng_seed, _ROLLOUT))
 
@@ -457,12 +459,11 @@ def binned_h(g_on_edges, grid: BinGrid):
 def _simplified_return_pool(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
                             config: RolloutConfig) -> np.ndarray:
     m = pair.original
-    b_bar = ParticleBelief.from_belief(
-        query.belief, config.num_particles_Nx, _stream(config.rng_seed, _INIT))
-    a_k = _first_action(pair, policy, query.belief, query.action)
+    b_k, a_k = _start(pair, policy, query.belief, query.action)
+    b_bar = ParticleBelief.from_belief(b_k, config.num_particles_Nx,
+                                       _stream(config.rng_seed, _INIT))
     depth = m.horizon_T - m.start_k + 1
-    return rollout_returns(pair, policy, b_bar, a_k, m.start_k, depth, config,
-                           "simplified")
+    return rollout_returns(pair, policy, b_bar, a_k, m.start_k, depth, config)
 
 
 def _certified_n_delta(pair: SimplifiedPair, q0: ProposalQ0, n_delta: int | None,
@@ -577,11 +578,11 @@ def _certify_levels(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     its marginal law, so each delta-guarantee holds; a call's bounds are
     dependent. A q0 walked from another belief or first action than the
     query's raises ValueError."""
-    a_k = _first_action(pair, policy, query.belief, query.action)
-    if a_k != q0.a_k or not np.array_equal(query.belief.probs, q0.b_k.probs):
+    b_k, a_k = _start(pair, policy, query.belief, query.action)
+    if a_k != q0.a_k or not np.array_equal(b_k.probs, q0.b_k.probs):
         raise ValueError(f"the proposal was walked from (belief {q0.b_k.probs.tolist()}, "
                          f"action {q0.a_k}), but the query is (belief "
-                         f"{query.belief.probs.tolist()}, action {a_k})")
+                         f"{b_k.probs.tolist()}, action {a_k})")
     _certified_n_delta(pair, q0, n_delta, delta, v, eta, grid)
     gaps = _sampled_gaps(q0, n_delta, _stream(draw_seed, _EPS))
     span = _return_span(pair)

@@ -89,6 +89,9 @@ class FinitePomdp:
         object.__setattr__(self, "start_k", _count(self.start_k, "start_k", 0))
         object.__setattr__(self, "horizon_T", _count(self.horizon_T, "horizon_T", self.start_k))
         object.__setattr__(self, "r_max", _real(self.r_max, "r_max", 0, strict=True))
+        if not np.isfinite(2.0 * self.r_max * (self.horizon_T - self.start_k + 1)):
+            raise ValueError(f"'r_max' {self.r_max} is too large: the return range "
+                             "2 * r_max * (horizon_T - start_k + 1) must be finite")
         t, o, c = self.transition, self.observation, self.state_cost
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             raise ValueError(f"transition must have shape (A, X, X), got {t.shape}")
@@ -244,14 +247,16 @@ def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
 # ---------------------------------------------------------------- enumeration
 
 
-def _first_action(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
-                  first_action) -> int:
-    """The one resolver of a walk's, proposal's or pool's step-k action, the policy's
-    at ``b_k`` when ``first_action`` is None, once ``validate_policy`` and (before the
-    policy reads ``b_k``, which a particle pool leaves None) ``_action_index`` pass."""
+def _start(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
+           first_action) -> tuple[Belief, int]:
+    """The one start of every walk, proposal and pool: ``(b_k, a_k)``, where a None
+    ``b_k`` is the initial belief and ``a_k`` is ``first_action``, or the policy's
+    action at ``b_k`` when it is None, once ``validate_policy`` and ``_action_index``
+    pass."""
     validate_policy(pair, policy)
+    b_k = Belief(pair.original.initial_belief) if b_k is None else b_k
     a = _action_index(pair, 0 if first_action is None else first_action, b_k)
-    return policy.action(pair.original.start_k, b_k) if first_action is None else a
+    return b_k, policy.action(pair.original.start_k, b_k) if first_action is None else a
 
 
 def _return_span(pair: SimplifiedPair) -> float:
@@ -317,8 +322,7 @@ def enumerate_return_distribution(pair: SimplifiedPair, policy: Policy,
     exactly as that expansion sums it.
     """
     m = pair.original
-    b_k = Belief(m.initial_belief) if b_k is None else b_k
-    a0 = _first_action(pair, policy, b_k, first_action)
+    b_k, a0 = _start(pair, policy, b_k, first_action)
     r0 = belief_cost(pair, b_k, a0)
     frontiers = _walk(pair, policy, model, b_k, a0, r0, m.horizon_T, leaf_budget)
     leaves = list(frontiers[-1].values()) if frontiers else [(b_k, a0, r0, 1.0)]
@@ -409,13 +413,12 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     argmax into the policy rows of the interior steps, and it pays one
     ``tv_distance`` per distinct action at the steps where it has mass."""
     m = pair.original
-    b_k = Belief(m.initial_belief) if b_k is None else b_k
     n_steps = m.horizon_T - 1 - m.start_k
     if n_steps <= 0:
         raise ValueError(
             "the simplified walk needs an interior step (start_k + 1 <= horizon_T - 1), "
             f"got horizon_T={m.horizon_T}, start_k={m.start_k}")
-    a0 = _first_action(pair, policy, b_k, first_action)
+    b_k, a0 = _start(pair, policy, b_k, first_action)
     first_step = m.start_k + 1
 
     pool: dict = {}  # key -> (belief, prefix, per-step probability row)
@@ -446,11 +449,11 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
                                       leaf_budget: int = DEFAULT_LEAF_BUDGET,
                                       ) -> TrajectoryExpectations:
     """Exact m_i, epsilon and g(l): the simplified walk's gap atoms reduced under
-    their exact weights; with no interior step, all zero once ``_first_action`` passes."""
+    their exact weights; with no interior step, all zero once ``_start`` passes."""
     m = pair.original
     if m.horizon_T - 1 - m.start_k > 0:
         return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce()
-    _first_action(pair, policy, Belief(m.initial_belief) if b_k is None else b_k, first_action)
+    _start(pair, policy, b_k, first_action)
     return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
 
 
@@ -530,7 +533,7 @@ def save_problem(path, pair: SimplifiedPair, policy: Policy) -> None:
 def load_problem(path) -> tuple[SimplifiedPair, Policy]:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested, say
         raise ValueError(f"problem file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("problem file must contain a JSON object")

@@ -1,7 +1,8 @@
 """Reference rollouts: one particle filter at a time, one step at a time.
 
 This is the straightforward form of the rollout pool that the batched kernel
-in ``riskgap.estimation`` replaces.  The pool's one generator is built
+in ``riskgap.estimation`` replaces; like it, it samples the pair's simplified
+model only.  The pool's one generator is built
 through NumPy directly, ``default_rng(SeedSequence(seed, spawn_key=(_ROLLOUT,
 0)))``, and each transition's (C, 3 + N_x) block of uniforms is drawn from
 it up front; a rollout of d step costs makes d - 1 transitions and so takes
@@ -22,8 +23,8 @@ from riskgap.pomdp import PROB_FLOOR, Belief
 
 
 class LoopKernel:
-    def __init__(self, pair, model):
-        trans, obs = pair.tensors(model)
+    def __init__(self, pair):
+        trans, obs = pair.tensors("simplified")
         self.cum_trans = np.cumsum(trans, axis=2)
         self.obs = obs
         self.cum_obs = np.cumsum(obs, axis=1)
@@ -82,15 +83,14 @@ class RowReader:
         return out[0] if size is None else out
 
 
-def loop_rollout_returns(pair, policy, b_bar, a, t, depth, config,
-                         model="simplified"):
+def loop_rollout_returns(pair, policy, b_bar, a, t, depth, config):
     """Same contract as ``rollout_returns``, one rollout after another."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n_rows = config.num_rollouts_C
     if depth == 0:
         return np.zeros(n_rows)
-    kernel = LoopKernel(pair, model)
+    kernel = LoopKernel(pair)
     rng = np.random.default_rng(
         np.random.SeedSequence(config.rng_seed, spawn_key=(_ROLLOUT, 0)))
     # one block per transition, drawn in the order the kernel fills them

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -158,10 +159,14 @@ def test_enumerate_malformed_problem_exits_2(tmp_path, capsys):
     ("transition", lambda doc: doc["transition"][0].__setitem__(
         0, [str(p) for p in doc["transition"][0][0]]), "finite number array"),
     ("horizon_T", lambda doc: doc.update(horizon_T=True), "finite number"),
+    # finite, but 2 * r_max * (T - k + 1) with T - k + 1 = 5 is not: no NumPy warning
+    ("r_max", lambda doc: doc.update(r_max=1e308), "return range"),
+    ("r_max", lambda doc: doc.update(r_max=3e307), "return range"),
 ], ids=["no-states", "no-actions", "no-observations", "null-states",
         "null-horizon_T", "null-start_k", "fractional-policy", "huge-horizon_T",
         "huge-negative-start_k", "huge-states", "huge-policy", "huge-policy-beside-float",
-        "string-horizon_T", "string-r_max", "string-transition", "boolean-horizon_T"])
+        "string-horizon_T", "string-r_max", "string-transition", "boolean-horizon_T",
+        "r_max-1e308", "r_max-3e307"])
 def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit, says):
     spec = builtin("two_state_sensor")
     doc = pomdp.to_problem_dict(spec.pair, spec.policy)
@@ -172,6 +177,19 @@ def test_invalid_problem_field_exits_2_naming_it(tmp_path, capsys, field, edit, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err and says in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_deeply_nested_problem_file_exits_2_as_invalid_json(tmp_path, capsys):
+    # the JSON decoder recurses once per level; past the recursion limit the
+    # file is reported as invalid JSON, not with a RecursionError traceback
+    problem = tmp_path / "p.json"
+    problem.write_text("[" * 100_000)
+    rc, _ = run_cli(["enumerate", "--problem", str(problem)], tmp_path / "r.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem file is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_problem_policy_int_beside_a_float_is_read_exactly(tmp_path, capsys):
@@ -186,16 +204,17 @@ def test_problem_policy_int_beside_a_float_is_read_exactly(tmp_path, capsys):
     assert capsys.readouterr().err == "error: policy references an action out of range\n"
 
 
-@pytest.mark.parametrize("command", ["certify", "concentration"])
+@pytest.mark.parametrize("command", ["certify", "concentration", "concentration --trials 0"])
 @pytest.mark.parametrize("horizon_T, start_k", [(4, 3), (4, 4), (1, 0)])
 def test_no_interior_step_exits_2_naming_the_horizon(tmp_path, capsys, command,
                                                      horizon_T, start_k):
-    # enumerate reports zero gaps here, but the proposal needs interior atoms
+    # enumerate reports zero gaps here, but the proposal needs interior atoms;
+    # zero trials check the problem all the same
     rng = np.random.default_rng(5)
     pair = random_pair(rng, horizon_T=horizon_T, start_k=start_k)
     problem = tmp_path / "p.json"
     save_problem(problem, pair, random_policy(rng, pair))
-    rc, _ = run_cli([command, "--problem", str(problem)], tmp_path / "r.json")
+    rc, _ = run_cli([*command.split(), "--problem", str(problem)], tmp_path / "r.json")
     assert rc == 2
     err = capsys.readouterr().err
     assert "interior step (start_k + 1 <= horizon_T - 1)" in err
@@ -534,6 +553,34 @@ def test_one_op_leaves_numpy_ma_unimported(argv):
     assert done.stdout == "0 False\n", done.stderr
 
 
+@pytest.mark.parametrize("argv, kind, field, alpha", [
+    pytest.param(["certify", "--scenario", "corridor4", "--alpha", "1e-308"],
+                 "certified_bound", "radius_lambda_1", "1e-308", id="certify-1e-308"),
+    pytest.param(["enumerate", "--scenario", "two_state_sensor", "--alpha", "1e-320"],
+                 "bound", "value", "1e-320", id="enumerate-1e-320")])
+def test_non_finite_report_exits_2_naming_kind_field_and_alpha(capsys, argv, kind, field,
+                                                              alpha):
+    # a level this small makes a radius or a bound infinite or NaN, which no
+    # JSON document can hold: nothing is written, and the message names where
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} record field {field!r} is ")
+    assert f"at alpha {alpha};" in captured.err and captured.err.count("\n") == 1
+
+
+def test_manifest_fields_are_the_parser_dests():
+    # a manifest holds the flags and the command, nothing a command derives;
+    # certify echoes its derived ndelta formula, every other report false and ""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+    assert ({f.name for f in dataclasses.fields(RunManifest)}
+            == dests - {"help", "workers"} | {"command"})
+    echo = RunManifest(command="certify", scenario="corridor4").to_dict()
+    assert (echo["ndelta_derived"], echo["ndelta_formula"]) == (False, "")
+
+
 def test_concentration_zero_trials_empty_report(tmp_path):
     rc, text = run_cli(["concentration", "--scenario", "two_state_sensor",
                         "--trials", "0"], tmp_path / "r.json")
@@ -725,6 +772,11 @@ def test_validate_report_rejects_bad_shapes():
     with pytest.raises(ValueError, match="scalar"):
         validate_report({**good,
                          "records": [{"kind": "epsilon", "value": [1.0]}]})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^q_exact record field 'value' is {bad} "
+                                             "at alpha 0.25; "):
+            validate_report({**good, "records": [
+                {"kind": "q_exact", "alpha": 0.25, "model": "original", "value": bad}]})
     with pytest.raises(ValueError, match="envelope"):
         validate_report({"manifest": {}, "records": []})
     with pytest.raises(ValueError, match="schema_version"):

@@ -158,8 +158,9 @@ def test_proposal_rejects_misshapen_gaps():
 
 
 def kernel_step(pair, pb, a, rng):
-    """One original-model step of a single rollout: (states, weights, rho)."""
-    kernel = _RolloutKernel(pair, "original")
+    """One original-model step of a single rollout: (states, weights, rho); the
+    kernel samples the simplified tensors, so it runs on the model paired with itself."""
+    kernel = _RolloutKernel(SimplifiedPair.identical(pair.original))
     states, weights = pb.states[None, :].copy(), pb.weights[None, :].copy()
     actions = np.array([a])
     masses = kernel.masses(states, weights)
@@ -231,7 +232,7 @@ def test_reference_draw_samples_the_particle_belief():
     # state, which draw 0 picks from the masses 0.2 (state 0) and 1.55
     eye = [[1.0, 0.0], [0.0, 1.0]]
     model = make_model([eye], eye, [[0.0], [0.0]], [0.5, 0.5], horizon_T=2)
-    kernel = _RolloutKernel(SimplifiedPair.identical(model), "original")
+    kernel = _RolloutKernel(SimplifiedPair.identical(model))
     rows = 20_000
     states = np.arange(rows)[:, None] * 2 + [0, 1, 1]  # row i keeps x as 2i + x
     weights = np.tile([0.2, 1.5, 0.05], (rows, 1))
@@ -252,8 +253,7 @@ def test_sample_return_depth_zero():
     pair = deterministic_pair()
     pb = ParticleBelief(np.zeros(4, dtype=int), np.ones(4))
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)  # fits; unread at depth 0
-    returns = rollout_returns(pair, policy, pb, 0, 0, 0, RolloutConfig(3, 4, 0),
-                              "original")
+    returns = rollout_returns(pair, policy, pb, 0, 0, 0, RolloutConfig(3, 4, 0))
     assert np.array_equal(returns, np.zeros(3))
 
 
@@ -262,8 +262,7 @@ def test_sample_return_deterministic_chain():
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)
     pb = ParticleBelief(np.zeros(4, dtype=int), np.ones(4))
     # states visit 0, 1, 0 -> costs 0.25, 0.75, 0.25
-    returns = rollout_returns(pair, policy, pb, 0, 0, 3, RolloutConfig(5, 4, 1),
-                              "original")
+    returns = rollout_returns(pair, policy, pb, 0, 0, 3, RolloutConfig(5, 4, 1))
     assert returns == pytest.approx(np.full(5, 1.25), abs=1e-12)
 
 
@@ -278,12 +277,14 @@ def test_sample_return_moment_matching():
     dist = enumerate_return_distribution(pair, policy)
     b0 = Belief(pair.original.initial_belief)
     pb_rng = np.random.default_rng(22)
+    # the pool samples the simplified tensors: pool the original model with itself
+    original = SimplifiedPair.identical(pair.original)
     # a fresh particle cloud every 10 rollouts, so the cloud's own sampling
     # error averages out like the rollouts' does
     vals = np.concatenate([
-        rollout_returns(pair, policy, ParticleBelief.from_belief(b0, 400, pb_rng),
+        rollout_returns(original, policy, ParticleBelief.from_belief(b0, 400, pb_rng),
                         policy.action(0, b0), 0, full_depth(pair),
-                        RolloutConfig(10, 400, seed), "original")
+                        RolloutConfig(10, 400, seed))
         for seed in range(1000)
     ])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -334,21 +335,20 @@ def test_estimate_q_brown_concentration():
     assert hi <= 12 and lo <= 12
 
 
-def _returns_or_error(fn, pair, policy, belief, config, model):
+def _returns_or_error(fn, pair, policy, belief, config):
     m = pair.original
     pb = ParticleBelief.from_belief(belief, config.num_particles_Nx,
                                     np.random.default_rng(config.rng_seed))
     try:
         return fn(pair, policy, pb, policy.action(m.start_k, belief), m.start_k,
-                  full_depth(pair), config, model)
+                  full_depth(pair), config)
     except (DegenerateWeightsError, ValueError) as exc:
         return type(exc)
 
 
-def _assert_same_as_loop(pair, policy, belief, config, model):
-    batched = _returns_or_error(rollout_returns, pair, policy, belief, config, model)
-    looped = _returns_or_error(loop_rollout_returns, pair, policy, belief, config,
-                               model)
+def _assert_same_as_loop(pair, policy, belief, config):
+    batched = _returns_or_error(rollout_returns, pair, policy, belief, config)
+    looped = _returns_or_error(loop_rollout_returns, pair, policy, belief, config)
     if isinstance(looped, type):
         assert batched is looped
     else:
@@ -365,7 +365,7 @@ def test_batched_rollouts_equal_loop_on_builtins(name, shape):
     spec = scenarios.builtin(name)
     config = RolloutConfig(*shape, 11)
     returns = _assert_same_as_loop(spec.pair, spec.policy, spec.default_query.belief,
-                                   config, "simplified")
+                                   config)
     assert returns.shape == (shape[0],)
 
 
@@ -379,10 +379,12 @@ def test_batched_rollouts_equal_loop_on_random_instances(seed, rollout_seed, hor
                                                          model):
     # the deterministic sensor (n_obs > 1) lets whole particle clouds die,
     # so this also checks that both raise the same error when one does;
-    # the CLI derives uint64 rollout seeds, so seeds span one and two words
+    # the CLI derives uint64 rollout seeds, so seeds span one and two words; the
+    # pool samples the simplified tensors, so the original model is pooled with itself
     spec = scenarios.random_instance(seed, n_obs=n_obs, horizon_gap=horizon_gap)
-    _assert_same_as_loop(spec.pair, spec.policy, spec.default_query.belief,
-                         RolloutConfig(n_rollouts, n_particles, rollout_seed), model)
+    pair = spec.pair if model == "simplified" else SimplifiedPair.identical(spec.pair.original)
+    _assert_same_as_loop(pair, spec.policy, spec.default_query.belief,
+                         RolloutConfig(n_rollouts, n_particles, rollout_seed))
 
 
 def test_rollout_weights_survive_long_horizons():
@@ -399,8 +401,8 @@ def test_rollout_weights_survive_long_horizons():
                                     np.random.default_rng(0))
     config = RolloutConfig(2, 20, 5)
     with pytest.raises(DegenerateWeightsError):
-        loop_rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config, "original")
-    returns = rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config, "original")
+        loop_rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config)
+    returns = rollout_returns(pair, policy, pb, 0, 0, horizon + 1, config)
     assert np.all(np.isfinite(returns))
     # every step's mean cost lies in the state-cost range
     assert np.all((returns >= 0.2 * (horizon + 1)) & (returns <= 0.9 * (horizon + 1)))
@@ -421,7 +423,7 @@ def test_rollout_pool_draws_one_block_per_step():
             blocks.append(kwargs["out"].shape)
             return self.rng.random(**kwargs)
 
-    returns = _RolloutKernel(pair, "simplified").rollouts(
+    returns = _RolloutKernel(pair).rollouts(
         policy, pb.states, pb.weights, a0, 0, depth, 12,
         CountingGenerator(_stream(7, _ROLLOUT)))
     assert blocks == [(12, 3 + 30)] * (depth - 1)
@@ -447,7 +449,7 @@ def test_rollout_pool_steps_one_block_of_rows_at_a_time():
             fills.append(out.shape)
             return self.rng.random(out=out)
 
-    returns = _RolloutKernel(pair, "simplified").rollouts(
+    returns = _RolloutKernel(pair).rollouts(
         policy, pb.states, pb.weights, a0, 0, depth, 2 * block + 2,
         CountingGenerator(_stream(7, _ROLLOUT)))
     assert fills == [(block, 33)] * (depth - 1) * 2 + [(2, 33)] * (depth - 1)
@@ -475,7 +477,7 @@ def test_rollout_zero_likelihood_names_the_step():
     policy = Policy(np.zeros((7, 2), dtype=int), start_k=0)
     pb = ParticleBelief(np.array([0]), np.ones(1))
     with pytest.raises(DegenerateWeightsError, match=r"are zero .* at step [0-6]$"):
-        rollout_returns(pair, policy, pb, 0, 0, 7, RolloutConfig(16, 1, 3), "original")
+        rollout_returns(pair, policy, pb, 0, 0, 7, RolloutConfig(16, 1, 3))
 
 
 def test_rollout_zero_likelihood_names_the_pool_row():
@@ -503,7 +505,7 @@ def test_rollout_zero_likelihood_names_the_pool_row():
             self.advance(out.size)
             return out
 
-    kernel = _RolloutKernel(SimplifiedPair.identical(model), "original")
+    kernel = _RolloutKernel(SimplifiedPair.identical(model))
     with pytest.raises(DegenerateWeightsError,
                        match=r"rollout 70 are zero .* at step 0$"):
         kernel.rollouts(policy, np.array([0]), np.ones(1), 0, 0, 2, 100, Stream())
@@ -534,8 +536,7 @@ def test_depth_one_pool_simulates_no_transition():
     policy = Policy(np.zeros((7, 2), dtype=int), start_k=0)
     pb = ParticleBelief(np.array([0]), np.ones(1))
     for seed in range(50):
-        returns = rollout_returns(pair, policy, pb, 0, 0, 1, RolloutConfig(16, 1, seed),
-                                  "original")
+        returns = rollout_returns(pair, policy, pb, 0, 0, 1, RolloutConfig(16, 1, seed))
         assert np.array_equal(returns, np.full(16, 0.25))
 
 

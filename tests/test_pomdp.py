@@ -420,7 +420,7 @@ def test_enumeration_mass_and_mean_match_dp():
             assert dist.mean() == pytest.approx(want, abs=1e-9)
 
 
-def test_forced_first_action_changes_only_step_k():
+def test_forced_step_k_action_changes_only_step_k():
     rng = np.random.default_rng(37)
     pair = random_pair(rng, n_states=2, n_obs=2, horizon_T=3)
     policy = random_policy(rng, pair)

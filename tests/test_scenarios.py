@@ -5,6 +5,7 @@ import pytest
 
 from riskgap.estimation import ParticleBelief, RolloutConfig, rollout_returns
 from riskgap.pomdp import (
+    SimplifiedPair,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
     load_problem,
@@ -81,9 +82,11 @@ def test_corridor4_atom_count_within_branching_bound():
 def test_builtin_particle_rollouts_stay_nondegenerate(name, model):
     # the rollout chain never resamples, so an identifying sensor can zero
     # out a thinned particle cloud; builtins must survive default-scale
-    # certification runs under both models
+    # certification runs under both models (the pool samples the simplified
+    # tensors, so the original model is pooled with itself)
     sc = builtin(name)
     m = sc.pair.original
+    pair = sc.pair if model == "simplified" else SimplifiedPair.identical(m)
     depth = m.horizon_T - m.start_k + 1
     action = sc.policy.action(m.start_k, sc.default_query.belief)
     for seed in (0, 1, 2):
@@ -91,8 +94,7 @@ def test_builtin_particle_rollouts_stay_nondegenerate(name, model):
             sc.default_query.belief, 200, np.random.default_rng(seed))
         cfg = RolloutConfig(num_rollouts_C=700, num_particles_Nx=200,
                             rng_seed=seed)
-        returns = rollout_returns(sc.pair, sc.policy, cloud, action,
-                                  m.start_k, depth, cfg, model=model)
+        returns = rollout_returns(pair, sc.policy, cloud, action, m.start_k, depth, cfg)
         assert np.all(np.isfinite(returns))
 
 

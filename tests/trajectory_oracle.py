@@ -27,7 +27,7 @@ from riskgap.pomdp import (
     Policy,
     SimplifiedPair,
     TrajectoryExpectations,
-    _first_action,
+    _start,
     belief_cost,
     belief_mdp_step,
     tv_distance,
@@ -83,9 +83,7 @@ def dfs_return_distribution(pair: SimplifiedPair, policy: Policy,
     leaves with equal return merge inside DiscreteDistribution.
     """
     m = pair.original
-    if b_k is None:
-        b_k = Belief(m.initial_belief)
-    a0 = _first_action(pair, policy, b_k, first_action)
+    b_k, a0 = _start(pair, policy, b_k, first_action)
     values: list[float] = []
     masses: list[float] = []
     # node: (t, belief, action, accumulated probability, accumulated return)
@@ -124,9 +122,7 @@ def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
     smallest l making R <= f(l, i) true.
     """
     m = pair.original
-    if b_k is None:
-        b_k = Belief(m.initial_belief)
-    a0 = _first_action(pair, policy, b_k, first_action)
+    b_k, a0 = _start(pair, policy, b_k, first_action)
     c0 = belief_cost(pair, b_k, a0)
     first_step = m.start_k + 1
     steps = m.horizon_T - 1 - m.start_k  # number of interior steps
