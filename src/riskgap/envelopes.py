@@ -51,19 +51,16 @@ class PointwiseEnvelope:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        bp = _read_only(self.breakpoints)
-        vals = _read_only(self.values)
+        bp = _read_only(self.breakpoints, "breakpoints")
+        vals = _read_only(self.values, "values")
         if bp.ndim != 1 or vals.shape != bp.shape:
             raise InvalidEnvelopeError("breakpoints and values must be 1-D and aligned")
-        if bp.size:
-            if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(vals)):
-                raise InvalidEnvelopeError("envelope data must be finite")
-            if np.any(np.diff(bp) <= 0.0):
-                raise InvalidEnvelopeError("breakpoints must be strictly increasing")
-            if np.any(vals < 0.0):
-                raise InvalidEnvelopeError("envelope values must be non-negative")
-            if np.any(np.diff(vals) < 0.0):
-                raise InvalidEnvelopeError("envelope values must be non-decreasing")
+        if np.any(np.diff(bp) <= 0.0):
+            raise InvalidEnvelopeError("breakpoints must be strictly increasing")
+        if np.any(vals < 0.0):
+            raise InvalidEnvelopeError("envelope values must be non-negative")
+        if np.any(np.diff(vals) < 0.0):
+            raise InvalidEnvelopeError("envelope values must be non-decreasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -73,7 +70,7 @@ class PointwiseEnvelope:
 
     def at(self, x) -> np.ndarray:
         """Evaluate the step function at each point of ``x``."""
-        return _step_at(self.breakpoints, self.values, x)
+        return _step_at(self.breakpoints, self.values, x, "x")
 
 
 # ---------------------------------------------------------------- uniform gap

@@ -81,13 +81,13 @@ class ParticleBelief:
 
     def __post_init__(self) -> None:
         s = _integer_array(self.states, "states")
-        w = _read_only(self.weights)
+        w = _read_only(self.weights, "weights")
         if s.ndim != 1 or s.shape != w.shape or s.size == 0:
             raise ValueError("states and weights must be aligned non-empty vectors")
         if np.any(s < 0):
             raise ValueError("state indices must be >= 0")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and >= 0")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be >= 0")
         if w.max() <= 0.0:
             raise ValueError("at least one particle weight must be > 0")
         object.__setattr__(self, "states", s)
@@ -115,7 +115,7 @@ class ProposalQ0(GapAtoms):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        prop = _read_only(self.proposal_probs)
+        prop = _read_only(self.proposal_probs, "proposal_probs")
         if prop.shape != (len(self.beliefs),):
             raise ValueError("proposal_probs must have one entry per atom")
         if np.any(prop <= 0.0):
@@ -137,11 +137,11 @@ class BinGrid:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        e = _read_only(self.edges)
+        e = _read_only(self.edges, "edges")
         if e.ndim != 1 or e.size < 2:
             raise ValueError("need at least two bin edges")
-        if not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0.0):
-            raise ValueError("bin edges must be finite and strictly increasing")
+        if np.any(np.diff(e) <= 0.0):
+            raise ValueError("bin edges must be strictly increasing")
         object.__setattr__(self, "edges", e)
 
     @property
@@ -310,6 +310,8 @@ def rollout_returns(pair: SimplifiedPair, policy: Policy, b_bar: ParticleBelief,
     the returns depend on the seed and C. ``a`` is the step-t action, resolved.
     """
     m = pair.original
+    if not isinstance(b_bar, ParticleBelief):
+        raise ValueError(f"b_bar must be a ParticleBelief, got {type(b_bar).__name__}")
     validate_policy(pair, policy)
     a = _action_index(pair, a)
     t, depth = _integral_int(t, "t"), _count(depth, "depth", 0)
@@ -442,11 +444,11 @@ def binned_h(g_on_edges, grid: BinGrid):
     min from the right (which can only lower it, preserving the lower-bound
     direction), so it is at most g at every edge.
     """
-    g = np.asarray(g_on_edges, dtype=float)
+    g = _read_only(g_on_edges, "g_on_edges")
     if g.shape != grid.edges.shape:
         raise ValueError("need exactly one g value per bin edge")
-    if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-        raise ValueError("g values must be finite and >= 0")
+    if np.any(g < 0.0):
+        raise ValueError("g values must be >= 0")
     upper = np.maximum.accumulate(g)[1:]
     h_plus = PointwiseEnvelope(grid.edges[:-1], upper)
     h_minus = PointwiseEnvelope(grid.edges, np.minimum.accumulate(g[::-1])[::-1])
@@ -550,7 +552,7 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
     or above its true location, so the result is stochastically no larger than
     the law it dominates.
     """
-    ret = np.asarray(returns, dtype=float)
+    ret = _read_only(returns, "returns")
     empirical = DiscreteDistribution(ret, np.full(ret.size, 1.0 / ret.size))
     return dominated_cdf(empirical, PointwiseEnvelope(edges, h_plus.at(edges) + eta))
 

@@ -38,12 +38,14 @@ from .risk import (
     DiscreteDistribution,
     _check_rows,
     _count,
+    _finite_1d,
     _fold,
     _integer_array,
     _integral_int,
     _read_only,
     _real,
     _sort_and_merge,
+    _step_at,
 )
 
 DEFAULT_LEAF_BUDGET = 10**7
@@ -58,15 +60,21 @@ class Belief:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _read_only(self.probs)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("belief must be a non-empty vector")
+        p = _finite_1d(self.probs, "belief")
         _check_rows(p, "belief")
         object.__setattr__(self, "probs", p)
 
     def most_likely_state(self) -> int:
         # ties broken toward the lowest state index
         return int(np.argmax(self.probs))
+
+
+def _check_belief(b, n_states: int | None = None) -> None:
+    """The one belief-fit rule: a Belief, of ``n_states`` entries if given, else a ValueError."""
+    if not isinstance(b, Belief):
+        raise ValueError(f"belief must be a Belief, got {type(b).__name__}")
+    if n_states is not None and b.probs.size != n_states:
+        raise ValueError(f"belief must have {n_states} entries, got {b.probs.size}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class FinitePomdp:
 
     def __post_init__(self) -> None:
         for name in ("transition", "observation", "state_cost", "initial_belief"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            object.__setattr__(self, name, _read_only(getattr(self, name), name))
         # start_k == horizon_T is the degenerate single-decision episode;
         # ops that require k < T check it themselves
         object.__setattr__(self, "start_k", _count(self.start_k, "start_k", 0))
@@ -102,7 +110,7 @@ class FinitePomdp:
             raise ValueError(f"state_cost must have shape (X, A), got {c.shape}")
         _check_rows(t, "transition")
         _check_rows(o, "observation")
-        if not np.all(np.isfinite(c)) or np.any(np.abs(c) > self.r_max):
+        if np.any(np.abs(c) > self.r_max):
             raise ValueError("state costs must satisfy |c| <= r_max")
         if self.initial_belief.shape != (n_states,):
             raise ValueError("initial_belief length must equal the state count")
@@ -130,16 +138,12 @@ class SimplifiedPair:
     simplified_observation: np.ndarray
 
     def __post_init__(self) -> None:
-        st = _read_only(self.simplified_transition)
-        so = _read_only(self.simplified_observation)
-        if st.shape != self.original.transition.shape:
-            raise ValueError("simplified transition shape mismatch")
-        if so.shape != self.original.observation.shape:
-            raise ValueError("simplified observation shape mismatch")
-        _check_rows(st, "simplified transition")
-        _check_rows(so, "simplified observation")
-        object.__setattr__(self, "simplified_transition", st)
-        object.__setattr__(self, "simplified_observation", so)
+        for name in ("transition", "observation"):
+            arr = _read_only(getattr(self, f"simplified_{name}"), f"simplified_{name}")
+            if arr.shape != getattr(self.original, name).shape:
+                raise ValueError(f"simplified {name} shape mismatch")
+            _check_rows(arr, f"simplified {name}")
+            object.__setattr__(self, f"simplified_{name}", arr)
 
     @classmethod
     def identical(cls, model: FinitePomdp) -> "SimplifiedPair":
@@ -172,6 +176,7 @@ class Policy:
         object.__setattr__(self, "start_k", _integral_int(self.start_k, "start_k"))
 
     def action(self, t: int, belief: Belief) -> int:
+        _check_belief(belief, self.actions.shape[1])
         row = t - self.start_k
         if not (0 <= row < self.actions.shape[0]):
             raise ValueError(f"policy has no row for time step {t}")
@@ -198,9 +203,9 @@ def _action_index(pair: SimplifiedPair, a, b: Belief | None = None) -> int:
     """The one action and belief rule of the public kernels: ``a`` as an int in
     [0, n_actions) and ``b`` with one entry per state, else a ValueError naming it."""
     n_states, n_actions = pair.original.state_cost.shape
-    if b is not None and b.probs.size != n_states:
-        raise ValueError(f"belief must have {n_states} entries, got {b.probs.size}")
-    a = a if type(a) is int else _integral_int(a, "action")  # ints skip the slower rule
+    if b is not None:
+        _check_belief(b, n_states)
+    a = _integral_int(a, "action")
     if not 0 <= a < n_actions:
         raise ValueError(f"action must lie in [0, {n_actions}), got {a}")
     return a
@@ -221,7 +226,8 @@ def belief_mdp_step(pair: SimplifiedPair, b: Belief, a: int,
 
 
 def belief_cost(pair: SimplifiedPair, b: Belief, a: int) -> float:
-    return float(_fold(b.probs * pair.original.state_cost[:, _action_index(pair, a, b)]))
+    a = _action_index(pair, a, b)
+    return float(_fold(b.probs * pair.original.state_cost[:, a]))
 
 
 def tv_distance(pair: SimplifiedPair, b: Belief, a: int) -> float:
@@ -346,7 +352,7 @@ class TrajectoryExpectations:
 
     def g_at(self, l) -> np.ndarray:
         """Evaluate g at each level of ``l``."""
-        return self.envelope().at(l)
+        return _step_at(self.thresholds, np.cumsum(self.threshold_weights), l, "l")
 
     def envelope(self) -> PointwiseEnvelope:
         """g as a CDF-gap envelope (monotone by construction)."""
@@ -373,17 +379,16 @@ class GapAtoms:
     a_k: int
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.target_probs)
-        n = len(self.beliefs)
+        for name in ("target_probs", "thresholds", "gaps"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), name))
+        shape, n = self.target_probs.shape, len(self.beliefs)
         if n == 0 or len(shape) != 2 or shape[0] != n or shape[1] < 1:
             raise ValueError("target_probs must be (n_atoms, n_steps) with n_atoms, n_steps >= 1")
         for name in ("thresholds", "target_probs", "gaps"):
-            arr = _read_only(getattr(self, name))
-            if arr.shape != shape:
+            if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have the shape of target_probs")
-            if name != "thresholds" and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
-                raise ValueError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, arr)
+            if name != "thresholds" and np.any(getattr(self, name) < 0.0):
+                raise ValueError(f"{name} must be >= 0")
         object.__setattr__(self, "beliefs", tuple(self.beliefs))
         object.__setattr__(self, "a_k", int(self.a_k))
 
@@ -480,22 +485,17 @@ def to_problem_dict(pair: SimplifiedPair, policy: Policy) -> dict:
 
 
 def _problem_field(doc: dict, name: str, scalar: bool = False):
-    """doc[name] as given, once checked to be a finite JSON number or a
-    rectangular array of them, so ints stay exact; a string, boolean, null,
-    ragged or non-finite entry raises a ValueError naming it."""
+    """doc[name] as given, so ints stay exact, once ``_read_only`` takes it: a finite
+    JSON number or a rectangular array of them; a string, boolean, null, ragged or
+    non-finite entry raises a ValueError naming the field."""
     if name not in doc:
         raise ValueError(f"problem file is missing field {name!r}")
-    try:  # object dtype keeps each entry's own type; a ragged row stays a list
-        entries = np.array(doc[name], dtype=object)
-        numbers = all(type(x) in (int, float) for x in entries.flat)
-        value = np.array(entries.tolist() if numbers else np.nan)
-        finite = np.isfinite(value.astype(float, copy=False)).all()
-    except (ValueError, OverflowError):  # ragged, or an int past the float range
-        finite = False
-    what = "number" + ("" if scalar else " array")
-    if not finite or (scalar and value.ndim):
-        raise ValueError(f"problem field {name!r} must be a finite {what}")
-    return doc[name]
+    try:
+        if _read_only(doc[name], name).ndim == 0 or not scalar:
+            return doc[name]
+    except ValueError:
+        pass
+    raise ValueError(f"problem field {name!r} must be a finite number{'' if scalar else ' array'}")
 
 
 def from_problem_dict(doc: dict) -> tuple[SimplifiedPair, Policy]:

@@ -47,11 +47,42 @@ PROB_FLOOR = 1e-300
 _COMPARE_TOL = 1e-9
 
 
-def _read_only(values, dtype=float) -> np.ndarray:
-    """A read-only copy of ``values``: every array a value type stores comes
-    through here, so the caller's array stays writable and a later write to
-    it cannot change a validated value."""
-    arr = np.array(values, dtype=dtype)
+def _is_number(x) -> bool:
+    """The one number-type test: an int, a float, a NumPy integer or floating; no bool."""
+    return type(x) is not bool and isinstance(x, (int, float, np.integer, np.floating))
+
+
+def _numeric(values, name: str, what: str = "numeric") -> np.ndarray:
+    """The one reader of an outside numeric array: rectangular, every entry a number by
+    ``_is_number``, else a ValueError naming ``name``. A numeric ndarray passes as it is;
+    anything else is scanned and kept entry by entry, so an int beside a float stays exact."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
+    try:
+        kind = np.asarray(values).dtype
+    except ValueError:  # NumPy's inhomogeneous-shape message names no field
+        raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
+    entries = np.array(values, dtype=object)
+    if not _numbers_only(entries):  # NumPy reads a bool beside numbers as a number, so:
+        shown = "object" if kind.kind in "iuf" else kind
+        raise ValueError(f"{name} must be {what}, got {shown} entries")
+    return entries
+
+
+def _numbers_only(entries: np.ndarray) -> bool:
+    """``_numeric``'s per-entry scan, a function of its own so that a test can count it."""
+    return all(_is_number(x) for x in entries.flat)
+
+
+def _read_only(values, name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` by ``_numeric``, every entry finite: every array a
+    value type stores comes through here, so a later write to the caller's cannot reach it."""
+    try:
+        arr = np.array(_numeric(values, name), dtype=dtype)
+    except OverflowError:  # an int past the float range
+        arr = np.array([np.inf])
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     arr.flags.writeable = False
     return arr
 
@@ -65,10 +96,10 @@ def _fold(terms) -> np.ndarray:
 
 
 def _check_rows(mat: np.ndarray, what: str) -> None:
-    """The one probability-row check: entries finite and >= 0, and each row
-    (along the last axis) summing to 1 within ``PROB_TOL``."""
-    if not np.isfinite(mat).all() or (mat < 0.0).any():
-        raise ValueError(f"{what} entries must be finite and >= 0")
+    """The one probability-row check of an array ``_read_only`` made: entries >= 0,
+    and each row (along the last axis) summing to 1 within ``PROB_TOL``."""
+    if (mat < 0.0).any():
+        raise ValueError(f"{what} entries must be >= 0")
     if (np.abs(mat.sum(axis=-1) - 1.0) > PROB_TOL).any():
         raise ValueError(f"{what} rows must sum to 1 within {PROB_TOL}")
 
@@ -78,35 +109,20 @@ class DistributionError(ValueError):
 
 
 def _finite_1d(x, name: str = "sample") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    """``x`` by ``_read_only``, one-dimensional and non-empty."""
+    arr = _read_only(x, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
     return arr
 
 
-def _is_number(x) -> bool:
-    """The one number-type test: an int, a float, a NumPy integer or floating; no bool."""
-    return type(x) is not bool and isinstance(x, (int, float, np.integer, np.floating))
-
-
 def _check_integral(values, name: str) -> np.ndarray:
-    """The one type and integrality rule for outside integers: values as an
-    array, where ragged rows, a non-numeric entry, or a fractional or
-    non-finite float entry (3.0 passes, 2.5 does not), raise a ValueError
-    naming the field."""
-    try:
-        a = np.asarray(values)
-    except ValueError:  # NumPy's inhomogeneous-shape message names no field
-        raise ValueError(f"{name} must be a rectangular array, got ragged rows") from None
-    if a.dtype.kind == "f" and not isinstance(values, (np.ndarray, np.generic)):
-        a = np.array(values, dtype=object)  # so an int beside a float stays exact
+    """The one integrality rule for outside integers: values by ``_numeric``, where a
+    fractional or non-finite float entry (3.0 passes, 2.5 does not) raises a ValueError."""
+    a = _numeric(values, name, "integral")
     # an object array holds its entries as given: ints past uint64, ints beside floats
-    if a.dtype.kind not in "iuf" and not all(_is_number(x) for x in a.flat):
-        raise ValueError(f"{name} must be integral, got {a.dtype} entries")
     floats = (np.array([x for x in a.flat if isinstance(x, (float, np.floating))])
               if a.dtype.kind == "O" else a)
     bad = floats[~(np.isfinite(floats) & (floats == np.trunc(floats)))]
@@ -116,8 +132,9 @@ def _check_integral(values, name: str) -> np.ndarray:
 
 
 def _integral_int(value, name: str) -> int:
-    """A scalar outside integer as a Python int, integral by ``_check_integral``."""
-    return int(_check_integral(value, name))
+    """A scalar outside integer as a Python int, integral by ``_check_integral``
+    (a Python int is one already)."""
+    return value if type(value) is int else int(_check_integral(value, name))
 
 
 def _count(value, name: str, least: int) -> int:
@@ -140,7 +157,7 @@ def _integer_array(values, name: str) -> np.ndarray:
         bad = a[(a < -2**63) | (a >= 2**63)]
         if bad.size:
             raise ValueError(f"{name} must lie in the int64 range, got {bad[0]}")
-    return _read_only(a, int)
+    return _read_only(a, name, int)
 
 
 def _number(value, name: str) -> float:
@@ -186,14 +203,17 @@ def _sort_and_merge(values: np.ndarray, weights: np.ndarray):
     return np.array(out_v, dtype=float), np.array(out_w, dtype=float)
 
 
-def _step_at(breakpoints: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+def _step_at(breakpoints: np.ndarray, values: np.ndarray, x, name: str) -> np.ndarray:
     """Right-continuous step function at each point of ``x``: ``values[i]``
     on ``[breakpoints[i], breakpoints[i+1])``, 0 left of the first breakpoint.
 
-    The one reader of every CDF and CDF-gap envelope in the package.
+    The one reader of every CDF and CDF-gap envelope in the package; the points
+    ``name`` are numbers by ``_numeric``, and may be infinite but not NaN.
     """
-    idx = np.searchsorted(breakpoints, np.atleast_1d(np.asarray(x, dtype=float)),
-                          side="right")
+    points = np.atleast_1d(np.asarray(_numeric(x, name), dtype=float))
+    if np.isnan(points).any():
+        raise ValueError(f"{name} must not be NaN")
+    idx = np.searchsorted(breakpoints, points, side="right")
     return np.concatenate(([0.0], values))[idx]
 
 
@@ -213,13 +233,13 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         values = _finite_1d(self.values, "values")
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _read_only(self.probs, "probs")
         if probs.shape != values.shape:
             raise DistributionError(
                 f"probs shape {probs.shape} does not match values shape {values.shape}"
             )
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise DistributionError("probabilities must be finite and non-negative")
+        if np.any(probs < 0.0):
+            raise DistributionError("probabilities must be non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
@@ -228,8 +248,8 @@ class DiscreteDistribution:
         keep = probs > 0.0
         if not np.any(keep):
             raise DistributionError("distribution has no positive-probability atom")
-        object.__setattr__(self, "values", _read_only(values[keep]))
-        object.__setattr__(self, "probs", _read_only(probs[keep] / probs[keep].sum()))
+        object.__setattr__(self, "values", _read_only(values[keep], "values"))
+        object.__setattr__(self, "probs", _read_only(probs[keep] / probs[keep].sum(), "probs"))
 
     def mean(self) -> float:
         return float(_fold(self.values * self.probs))
@@ -242,7 +262,7 @@ class DiscreteDistribution:
 
     def cdf_at(self, x) -> np.ndarray:
         """Evaluate P(X <= x) at arbitrary points."""
-        return _step_at(self.values, self.cdf(), x)
+        return _step_at(self.values, self.cdf(), x, "x")
 
     @property
     def inf_support(self) -> float:

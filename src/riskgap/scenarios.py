@@ -37,6 +37,11 @@ def _spec(name, pair, policy, notes, alpha=0.25) -> ScenarioSpec:
     return ScenarioSpec(name, pair, policy, query, notes)
 
 
+def _unit_pair(trans, obs, cost, b0, horizon_T: int, trans_s, obs_s) -> SimplifiedPair:
+    # every pair here bounds its costs by r_max = 1 and starts at step 0
+    return SimplifiedPair(FinitePomdp(trans, obs, cost, 1.0, b0, horizon_T, 0), trans_s, obs_s)
+
+
 def _two_state_sensor() -> ScenarioSpec:
     # Safe/danger world.  The danger state is unambiguous (its sensor row is
     # deterministic and shared), so the z=0 posterior is the same point mass
@@ -47,16 +52,8 @@ def _two_state_sensor() -> ScenarioSpec:
     obs = np.array([[0.9, 0.1], [0.0, 1.0]])
     obs_s = np.array([[0.75, 0.25], [0.0, 1.0]])
     cost = np.array([[0.3, 0.0], [0.5, 1.0]])  # columns: retreat, advance
-    model = FinitePomdp(
-        transition=np.stack([retreat, advance]),
-        observation=obs,
-        state_cost=cost,
-        r_max=1.0,
-        initial_belief=np.array([1.0, 0.0]),
-        horizon_T=4,
-        start_k=0,
-    )
-    pair = SimplifiedPair(model, model.transition, obs_s)
+    trans = np.stack([retreat, advance])
+    pair = _unit_pair(trans, obs, cost, np.array([1.0, 0.0]), 4, trans, obs_s)
     # advance twice, then retreat; rows are (time, most-likely state)
     policy = Policy(np.array([[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]]),
                     start_k=0)
@@ -93,16 +90,8 @@ def _corridor4() -> ScenarioSpec:
     right_s = _line_transition(n, 0.55, +1)
     obs = np.eye(n)
     cost = np.tile(np.array([[0.8], [0.5], [0.2], [0.0]]), (1, 2))
-    model = FinitePomdp(
-        transition=np.stack([left, right]),
-        observation=obs,
-        state_cost=cost,
-        r_max=1.0,
-        initial_belief=np.array([1.0, 0.0, 0.0, 0.0]),
-        horizon_T=3,
-        start_k=0,
-    )
-    pair = SimplifiedPair(model, np.stack([left, right_s]), obs)
+    pair = _unit_pair(np.stack([left, right]), obs, cost, np.array([1.0, 0.0, 0.0, 0.0]), 3,
+                      np.stack([left, right_s]), obs)
     # advance twice, retreat twice; the shared deterministic retreat rows
     # pin the interior-step gap to the single slip difference: epsilon = 0.5
     policy = Policy(np.array([[1] * n, [1] * n, [0] * n, [0] * n]), start_k=0)
@@ -118,16 +107,7 @@ def _degrade_heavy() -> ScenarioSpec:
     obs = np.array([[0.9, 0.1], [0.1, 0.9]])
     obs_s = np.array([[0.75, 0.25], [0.25, 0.75]])
     cost = np.array([[0.2], [0.9]])
-    model = FinitePomdp(
-        transition=trans,
-        observation=obs,
-        state_cost=cost,
-        r_max=1.0,
-        initial_belief=np.array([0.5, 0.5]),
-        horizon_T=3,
-        start_k=0,
-    )
-    pair = SimplifiedPair(model, trans, obs_s)
+    pair = _unit_pair(trans, obs, cost, np.array([0.5, 0.5]), 3, trans, obs_s)
     policy = Policy(np.zeros((4, 2), dtype=int), start_k=0)
     return _spec("degrade_heavy", pair, policy,
                  "saturated-gap pair: epsilon exceeds every alpha", alpha=0.1)
@@ -175,18 +155,9 @@ def random_instance(seed: int, n_states: int = 3, n_actions: int = 2,
     obs[np.arange(n_states), np.arange(n_states) % n_obs] = 1.0
     cost = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
     b0 = rng.dirichlet(np.ones(n_states))
-    model = FinitePomdp(
-        transition=trans,
-        observation=obs,
-        state_cost=cost,
-        r_max=1.0,
-        initial_belief=b0,
-        horizon_T=horizon_gap,
-        start_k=0,
-    )
     uniform_rows = np.full_like(trans, 1.0 / n_states)
     trans_s = (1.0 - perturbation) * trans + perturbation * uniform_rows
-    pair = SimplifiedPair(model, trans_s, obs)
+    pair = _unit_pair(trans, obs, cost, b0, horizon_gap, trans_s, obs)
     policy = Policy(rng.integers(0, n_actions, size=(horizon_gap + 1, n_states)),
                     start_k=0)
     return _spec(f"random_{seed}", pair, policy,

@@ -24,6 +24,7 @@ from .pomdp import (
     Belief,
     Policy,
     SimplifiedPair,
+    _check_belief,
     _return_span,
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
@@ -40,6 +41,7 @@ class ValueQuery:
     action: int | None = None
 
     def __post_init__(self) -> None:
+        _check_belief(self.belief)
         object.__setattr__(self, "alpha", _level(self.alpha, "alpha"))
         if self.action is not None:
             object.__setattr__(self, "action", _integral_int(self.action, "action"))

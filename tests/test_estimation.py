@@ -1164,17 +1164,19 @@ _B0 = Belief(_SENSOR.pair.original.initial_belief)
 
 
 def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1),
-                pair=_SENSOR.pair):
+                pair=_SENSOR.pair, b_bar=None):
     """``entry`` on two_state_sensor (or ``pair``) with the given inputs; a walk, proposal
-    or exact value takes ``action`` as its first action, a pool as its step-k action."""
+    or exact value takes ``action`` as its first action, a pool as its step-k action, and
+    the pool starts from ``b_bar``, by default the particles ``states``."""
     walk = dict(b_k=belief, first_action=action)
+    b_bar = ParticleBelief(list(states), np.ones(len(states))) if b_bar is None else b_bar
     return {
         "belief_mdp_step": lambda: belief_mdp_step(pair, belief, action),
         "belief_cost": lambda: belief_cost(pair, belief, action),
         "tv_distance": lambda: tv_distance(pair, belief, action),
-        "rollout_returns": lambda: rollout_returns(
-            pair, policy, ParticleBelief(list(states), np.ones(len(states))), action, 0, 3,
-            RolloutConfig(4, 2, 0)),
+        "rollout_returns": lambda: rollout_returns(pair, policy, b_bar, action, 0, 3,
+                                                   RolloutConfig(4, 2, 0)),
+        "Policy.action": lambda: policy.action(pair.original.start_k, belief),
         "enumerate_return_distribution": lambda: enumerate_return_distribution(
             pair, policy, **walk),
         "enumerate_trajectory_expectations": lambda: enumerate_trajectory_expectations(
@@ -1189,6 +1191,8 @@ _TAKES_POLICY = ("rollout_returns", "enumerate_return_distribution",
                  "enumerate_trajectory_expectations", "build_default_proposal", "q_exact",
                  "bound_report")
 _INDEX_ENTRIES = ("belief_mdp_step", "belief_cost", "tv_distance") + _TAKES_POLICY
+# the policy's own lookup reads a belief too, but takes no action
+_TAKES_BELIEF = tuple(e for e in _INDEX_ENTRIES if e != "rollout_returns") + ("Policy.action",)
 _TABLE = _SENSOR.policy.actions
 _HORIZON_1 = scenarios.random_instance(0, horizon_gap=1)
 _HORIZON_1_B0 = Belief(_HORIZON_1.pair.original.initial_belief)
@@ -1196,9 +1200,13 @@ _HORIZON_1_B0 = Belief(_HORIZON_1.pair.original.initial_belief)
 _BAD_INDICES = (
     [(f"action={bad!r}", "action", dict(action=bad), _INDEX_ENTRIES)
      for bad in (-1, 2, 1.7, "1", True)]
-    + [("belief-of-3", "belief", dict(belief=Belief([0.2, 0.3, 0.5])),
-        tuple(e for e in _INDEX_ENTRIES if e != "rollout_returns")),
-       ("state-5", "states", dict(states=(0, 5)), ("rollout_returns",))]
+    # a belief of the wrong length or type: NumPy would read one of 1 entry as a
+    # point mass on state 0, and a list or array has no .probs
+    + [(f"belief-{case}", "belief", dict(belief=bad), _TAKES_BELIEF) for case, bad in (
+        ("of-3", Belief([0.2, 0.3, 0.5])), ("of-1", Belief([1.0])), ("list", [0.5, 0.5]),
+        ("ndarray", np.array([0.5, 0.5])))]
+    + [("state-5", "states", dict(states=(0, 5)), ("rollout_returns",)),
+       ("b_bar-Belief", "b_bar", dict(b_bar=_B0), ("rollout_returns",))]
     + [(f"policy-{case}", "policy", dict(policy=bad), _TAKES_POLICY) for case, bad in (
         ("start_k=-1", Policy(_TABLE, start_k=-1)),
         ("one-column", Policy(_TABLE[:, :1], start_k=0)),

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskgap import risk
 from riskgap.cli import binomial_pass_threshold
 from riskgap.envelopes import (PointwiseEnvelope, SupportBounds, lower_case_tag, tight_lower,
                                uniform_lower, uniform_upper, upper_case_tag)
-from riskgap.estimation import (BinGrid, ParticleBelief, RolloutConfig, _certified_n_delta,
-                                build_default_proposal, estimate_epsilon, n_delta_for_epsilon,
+from riskgap.estimation import (BinGrid, ParticleBelief, ProposalQ0, RolloutConfig,
+                                _certified_n_delta, binned_h, build_default_proposal,
+                                estimate_epsilon, lower_cdf_distribution, n_delta_for_epsilon,
                                 n_delta_for_g, n_delta_for_h, n_delta_for_tight_lower,
                                 n_delta_for_uniform_bounds)
-from riskgap.pomdp import Belief, FinitePomdp, Policy, SimplifiedPair, enumerate_return_distribution
+from riskgap.pomdp import (Belief, FinitePomdp, GapAtoms, Policy, SimplifiedPair,
+                           enumerate_return_distribution)
 from riskgap.risk import (
     DeviationRadii,
     DiscreteDistribution,
@@ -217,6 +220,113 @@ def test_horizon_gap_rule(formula):
         with pytest.raises(ValueError, match=rf"^horizon gap must be >= 1, got {gap}$"):
             formula(t)
     assert formula(2) >= 1
+
+
+# ---------------------------------------------------------------- array rule
+
+_EYE = [[1, 0], [0, 1]]  # integral tables, so that ints and floats read alike
+_B = Belief([0.5, 0.5])
+
+
+def _pomdp(**arrays):
+    tensors = dict(transition=[_EYE], observation=_EYE, state_cost=[[0], [1]],
+                   initial_belief=[1, 0])
+    return FinitePomdp(**{**tensors, **arrays}, r_max=1.0, horizon_T=2, start_k=0)
+
+
+def _atoms(kind=GapAtoms, **arrays):
+    fields = dict(thresholds=[[0]], target_probs=[[1]], gaps=[[1]])
+    return kind(beliefs=(_B,), b_k=_B, a_k=0, **{**fields, **arrays})
+
+
+# every outside numeric array, by (parameter, entry point): a valid integral value and
+# a call on it that returns plain data; each stored array field, then each function
+# that reads an outside array, then the evaluation points, which may be infinite
+_ARRAY_ENTRIES = {
+    ("belief", "Belief"): ([1, 0], lambda p: Belief(p).probs.tolist()),
+    ("transition", "FinitePomdp"): ([_EYE], lambda t: _pomdp(transition=t).transition.tolist()),
+    ("observation", "FinitePomdp"): (_EYE, lambda o: _pomdp(observation=o).observation.tolist()),
+    ("state_cost", "FinitePomdp"): ([[0], [1]], lambda c: _pomdp(state_cost=c).state_cost.tolist()),
+    ("initial_belief", "FinitePomdp"):
+        ([0, 1], lambda b: _pomdp(initial_belief=b).initial_belief.tolist()),
+    ("simplified_transition", "SimplifiedPair"):
+        ([_EYE], lambda t: SimplifiedPair(_pomdp(), t, _EYE).simplified_transition.tolist()),
+    ("simplified_observation", "SimplifiedPair"):
+        (_EYE, lambda o: SimplifiedPair(_pomdp(), [_EYE], o).simplified_observation.tolist()),
+    ("thresholds", "GapAtoms"): ([[2]], lambda t: _atoms(thresholds=t).thresholds.tolist()),
+    ("target_probs", "GapAtoms"): ([[1]], lambda p: _atoms(target_probs=p).target_probs.tolist()),
+    ("gaps", "GapAtoms"): ([[1]], lambda g: _atoms(gaps=g).gaps.tolist()),
+    ("proposal_probs", "ProposalQ0"):
+        ([1], lambda q: _atoms(ProposalQ0, proposal_probs=q).proposal_probs.tolist()),
+    ("values", "DiscreteDistribution"):
+        ([1, 0], lambda v: DiscreteDistribution(v, [0.5, 0.5]).values.tolist()),
+    ("probs", "DiscreteDistribution"):
+        ([0, 1], lambda p: DiscreteDistribution([0.0, 1.0], p).probs.tolist()),
+    ("breakpoints", "PointwiseEnvelope"):
+        ([0, 1], lambda x: PointwiseEnvelope(x, [0.25, 0.5]).breakpoints.tolist()),
+    ("values", "PointwiseEnvelope"):
+        ([0, 1], lambda v: PointwiseEnvelope([0.0, 1.0], v).values.tolist()),
+    ("edges", "BinGrid"): ([0, 1], lambda e: BinGrid(e).edges.tolist()),
+    ("weights", "ParticleBelief"): ([1, 0], lambda w: ParticleBelief([0, 1], w).weights.tolist()),
+    ("g_on_edges", "binned_h"):
+        ([0, 1], lambda g: [h.values.tolist() for h in binned_h(g, BinGrid([0.0, 1.0]))]),
+    ("returns", "lower_cdf_distribution"): ([1, 0], lambda r: lower_cdf_distribution(
+        r, PointwiseEnvelope.zero(), 0.0, [-1.0, 2.0]).values.tolist()),
+    ("sample", "cvar_estimate_sorted"): ([1, 0], lambda x: cvar_estimate_sorted(x, 0.5)),
+    ("sample", "cvar_estimate_inf"): ([1, 0], lambda x: cvar_estimate_inf(x, 0.5)),
+    ("x", "DiscreteDistribution.cdf_at"): ([1, 0], lambda x: _DIST.cdf_at(x).tolist()),
+    ("x", "PointwiseEnvelope.at"):
+        ([1, 0], lambda x: PointwiseEnvelope([0.0], [0.5]).at(x).tolist()),
+    ("l", "TrajectoryExpectations.g_at"): ([1, 0], lambda x: _Q0.reduce().g_at(x).tolist()),
+}
+_POINTS = {"x", "l"}
+
+
+def _with_first(value, entry):
+    """``value``, nested lists, with its first number replaced by ``entry``."""
+    return [_with_first(value[0], entry), *value[1:]] if isinstance(value, list) else entry
+
+
+def _as_floats(value):
+    return [_as_floats(v) for v in value] if isinstance(value, list) else float(value)
+
+
+@pytest.mark.parametrize("param, entry", list(_ARRAY_ENTRIES),
+                         ids=[f"{p}-{e}" for p, e in _ARRAY_ENTRIES])
+def test_array_rule(param, entry):
+    valid, call = _ARRAY_ENTRIES[param, entry]
+    # numbers only: numeric text, a bool (NumPy would read True as 1) and None are
+    # refused by name, as is a ragged row, where NumPy's message names nothing
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match=f"^{param} must be numeric, got .* entries$"):
+            call(_with_first(valid, bad))
+    with pytest.raises(ValueError, match=f"^{param} must be a rectangular array, got ragged"):
+        call([valid[0], valid])  # its first row beside the whole
+    # ints, floats and a NumPy array of either read alike
+    floats = _as_floats(valid)
+    assert call(valid) == call(floats) == call(np.array(valid)) == call(np.array(floats))
+    if param in _POINTS:  # a CDF or envelope is defined at +-inf, but not at NaN
+        assert call(_with_first(valid, -np.inf)) != call(_with_first(valid, np.inf))
+        with pytest.raises(ValueError, match=f"^{param} must not be NaN$"):
+            call(_with_first(valid, np.nan))
+        return
+    for bad in (np.nan, np.inf, -np.inf, 10**400):
+        with pytest.raises(ValueError, match=f"^{param} must be finite, got "):
+            call(_with_first(valid, bad))
+
+
+def test_walks_build_beliefs_without_the_per_entry_scan(monkeypatch):
+    # the walks build a Belief per node from a fresh float array: the rule's fast path
+    # takes each, so the scan of each entry, meant for lists and text, never runs there
+    scans = []
+    scan = risk._numbers_only
+    monkeypatch.setattr(risk, "_numbers_only", lambda entries: scans.append(1) or scan(entries))
+    spec = random_instance(5, horizon_gap=5)
+    assert Belief([0.5, 0.5]) and len(scans) == 1  # the count sees a scan where one runs
+    scans.clear()
+    law = enumerate_return_distribution(spec.pair, spec.policy)
+    q0 = build_default_proposal(spec.pair, spec.policy)
+    assert law.values.size > 1 and len(q0.beliefs) > 1 and len(scans) == 0
 
 
 # ---------------------------------------------------------------- summation rule
