@@ -33,7 +33,8 @@ from .pomdp import (
     validate_policy,
 )
 from .risk import (_COMPARE_TOL, DiscreteDistribution, _count, _fold, _integer_array,
-                   _integral_int, _level, _read_only, _real, cvar_estimate_sorted, cvar_exact)
+                   _integral_int, _level, _read_only, _ReadOnlyDict, _real, cvar_estimate_sorted,
+                   cvar_exact)
 from .value_bounds import ValueQuery
 
 # spawn-key stream kinds, one per source of randomness (kind 3 is unused)
@@ -169,9 +170,9 @@ class CertifiedBound:
     """One certified bound value with the deviation radii that back it.
 
     ``v`` is the gap accuracy for the uniform kinds and the derived
-    deviation radius for TightLower; ``radii`` holds the named radius terms.
-    ``_certify_levels`` checks that n_delta_used meets the matching
-    sample-size requirement before it builds a bound.
+    deviation radius for TightLower; ``radii`` holds the named radius terms, a
+    read-only copy. ``_certify_levels`` checks that n_delta_used meets the
+    matching sample-size requirement before it builds a bound.
     """
 
     value: float
@@ -184,6 +185,7 @@ class CertifiedBound:
     radii: dict
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "radii", _ReadOnlyDict(self.radii))
         if self.kind not in _RADIUS_TERMS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if not math.isfinite(self.value):

@@ -341,22 +341,23 @@ class TrajectoryExpectations:
     """Per-step expected model gaps along simplified trajectories, exact or
     importance-sampled (``GapAtoms.reduce``): ``per_step_m[i - (k+1)]`` is E
     over simplified trajectories of the successor-law TV distance at step i,
-    ``epsilon`` their sum. g is a right-continuous step function of the
-    threshold l, kept as its jump locations and weights so that it can be
-    evaluated anywhere and turned into a CDF-gap envelope."""
+    ``epsilon`` their sum, and ``g`` the right-continuous step function of the
+    threshold l, built once as a ``PointwiseEnvelope`` (a CDF-gap envelope)."""
 
     per_step_m: np.ndarray
     epsilon: float
-    thresholds: np.ndarray
-    threshold_weights: np.ndarray
+    g: PointwiseEnvelope
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_step_m", _read_only(self.per_step_m, "per_step_m"))
 
     def g_at(self, l) -> np.ndarray:
         """Evaluate g at each level of ``l``."""
-        return _step_at(self.thresholds, np.cumsum(self.threshold_weights), l, "l")
+        return _step_at(self.g.breakpoints, self.g.values, l, "l")
 
     def envelope(self) -> PointwiseEnvelope:
         """g as a CDF-gap envelope (monotone by construction)."""
-        return PointwiseEnvelope(self.thresholds, np.cumsum(self.threshold_weights))
+        return self.g
 
 
 @dataclass(frozen=True)
@@ -364,6 +365,7 @@ class GapAtoms:
     """The simplified walk's (belief, prefix-return) atoms of interior steps
     k+1..T-1, walked from belief ``b_k`` under the resolved first action ``a_k``.
 
+    ``beliefs[e]`` is atom e's belief, one (n_atoms, S) array of rows.
     ``target_probs[e, j]`` is the exact probability of atom e at step
     i = k+1+j. Where it is positive, ``gaps[e, j]`` is the atom's TV gap under
     the policy's action there; elsewhere 0, as every reduction weighs it by 0.
@@ -371,7 +373,7 @@ class GapAtoms:
     at which the atom counts toward g(l) at step i; a prefix includes its
     step's own belief cost but not c0, the cost of ``a_k`` at ``b_k``."""
 
-    beliefs: tuple
+    beliefs: np.ndarray
     thresholds: np.ndarray
     target_probs: np.ndarray
     gaps: np.ndarray
@@ -379,17 +381,18 @@ class GapAtoms:
     a_k: int
 
     def __post_init__(self) -> None:
-        for name in ("target_probs", "thresholds", "gaps"):
+        for name in ("beliefs", "target_probs", "thresholds", "gaps"):
             object.__setattr__(self, name, _read_only(getattr(self, name), name))
-        shape, n = self.target_probs.shape, len(self.beliefs)
-        if n == 0 or len(shape) != 2 or shape[0] != n or shape[1] < 1:
-            raise ValueError("target_probs must be (n_atoms, n_steps) with n_atoms, n_steps >= 1")
+        shape = self.target_probs.shape
+        if self.beliefs.ndim != 2 or len(shape) != 2 or shape[0] != len(self.beliefs) or 0 in shape:
+            raise ValueError("beliefs must be (n_atoms, S) and target_probs (n_atoms, n_steps), "
+                             "n_atoms, n_steps >= 1")
+        _check_rows(self.beliefs, "beliefs")
         for name in ("thresholds", "target_probs", "gaps"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have the shape of target_probs")
             if name != "thresholds" and np.any(getattr(self, name) < 0.0):
                 raise ValueError(f"{name} must be >= 0")
-        object.__setattr__(self, "beliefs", tuple(self.beliefs))
         object.__setattr__(self, "a_k", int(self.a_k))
 
     @property
@@ -406,17 +409,18 @@ class GapAtoms:
         w = (self.target_probs if weights is None else weights) * self.gaps
         hit = w > 0.0
         per_step = w.sum(axis=0) / scale
+        jumps, sizes = _sort_and_merge(self.thresholds[hit], w[hit] / scale)
         return TrajectoryExpectations(per_step, float(per_step.sum()),
-                                      *_sort_and_merge(self.thresholds[hit], w[hit] / scale))
+                                      PointwiseEnvelope(jumps, np.cumsum(sizes)))
 
 
 def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
                      first_action, leaf_budget: int) -> GapAtoms:
     """The simplified model's gap atoms from ``b_k`` (default: the initial
     belief): the walk's frontiers pooled over steps, an atom met at several
-    steps keeping its first belief and prefix. An atom's actions are one
-    argmax into the policy rows of the interior steps, and it pays one
-    ``tv_distance`` per distinct action at the steps where it has mass."""
+    steps keeping its first belief and prefix. One argmax over the belief rows
+    (ties to the lowest state) indexes the interior steps' policy rows; the walk's
+    ``Belief`` of an atom pays one ``tv_distance`` per distinct action where it has mass."""
     m = pair.original
     n_steps = m.horizon_T - 1 - m.start_k
     if n_steps <= 0:
@@ -439,13 +443,14 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
                   - (m.horizon_T - (first_step + np.arange(n_steps))) * m.r_max)
     # the walk read the policy at every interior step, so these rows exist
     table = policy.actions[first_step - policy.start_k:][:n_steps]
+    probs = np.array([b.probs for b in beliefs])
     gaps = np.zeros_like(targets)
-    for e, b in enumerate(beliefs):
+    for e, (b, state) in enumerate(zip(beliefs, probs.argmax(axis=1))):
         steps = np.flatnonzero(targets[e])
-        actions = table[steps, b.most_likely_state()].tolist()
+        actions = table[steps, state].tolist()
         tv = {a: tv_distance(pair, b, a) for a in set(actions)}
         gaps[e, steps] = [tv[a] for a in actions]
-    return GapAtoms(beliefs, thresholds, targets, gaps, b_k, a0)
+    return GapAtoms(probs, thresholds, targets, gaps, b_k, a0)
 
 
 def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
@@ -459,7 +464,7 @@ def enumerate_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
     if m.horizon_T - 1 - m.start_k > 0:
         return _walk_simplified(pair, policy, b_k, first_action, leaf_budget).reduce()
     _start(pair, policy, b_k, first_action)
-    return TrajectoryExpectations(np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
+    return TrajectoryExpectations(np.zeros(0), 0.0, PointwiseEnvelope.zero())
 
 
 # ---------------------------------------------------------------- problem files

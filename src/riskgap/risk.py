@@ -74,17 +74,36 @@ def _numbers_only(entries: np.ndarray) -> bool:
     return all(_is_number(x) for x in entries.flat)
 
 
-def _read_only(values, name: str, dtype=float) -> np.ndarray:
-    """A read-only copy of ``values`` by ``_numeric``, every entry finite: every array a
-    value type stores comes through here, so a later write to the caller's cannot reach it."""
+def _as_array(values, name: str, dtype=float) -> np.ndarray:
+    """A new ``dtype`` array of ``values`` by ``_numeric``, where an int past the float
+    range becomes the infinity of its sign, as ``_number`` reads it."""
+    entries = _numeric(values, name)
     try:
-        arr = np.array(_numeric(values, name), dtype=dtype)
-    except OverflowError:  # an int past the float range
-        arr = np.array([np.inf])
+        return np.array(entries, dtype=dtype)
+    except OverflowError:
+        return np.array([_number(x, name) for x in entries.flat]).reshape(entries.shape)
+
+
+def _read_only(values, name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` by ``_as_array``, every entry finite: every array a
+    value type stores comes through here, so a later write to the caller's cannot reach it."""
+    arr = _as_array(values, name, dtype)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     arr.flags.writeable = False
     return arr
+
+
+class _ReadOnlyDict(dict):
+    """The read-only dict of each mapping a value type stores (a MappingProxyType won't pickle)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("this mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def _fold(terms) -> np.ndarray:
@@ -208,9 +227,9 @@ def _step_at(breakpoints: np.ndarray, values: np.ndarray, x, name: str) -> np.nd
     on ``[breakpoints[i], breakpoints[i+1])``, 0 left of the first breakpoint.
 
     The one reader of every CDF and CDF-gap envelope in the package; the points
-    ``name`` are numbers by ``_numeric``, and may be infinite but not NaN.
+    ``name`` are numbers by ``_as_array``, and may be infinite but not NaN.
     """
-    points = np.atleast_1d(np.asarray(_numeric(x, name), dtype=float))
+    points = np.atleast_1d(_as_array(x, name))
     if np.isnan(points).any():
         raise ValueError(f"{name} must not be NaN")
     idx = np.searchsorted(breakpoints, points, side="right")

@@ -29,7 +29,7 @@ from .pomdp import (
     enumerate_return_distribution,
     enumerate_trajectory_expectations,
 )
-from .risk import _integral_int, _level, cvar_exact
+from .risk import _integral_int, _level, _ReadOnlyDict, cvar_exact
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,9 @@ class BoundReport:
     lower_tight: float
     epsilon: float
     case_tags: dict
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "case_tags", _ReadOnlyDict(self.case_tags))
 
 
 def q_exact(pair: SimplifiedPair, policy: Policy, query: ValueQuery,

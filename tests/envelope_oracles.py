@@ -93,7 +93,7 @@ def conservative_grid_envelope(traj, grid_l) -> PointwiseEnvelope:
     if grid.size == 0:
         raise ValueError("grid_l must contain at least one point")
     g_on_grid = traj.g_at(grid)
-    first_jump = traj.thresholds[0] if traj.thresholds.size else grid[0]
+    first_jump = traj.g.breakpoints[0] if traj.g.breakpoints.size else grid[0]
     anchor = min(grid[0], first_jump) - 1.0
     breakpoints = np.concatenate(([anchor], grid))
     # epsilon and the last cumulative jump agree up to summation order

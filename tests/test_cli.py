@@ -116,7 +116,7 @@ def test_no_interior_step_has_zero_gap_and_finite_bounds(tmp_path, horizon_T):
     policy = random_policy(rng, pair)
     traj = enumerate_trajectory_expectations(pair, policy)
     assert traj.epsilon == 0.0
-    assert traj.per_step_m.size == 0 and traj.thresholds.size == 0
+    assert traj.per_step_m.size == 0 and traj.g.breakpoints.size == 0
     rep = bound_report(pair, policy,
                        ValueQuery(Belief(pair.original.initial_belief), 0.25))
     assert all(math.isfinite(x) for x in (rep.lower_uniform, rep.upper_uniform,

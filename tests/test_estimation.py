@@ -143,14 +143,27 @@ def test_bin_grid_validation_and_uniform():
 def test_proposal_rejects_zero_mass_support():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(UnsupportedBeliefError):
-        ProposalQ0((b, b), np.zeros((2, 1)), np.array([[0.5], [0.5]]), np.zeros((2, 1)),
+        ProposalQ0([b.probs, b.probs], np.zeros((2, 1)), np.array([[0.5], [0.5]]), np.zeros((2, 1)),
                    b_k=b, a_k=0, proposal_probs=np.array([1.0, 0.0]))
 
 
 def test_proposal_rejects_misshapen_gaps():
     b = Belief(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="gaps"):
-        ProposalQ0((b,), np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 2)),
+        ProposalQ0([b.probs], np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 2)),
+                   b_k=b, a_k=0, proposal_probs=np.array([1.0]))
+
+
+@pytest.mark.parametrize("beliefs, message", [
+    ([1.0, 0.0], r"^beliefs must be \(n_atoms, S\)"),  # one belief, not one row per atom
+    ([[1.0, 0.0], [0.0, 1.0]], r"^beliefs must be \(n_atoms, S\)"),  # two rows, one atom
+    ([[0.5, 0.4]], r"^beliefs rows must sum to 1"),
+    ([[1.5, -0.5]], r"^beliefs entries must be >= 0$"),
+])
+def test_proposal_beliefs_are_one_row_per_atom(beliefs, message):
+    b = Belief(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=message):
+        ProposalQ0(beliefs, np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 1)),
                    b_k=b, a_k=0, proposal_probs=np.array([1.0]))
 
 
@@ -580,7 +593,8 @@ def test_default_proposal_stores_exact_gap_matrix():
     q0 = build_default_proposal(pair, policy)
     expected = np.array([[tv_distance(pair, b, policy.action(1 + j, b))
                           if q0.target_probs[e, j] > 0.0 else 0.0
-                          for j in range(q0.n_steps)] for e, b in enumerate(q0.beliefs)])
+                          for j in range(q0.n_steps)]
+                         for e, b in enumerate(map(Belief, q0.beliefs))])
     assert np.array_equal(q0.gaps, expected)
     assert np.any(q0.target_probs == 0.0) and np.all(q0.gaps[q0.target_probs == 0.0] == 0.0)
 
@@ -614,11 +628,11 @@ def test_estimate_epsilon_unit_weights_is_plain_average():
     full = build_default_proposal(pair, policy)
     # single-step proposal whose proposal equals the step-1 marginal
     keep = full.target_probs[:, 0] > 0
-    beliefs = tuple(b for b, k in zip(full.beliefs, keep) if k)
+    beliefs = full.beliefs[keep]
     target = full.target_probs[keep, :1]
     q0 = ProposalQ0(beliefs, full.thresholds[keep, :1], target, full.gaps[keep, :1],
                     b_k=full.b_k, a_k=full.a_k, proposal_probs=target[:, 0])
-    tv = np.array([tv_distance(pair, b, policy.action(1, b)) for b in beliefs])
+    tv = np.array([tv_distance(pair, b, policy.action(1, b)) for b in map(Belief, beliefs)])
     counts = np.random.default_rng(7).multinomial(400, target[:, 0])
     eps = estimate_epsilon(q0, pair, policy, 400, np.random.default_rng(7))
     assert eps == pytest.approx(counts @ tv / 400.0, abs=1e-12)
@@ -735,8 +749,9 @@ def test_estimators_match_inline_sums_on_random_instances(seed, horizon_gap):
 
 
 def _assert_same_gaps(got, want):
-    for name in ("per_step_m", "thresholds", "threshold_weights"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.per_step_m, want.per_step_m)
+    for name in ("breakpoints", "values"):
+        assert np.array_equal(getattr(got.g, name), getattr(want.g, name))
     assert got.epsilon == want.epsilon
 
 
@@ -1085,7 +1100,7 @@ def test_certificates_reject_a_proposal_walked_for_another_query():
     assert matched.a_k == 0
     # its g thresholds add the step-k cost of action 0, as the tree walk's do
     tree = dfs_trajectory_expectations(pair, policy, first_action=0)
-    assert np.array_equal(matched.reduce().thresholds, tree.thresholds)
+    assert np.array_equal(matched.reduce().g.breakpoints, tree.g.breakpoints)
     nd = n_delta_for_uniform_bounds(0.1, 0.1, matched.importance_bound,
                                     m.horizon_T, m.start_k)
     assert certify_uniform(pair, policy, q_query, cfg, matched, nd, 0.1, 0.1)

@@ -31,6 +31,7 @@ from trajectory_oracle import (
     dfs_return_distribution,
     dfs_trajectory_expectations,
     observation_mass,
+    tv_distance_oracle,
 )
 
 
@@ -348,6 +349,30 @@ def test_tv_matches_exhaustive_dict_oracle():
                                                         abs=1e-9)
 
 
+@pytest.mark.parametrize("n_states", (3, 9, 12))
+def test_tv_distance_and_the_gap_table_equal_the_oracle_bit_for_bit(n_states):
+    # the deterministic-sensor family and the noisy one, where both models move
+    rng = np.random.default_rng(n_states)
+    problems = [(spec.pair, spec.policy) for spec in
+                (scenarios.random_instance(s, n_states=n_states, horizon_gap=3) for s in (0, 1))]
+    for _ in range(2):
+        pair = random_pair(rng, n_states=n_states)
+        problems.append((pair, random_policy(rng, pair)))
+    checked = 0
+    for pair, policy in problems:
+        for b in map(Belief, rng.dirichlet(np.ones(n_states), size=4)):
+            for a in range(pair.original.n_actions):
+                assert tv_distance(pair, b, a) == tv_distance_oracle(pair, b, a)
+        # every positive gap of the proposal, under its atom's action at its step
+        q0 = build_default_proposal(pair, policy)
+        first_step = pair.original.start_k + 1
+        for e, j in zip(*np.nonzero(q0.gaps > 0.0)):
+            b = Belief(q0.beliefs[e])
+            assert q0.gaps[e, j] == tv_distance_oracle(pair, b, policy.action(first_step + j, b))
+            checked += 1
+    assert checked > 20
+
+
 # ---------------------------------------------------------------- belief cost
 
 
@@ -562,11 +587,10 @@ def test_g_is_monotone_step_function_below_epsilon():
         assert np.all(np.diff(g) >= -1e-15)
         assert np.all(g <= out.epsilon + 1e-9)
         # right-continuity: value at a jump point includes the jump
-        if out.thresholds.size:
-            cum = np.cumsum(out.threshold_weights)
-            np.testing.assert_allclose(out.g_at(out.thresholds), cum,
-                                       atol=1e-15)
-            assert out.g_at(out.thresholds[0] - 1e-9)[0] == 0.0
+        jumps = out.g.breakpoints
+        if jumps.size:
+            np.testing.assert_allclose(out.g_at(jumps), out.g.values, atol=1e-15)
+            assert out.g_at(jumps[0] - 1e-9)[0] == 0.0
 
 
 def test_per_step_m_matches_forward_pass():
@@ -639,7 +663,7 @@ def test_atom_oracle_equals_tree_walk_on_random_instances(seed, horizon_gap, n_o
     # a merged atom keeps its first path's prefix, which can sit a few ulps
     # above the smallest one the tree walk keeps for the same jump, so g is
     # compared exactly at the atom oracle's own jumps and just left of both
-    jumps, tree_jumps = atoms.thresholds, tree.thresholds
+    jumps, tree_jumps = atoms.g.breakpoints, tree.g.breakpoints
     probes = np.concatenate((jumps, jumps - 1e-9, tree_jumps - 1e-9,
                              0.5 * (jumps[1:] + jumps[:-1]),
                              0.5 * (tree_jumps[1:] + tree_jumps[:-1])))

@@ -235,8 +235,8 @@ def _pomdp(**arrays):
 
 
 def _atoms(kind=GapAtoms, **arrays):
-    fields = dict(thresholds=[[0]], target_probs=[[1]], gaps=[[1]])
-    return kind(beliefs=(_B,), b_k=_B, a_k=0, **{**fields, **arrays})
+    fields = dict(beliefs=[[1, 0]], thresholds=[[0]], target_probs=[[1]], gaps=[[1]])
+    return kind(b_k=_B, a_k=0, **{**fields, **arrays})
 
 
 # every outside numeric array, by (parameter, entry point): a valid integral value and
@@ -253,6 +253,7 @@ _ARRAY_ENTRIES = {
         ([_EYE], lambda t: SimplifiedPair(_pomdp(), t, _EYE).simplified_transition.tolist()),
     ("simplified_observation", "SimplifiedPair"):
         (_EYE, lambda o: SimplifiedPair(_pomdp(), [_EYE], o).simplified_observation.tolist()),
+    ("beliefs", "GapAtoms"): ([[0, 1]], lambda b: _atoms(beliefs=b).beliefs.tolist()),
     ("thresholds", "GapAtoms"): ([[2]], lambda t: _atoms(thresholds=t).thresholds.tolist()),
     ("target_probs", "GapAtoms"): ([[1]], lambda p: _atoms(target_probs=p).target_probs.tolist()),
     ("gaps", "GapAtoms"): ([[1]], lambda g: _atoms(gaps=g).gaps.tolist()),
@@ -307,6 +308,8 @@ def test_array_rule(param, entry):
     assert call(valid) == call(floats) == call(np.array(valid)) == call(np.array(floats))
     if param in _POINTS:  # a CDF or envelope is defined at +-inf, but not at NaN
         assert call(_with_first(valid, -np.inf)) != call(_with_first(valid, np.inf))
+        for big, inf in _PAST_FLOAT:  # an int past the float range is its sign's infinity
+            assert call(_with_first(valid, big)) == call(_with_first(valid, float(inf)))
         with pytest.raises(ValueError, match=f"^{param} must not be NaN$"):
             call(_with_first(valid, np.nan))
         return

@@ -14,11 +14,14 @@ against these on random instances.
 ``riskgap.pomdp.belief_mdp_step`` computes for every observation at once,
 and ``observation_mass`` its normaliser; tests check each successor row and
 mass against them.  Both add over states one at a time from the left, as
-every contraction of the package does.
+every contraction of the package does.  ``tv_distance_oracle`` builds the
+two models' successor laws from them alone, the referee of
+``riskgap.pomdp.tv_distance`` and of the proposal's gap table.
 """
 
 import numpy as np
 
+from riskgap.envelopes import PointwiseEnvelope
 from riskgap.pomdp import (
     DEFAULT_LEAF_BUDGET,
     PROB_FLOOR,
@@ -32,7 +35,7 @@ from riskgap.pomdp import (
     belief_mdp_step,
     tv_distance,
 )
-from riskgap.risk import MERGE_TOL, DiscreteDistribution
+from riskgap.risk import ATOM_MATCH_TOL, MERGE_TOL, DiscreteDistribution
 
 
 class ImpossibleObservationError(ValueError):
@@ -69,6 +72,26 @@ def belief_update(pair: SimplifiedPair, b: Belief, a: int, z: int,
             f"observation {z} has probability {norm} under action {a}"
         )
     return Belief(unnorm / norm)
+
+
+def tv_distance_oracle(pair: SimplifiedPair, b: Belief, a: int) -> float:
+    """Total variation between the original and simplified successor-belief laws:
+    each model's ``belief_update`` rows of the observations whose
+    ``observation_mass`` exceeds ``PROB_FLOOR``, in observation order, sorted
+    together lexicographically; a row within ``ATOM_MATCH_TOL`` of its cluster's
+    first row (in every state) joins that cluster, and |p_original - p_simplified|
+    is added over the clusters from the left."""
+    rows = [(belief_update(pair, b, a, z, model).probs, col, p)
+            for col, model in enumerate(("original", "simplified"))
+            for z in range(pair.original.n_obs)
+            if (p := observation_mass(pair, b, a, z, model)) > PROB_FLOOR]
+    rows.sort(key=lambda r: r[0].tolist())
+    clusters: list[tuple] = []  # (first row, [p_original, p_simplified])
+    for row, col, p in rows:
+        if not clusters or max(abs(x - y) for x, y in zip(row, clusters[-1][0])) > ATOM_MATCH_TOL:
+            clusters.append((row, [0.0, 0.0]))
+        clusters[-1][1][col] += p
+    return float(sum_left_to_right([abs(po - ps) for _, (po, ps) in clusters]))
 
 
 def dfs_return_distribution(pair: SimplifiedPair, policy: Policy,
@@ -167,6 +190,5 @@ def dfs_trajectory_expectations(pair: SimplifiedPair, policy: Policy,
     return TrajectoryExpectations(
         per_step_m=per_step,
         epsilon=float(per_step.sum()),
-        thresholds=np.array(thresholds, dtype=float),
-        threshold_weights=np.array(weights, dtype=float),
+        g=PointwiseEnvelope(np.array(thresholds, dtype=float), np.cumsum(weights)),
     )
