@@ -296,8 +296,7 @@ class _RolloutKernel:
                 self.step(block_states, block_weights, masses, actions,
                           rng.random(out=u), r0, step - 1)
                 rng.bit_generator.advance((n_rows - rows) * width)
-                probs = masses / _fold(masses.T)[:, None]
-                actions = policy.actions[step - policy.start_k, probs.argmax(axis=1)]
+                actions = policy._at(step, masses / _fold(masses.T)[:, None])
                 returns[r0:r0 + rows] += self.mean_cost(masses, actions)
             # back to the next block's rows of the first fill, modulo the period
             rng.bit_generator.advance((rows - (depth - 1) * n_rows) * width % 2**128)
@@ -554,7 +553,7 @@ def lower_cdf_distribution(returns, h_plus: PointwiseEnvelope, eta: float,
     or above its true location, so the result is stochastically no larger than
     the law it dominates.
     """
-    ret = _read_only(returns, "returns")
+    ret, eta = _read_only(returns, "returns"), _real(eta, "eta", 0)
     empirical = DiscreteDistribution(ret, np.full(ret.size, 1.0 / ret.size))
     return dominated_cdf(empirical, PointwiseEnvelope(edges, h_plus.at(edges) + eta))
 

@@ -64,10 +64,6 @@ class Belief:
         _check_rows(p, "belief")
         object.__setattr__(self, "probs", p)
 
-    def most_likely_state(self) -> int:
-        # ties broken toward the lowest state index
-        return int(np.argmax(self.probs))
-
 
 def _check_belief(b, n_states: int | None = None) -> None:
     """The one belief-fit rule: a Belief, of ``n_states`` entries if given, else a ValueError."""
@@ -161,8 +157,8 @@ class SimplifiedPair:
 class Policy:
     """Action table indexed by (time step, most-likely state).
 
-    Row ``t - start_k`` covers time ``t``; the argmax tie-break toward the
-    lowest state index keeps the lookup deterministic.
+    Row ``t - start_k`` covers time ``t``; ``_at`` is the table's one reader, so the
+    exact walks and the rollout pool apply the same policy to a belief.
     """
 
     actions: np.ndarray
@@ -175,12 +171,17 @@ class Policy:
         object.__setattr__(self, "actions", a)
         object.__setattr__(self, "start_k", _integral_int(self.start_k, "start_k"))
 
-    def action(self, t: int, belief: Belief) -> int:
-        _check_belief(belief, self.actions.shape[1])
-        row = t - self.start_k
+    def _at(self, t, rows: np.ndarray) -> np.ndarray:
+        """The step-``t`` action at the most likely state of each belief row (the last
+        axis of ``rows``), ties to the lowest state index; ``t`` by ``_integral_int``."""
+        row = _integral_int(t, "t") - self.start_k
         if not (0 <= row < self.actions.shape[0]):
             raise ValueError(f"policy has no row for time step {t}")
-        return int(self.actions[row, belief.most_likely_state()])
+        return self.actions[row, rows.argmax(axis=-1)]
+
+    def action(self, t: int, belief: Belief) -> int:
+        _check_belief(belief, self.actions.shape[1])
+        return int(self._at(t, belief.probs))
 
 
 def validate_policy(pair: SimplifiedPair, policy: Policy) -> None:
@@ -355,10 +356,6 @@ class TrajectoryExpectations:
         """Evaluate g at each level of ``l``."""
         return _step_at(self.g.breakpoints, self.g.values, l, "l")
 
-    def envelope(self) -> PointwiseEnvelope:
-        """g as a CDF-gap envelope (monotone by construction)."""
-        return self.g
-
 
 @dataclass(frozen=True)
 class GapAtoms:
@@ -393,7 +390,8 @@ class GapAtoms:
                 raise ValueError(f"{name} must have the shape of target_probs")
             if name != "thresholds" and np.any(getattr(self, name) < 0.0):
                 raise ValueError(f"{name} must be >= 0")
-        object.__setattr__(self, "a_k", int(self.a_k))
+        _check_belief(self.b_k, self.beliefs.shape[1])
+        object.__setattr__(self, "a_k", _integral_int(self.a_k, "a_k"))
 
     @property
     def n_steps(self) -> int:
@@ -418,9 +416,9 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
                      first_action, leaf_budget: int) -> GapAtoms:
     """The simplified model's gap atoms from ``b_k`` (default: the initial
     belief): the walk's frontiers pooled over steps, an atom met at several
-    steps keeping its first belief and prefix. One argmax over the belief rows
-    (ties to the lowest state) indexes the interior steps' policy rows; the walk's
-    ``Belief`` of an atom pays one ``tv_distance`` per distinct action where it has mass."""
+    steps keeping its first belief and prefix. One ``Policy._at`` per interior step
+    over the belief rows gives the atoms' actions; the walk's ``Belief`` of an atom
+    pays one ``tv_distance`` per distinct action where it has mass."""
     m = pair.original
     n_steps = m.horizon_T - 1 - m.start_k
     if n_steps <= 0:
@@ -441,13 +439,12 @@ def _walk_simplified(pair: SimplifiedPair, policy: Policy, b_k: Belief | None,
     targets = np.vstack(rows)
     thresholds = (np.array(prefixes)[:, None] + belief_cost(pair, b_k, a0)
                   - (m.horizon_T - (first_step + np.arange(n_steps))) * m.r_max)
-    # the walk read the policy at every interior step, so these rows exist
-    table = policy.actions[first_step - policy.start_k:][:n_steps]
     probs = np.array([b.probs for b in beliefs])
+    table = np.column_stack([policy._at(first_step + j, probs) for j in range(n_steps)])
     gaps = np.zeros_like(targets)
-    for e, (b, state) in enumerate(zip(beliefs, probs.argmax(axis=1))):
+    for e, b in enumerate(beliefs):
         steps = np.flatnonzero(targets[e])
-        actions = table[steps, state].tolist()
+        actions = table[e, steps].tolist()
         tv = {a: tv_distance(pair, b, a) for a in set(actions)}
         gaps[e, steps] = [tv[a] for a in actions]
     return GapAtoms(probs, thresholds, targets, gaps, b_k, a0)

@@ -85,7 +85,7 @@ def bound_report(pair: SimplifiedPair, policy: Policy, query: ValueQuery,
     bounds = SupportBounds(-span, span)
     lo = uniform_lower(dist_s, alpha, traj.epsilon, bounds)
     hi = uniform_upper(dist_s, alpha, traj.epsilon, bounds)
-    tight = tight_lower(dist_s, traj.envelope(), alpha)
+    tight = tight_lower(dist_s, traj.g, alpha)
     return BoundReport(
         q_true=cvar_exact(dist, alpha),
         q_simplified=cvar_exact(dist_s, alpha),

@@ -167,6 +167,22 @@ def test_proposal_beliefs_are_one_row_per_atom(beliefs, message):
                    b_k=b, a_k=0, proposal_probs=np.array([1.0]))
 
 
+@pytest.mark.parametrize("start, message", [
+    (dict(a_k="1"), r"^a_k must be integral, got <U1 entries$"),
+    (dict(a_k=1.7), r"^a_k must be integral, got 1.7$"),
+    (dict(a_k=True), r"^a_k must be integral, got bool entries$"),
+    (dict(b_k=[1, 0, 0, 0]), r"^belief must be a Belief, got list$"),
+    (dict(b_k=Belief([1.0, 0.0])), r"^belief must have 4 entries, got 2$"),
+])
+def test_proposal_start_is_checked(start, message):
+    # the start a proposal was walked from: an integral action and a Belief of S entries
+    spec = scenarios.builtin("corridor4")
+    q0 = build_default_proposal(spec.pair, spec.policy)
+    with pytest.raises(ValueError, match=message):
+        ProposalQ0(**{**vars(q0), **start})
+    assert ProposalQ0(**{**vars(q0), "a_k": np.int64(q0.a_k)}).a_k == q0.a_k
+
+
 # --------------------------------------------------- one particle-filter step
 
 
@@ -1179,10 +1195,11 @@ _B0 = Belief(_SENSOR.pair.original.initial_belief)
 
 
 def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1),
-                pair=_SENSOR.pair, b_bar=None):
+                pair=_SENSOR.pair, b_bar=None, t=None):
     """``entry`` on two_state_sensor (or ``pair``) with the given inputs; a walk, proposal
     or exact value takes ``action`` as its first action, a pool as its step-k action, and
-    the pool starts from ``b_bar``, by default the particles ``states``."""
+    the pool starts from ``b_bar``, by default the particles ``states``; the policy's
+    lookup reads step ``t``, by default start_k."""
     walk = dict(b_k=belief, first_action=action)
     b_bar = ParticleBelief(list(states), np.ones(len(states))) if b_bar is None else b_bar
     return {
@@ -1191,7 +1208,8 @@ def _index_call(entry, action=1, belief=_B0, policy=_SENSOR.policy, states=(0, 1
         "tv_distance": lambda: tv_distance(pair, belief, action),
         "rollout_returns": lambda: rollout_returns(pair, policy, b_bar, action, 0, 3,
                                                    RolloutConfig(4, 2, 0)),
-        "Policy.action": lambda: policy.action(pair.original.start_k, belief),
+        "Policy.action": lambda: policy.action(pair.original.start_k if t is None else t,
+                                               belief),
         "enumerate_return_distribution": lambda: enumerate_return_distribution(
             pair, policy, **walk),
         "enumerate_trajectory_expectations": lambda: enumerate_trajectory_expectations(
@@ -1220,6 +1238,8 @@ _BAD_INDICES = (
     + [(f"belief-{case}", "belief", dict(belief=bad), _TAKES_BELIEF) for case, bad in (
         ("of-3", Belief([0.2, 0.3, 0.5])), ("of-1", Belief([1.0])), ("list", [0.5, 0.5]),
         ("ndarray", np.array([0.5, 0.5])))]
+    # a step is an integer: NumPy would read True as row 1 and refuse 2.5 and "1" by type
+    + [(f"t={bad!r}", "t", dict(t=bad), ("Policy.action",)) for bad in (True, 2.5, "1")]
     + [("state-5", "states", dict(states=(0, 5)), ("rollout_returns",)),
        ("b_bar-Belief", "b_bar", dict(b_bar=_B0), ("rollout_returns",))]
     + [(f"policy-{case}", "policy", dict(policy=bad), _TAKES_POLICY) for case, bad in (

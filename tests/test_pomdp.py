@@ -125,6 +125,19 @@ def test_policy_rejects_fractional_actions_naming_the_field():
         assert Policy([[big, 1.0]], start_k=0).actions.tolist() == [[big, 1]]
 
 
+@pytest.mark.parametrize("row", [[0.5, 0.5], [1 / 3] * 3, [0.2, 0.4, 0.4]])
+def test_policy_reads_the_lowest_tied_state(row):
+    # the one tie rule of the walks and the pool: the first index of the maximum,
+    # read at step t from row t - start_k (action s, then S - 1 - s, at state s)
+    rows = [row, row[::-1]]
+    firsts = [r.index(max(r)) for r in rows]
+    policy = Policy([list(range(len(row))), list(range(len(row)))[::-1]], start_k=5)
+    for t, read in ((5, lambda s: s), (6, lambda s: len(row) - 1 - s)):
+        want = [read(s) for s in firsts]
+        assert [policy.action(t, Belief(r)) for r in rows] == want
+        assert policy._at(t, np.array(rows)).tolist() == want
+
+
 def test_model_rejects_fractional_horizon_naming_the_field():
     tensors = ([[[1, 0], [0, 1]]], [[1, 0], [0, 1]], [[0.0], [0.0]], [0.5, 0.5])
     for horizon_T, start_k, field in ((2.5, 0, "horizon_T"), (2, 0.5, "start_k"),

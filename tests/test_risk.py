@@ -114,6 +114,8 @@ _RULE_ENTRIES = {
     ("eta", "n_delta_for_tight_lower"): lambda e: n_delta_for_tight_lower(e, 0.1, 1.0, 4, 3, 0),
     ("eta", "_certified_n_delta"):
         lambda e: _certified_n_delta(_SENSOR.pair, _Q0, None, 0.1, eta=e, grid=_GRID),
+    ("eta", "lower_cdf_distribution"): lambda e: lower_cdf_distribution(
+        [0.0, 1.0], PointwiseEnvelope.zero(), e, [-1.0, 2.0]).probs.tolist(),
     ("B", "n_delta_for_epsilon"): lambda b: n_delta_for_epsilon(0.1, 0.1, b, 3, 0),
     ("B", "n_delta_for_g"): lambda b: n_delta_for_g(0.1, 0.1, b, 3, 0),
     ("B", "n_delta_for_h"): lambda b: n_delta_for_h(0.1, 0.1, b, 4, 3, 0),
@@ -167,6 +169,8 @@ _REAL_RANGES = {
     "inf_img": ((np.nan, np.inf, -np.inf), (-3.0, 0.0, 10.0)),
     "sup_img": ((-1.0, np.nan, np.inf), (0.0, 2.5)),
     "perturbation": ((-0.1, 1.5, np.nan, np.inf), (0.0, 0.2, 1.0)),
+    # a dominated law's slack may be 0: it is then the empirical law itself
+    ("eta", "lower_cdf_distribution"): ((-0.5, np.nan, np.inf), (0.0, 0.1, 3)),
 }
 # the type column: numbers only, as the integer rule takes them, so numeric text,
 # booleans (True would run as a gap of 1) and None are refused at every level and real
@@ -196,7 +200,8 @@ def test_level_and_gap_rules(param, entry):
         n = least + 3  # a NumPy or float integer counts as the int it holds
         assert call(np.int64(n)) == call(float(n)) == call(n)
         return
-    rejected, accepted = _REAL_RANGES.get(param, (_LEVEL_REJECTED, (0.25,)))
+    rejected, accepted = _REAL_RANGES.get(
+        (param, entry), _REAL_RANGES.get(param, (_LEVEL_REJECTED, (0.25,))))
     for bad, got in (*((bad, float(bad)) for bad in rejected), *_PAST_FLOAT):
         with pytest.raises(ValueError, match=rf"^{param} must .*, got {got}$"):
             call(bad)
